@@ -262,7 +262,11 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
         try:
             return fn()
         except Exception as exc:
-            raise type(exc)(f"[stage: {name}] {exc}") from exc
+            # Prefix the message in place. Exceptions with structured arguments
+            # (UnicodeDecodeError, OSError) cannot be rebuilt, so pass unchanged.
+            if len(exc.args) <= 1:
+                exc.args = (f"[stage: {name}] {exc}",)
+            raise
 
     records = stage("ingest", lambda: load_tweets(config.dataset))
     threads, _ = stage("assemble", lambda: assemble_threads(records))

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .ingest import TweetRecord
 
 PAD_ID = 0
@@ -269,15 +269,16 @@ def save_vocabulary(model: TfidfModel, vocab_path, idf_path) -> None:
 
 def load_vocabulary(vocab_path, idf_path) -> TfidfModel:
     vocab = load_terms(vocab_path)
-    doc_count = 0
+    lines = Path(idf_path).read_text(encoding="utf-8").splitlines()
+    # Only the first line is the header: later lines may be hashtag terms.
+    key, _, count = lines[0].partition(" = ") if lines else ("", "", "")
+    if key != "# doc_count" or not count.isdecimal():
+        raise ParseError(f"{idf_path}: line 1 is not the '# doc_count = N' header")
     idf = np.zeros(vocab.content_size)
-    for line in Path(idf_path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("#"):
-            doc_count = int(line.split("=", 1)[1])
-            continue
+    for line in lines[1:]:
         term, value = line.split("\t")
         position = vocab.content_index(term)
         if position is None:
             raise ValidationError(f"idf term {term!r} not in vocabulary")
         idf[position] = float(value)
-    return TfidfModel(vocab=vocab, idf=idf, doc_count=doc_count)
+    return TfidfModel(vocab=vocab, idf=idf, doc_count=int(count))

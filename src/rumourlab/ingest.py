@@ -205,9 +205,15 @@ def load_tweets(path) -> list[TweetRecord]:
         raise FileNotFoundError(f"dataset file not found: {path}")
     records: list[TweetRecord] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
+    with path.open("rb") as handle:
+        # Lines end at \n, \r or \r\n, as in text mode; each is decoded on
+        # its own so that a bad byte is reported on the line that holds it.
+        lines = (piece for chunk in handle for piece in chunk.splitlines())
+        for line_no, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"line {line_no}: invalid UTF-8: {exc.reason}") from None
             if not line:
                 continue
             try:

@@ -30,6 +30,8 @@ _URL_RE = re.compile(r"(?:https?://|\bwww\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#\w+")
 _ALIAS_TOKEN_RE = re.compile(r":[a-z0-9_]+:")
+_CHUNK_RE = re.compile(r"\S+")
+_SPECIAL_RE = re.compile("|".join(p.pattern for p in (_ALIAS_TOKEN_RE, _HASHTAG_RE, _MENTION_RE)))
 
 # Code-point ranges treated as emoji when absent from the alias table.
 _EMOJI_RANGES = (
@@ -68,29 +70,22 @@ def emoji_aliases() -> dict[str, str]:
     return table
 
 
-def _is_emoji_char(char: str) -> bool:
-    if char in emoji_aliases():
-        return True
-    point = ord(char)
-    return any(low <= point <= high for low, high in _EMOJI_RANGES)
+@lru_cache(maxsize=1)
+def _emoji_table() -> dict[int, str | None]:
+    """``str.translate`` table: range code points to ``:emoji:``, bundled
+    emoji to their aliases, and joiners (entered last, so they win) to None."""
+    points = (point for low, high in _EMOJI_RANGES for point in range(low, high + 1))
+    table = dict.fromkeys(points, f" :{UNKNOWN_EMOJI_ALIAS}: ")
+    table.update((ord(char), f" :{alias}: ") for char, alias in emoji_aliases().items())
+    table.update(dict.fromkeys(map(ord, _EMOJI_JOINERS)))
+    return table
 
 
 def normalize(text: str) -> str:
     """Rewrite mentions, URLs, and emoji, then collapse whitespace."""
     text = _URL_RE.sub(URL_TOKEN, text)
     text = _MENTION_RE.sub(MENTION_TOKEN, text)
-    aliases = emoji_aliases()
-    parts: list[str] = []
-    for char in text:
-        if char in _EMOJI_JOINERS:
-            continue
-        if char in aliases:
-            parts.append(f" :{aliases[char]}: ")
-        elif _is_emoji_char(char):
-            parts.append(f" :{UNKNOWN_EMOJI_ALIAS}: ")
-        else:
-            parts.append(char)
-    return " ".join("".join(parts).split())
+    return " ".join(text.translate(_emoji_table()).split())
 
 
 @dataclass(frozen=True)
@@ -106,29 +101,26 @@ class TokenStream(Sequence):
     def __getitem__(self, index):
         return self.tokens[index]
 
+    def __iter__(self):
+        return iter(self.tokens)
+
 
 def _is_special_token(chunk: str) -> bool:
-    if chunk in EMOTICONS or chunk == URL_TOKEN:
-        return True
-    if _ALIAS_TOKEN_RE.fullmatch(chunk):
-        return True
-    if _HASHTAG_RE.fullmatch(chunk) or _MENTION_RE.fullmatch(chunk):
-        return True
-    return False
+    return chunk in EMOTICONS or chunk == URL_TOKEN or _SPECIAL_RE.fullmatch(chunk) is not None
 
 
 def tokenize(text: str) -> TokenStream:
     """Split normalized text into tokens, preserving case and spans."""
     tokens: list[str] = []
     spans: list[tuple[int, int]] = []
-    for match in re.finditer(r"\S+", text):
+    for match in _CHUNK_RE.finditer(text):
         chunk = match.group()
         offset = match.start()
         end = len(chunk)
         peeled: list[int] = []
         while end > 0:
             core = chunk[:end]
-            if _is_special_token(core) or core[-1] not in _PUNCT_CHARS:
+            if core[-1] not in _PUNCT_CHARS or _is_special_token(core):
                 break
             end -= 1
             peeled.append(end)
@@ -164,8 +156,6 @@ class AttributeCounts:
     mentions: int
     stopwords: int
 
-    FIELDS = ("words", "urls", "emojis", "hashtags", "mentions", "stopwords")
-
 
 def count_attributes(text: str) -> AttributeCounts:
     """Surface-attribute counts: URLs, emoji, hashtags, and mentions are
@@ -174,9 +164,8 @@ def count_attributes(text: str) -> AttributeCounts:
     urls = len(_URL_RE.findall(text))
     hashtags = len(_HASHTAG_RE.findall(text))
     mentions = len(_MENTION_RE.findall(text))
-    emojis = sum(
-        1 for char in text if char not in _EMOJI_JOINERS and _is_emoji_char(char)
-    )
+    table = _emoji_table()
+    emojis = sum(text.count(char) for char in set(text) if table.get(ord(char)))
     stopwords = stopword_list()
     words = 0
     stops = 0

@@ -1,0 +1,48 @@
+"""Smoke test for the benchmark's corpus generator: a small generated
+corpus goes through the four analysis kinds and a TF-IDF train, predict
+and evaluate through the command line, so the generator keeps producing
+input the program accepts."""
+
+from pathlib import Path
+
+import pytest
+
+from rumourlab.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def corpus_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+
+    return corpus
+
+
+def test_generated_corpus_runs_through_cli(corpus_module, tmp_path, capsys):
+    shape = corpus_module.CorpusShape(
+        labeled_threads=12, unlabeled_threads=4, rumour_rate=0.5, reply_cap=8,
+        reply_tail=1.5, reply_scale=3.0, chain_prob=0.3, months=3, vocab_types=2000,
+    )
+    labeled, unlabeled = tmp_path / "labeled.jsonl", tmp_path / "unlabeled.jsonl"
+    corpus_module.generate(shape, 4, labeled, unlabeled)
+
+    for kind in ("attributes", "topics", "emotion", "sentiment"):
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--kind", kind, "--data", str(labeled),
+                     "--out", str(out)]) == 0
+        assert (out / f"{kind}.csv").exists()
+
+    runs = tmp_path / "runs"
+    assert main(["train", "--data", str(labeled), "--model", "logreg",
+                 "--out-dir", str(runs), "--set", "features = tfidf",
+                 "--set", "seeds = 1", "--set", "classic_iters = 50"]) == 0
+    (run_dir,) = runs.iterdir()
+    # Hashtag terms in the saved idf table must not be read as its header.
+    idf_lines = (run_dir / "idf.txt").read_text(encoding="utf-8").splitlines()
+    assert any(line.startswith("#") for line in idf_lines[1:])
+    capsys.readouterr()
+    assert main(["predict", "--run", str(run_dir), "--data", str(unlabeled)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == shape.unlabeled_threads
+    assert main(["evaluate", "--run", str(run_dir)]) == 0

@@ -52,6 +52,29 @@ class TestDispatch:
         assert "FAIL" not in out
 
 
+@pytest.fixture
+def bad_utf8_file(planted_file, tmp_path):
+    lines = planted_file.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b'"text": "', b'"text": "\xff', 1)
+    path = tmp_path / "bad_utf8.jsonl"
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+class TestInvalidUtf8:
+    @pytest.mark.parametrize("command", [
+        ["ingest"],
+        ["train", "--model", "logreg", "--set", "seeds = 1"],
+    ])
+    def test_bad_byte_exits_one_naming_line(self, bad_utf8_file, tmp_path, capsys, command):
+        argv = command + ["--data", str(bad_utf8_file)]
+        if command[0] == "train":
+            argv += ["--out-dir", str(tmp_path / "runs")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "line 2:" in err and "UTF-8" in err
+
+
 class TestIngestAndStats:
     def test_ingest_reports_counts(self, planted_file, capsys):
         assert main(["ingest", "--data", str(planted_file)]) == 0

@@ -261,3 +261,13 @@ class TestRunExperiment:
                            out_dir=str(tmp_path / "runs"))
         with pytest.raises(FileNotFoundError, match="stage: ingest"):
             run_experiment(config)
+
+    def test_structured_error_passes_through_stage(self, tmp_path, monkeypatch):
+        def fail(path):
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        monkeypatch.setattr("rumourlab.evalrun.load_tweets", fail)
+        config = RunConfig(dataset=str(tmp_path / "any.jsonl"),
+                           out_dir=str(tmp_path / "runs"))
+        with pytest.raises(UnicodeDecodeError, match="invalid start byte"):
+            run_experiment(config)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rumourlab.errors import ValidationError
+from rumourlab.errors import ParseError, ValidationError
 from rumourlab.featurize import (
     Standardizer,
     Vocabulary,
@@ -279,6 +279,23 @@ class TestPersistence:
         assert loaded.vocab.terms == model.vocab.terms
         assert loaded.doc_count == model.doc_count
         assert np.array_equal(loaded.idf, model.idf)
+
+    def test_tfidf_round_trip_with_hashtag_terms(self, tmp_path):
+        docs = [["#tag", "alpha"], ["#tag", "#doc_count"], ["beta"]]
+        model = fit_tfidf(docs, top_k=10)
+        assert "#tag" in model.vocab.terms
+        save_vocabulary(model, tmp_path / "vocab.txt", tmp_path / "idf.txt")
+        loaded = load_vocabulary(tmp_path / "vocab.txt", tmp_path / "idf.txt")
+        assert loaded.vocab.terms == model.vocab.terms
+        assert loaded.doc_count == 3
+        assert np.array_equal(loaded.idf, model.idf)
+
+    @pytest.mark.parametrize("idf_text", ["", "alpha\t1.0\n", "# doc_count = x\n"])
+    def test_idf_header_malformed(self, tmp_path, idf_text):
+        save_terms(Vocabulary(terms=("alpha",)), tmp_path / "vocab.txt")
+        (tmp_path / "idf.txt").write_text(idf_text)
+        with pytest.raises(ParseError, match="idf.txt: line 1"):
+            load_vocabulary(tmp_path / "vocab.txt", tmp_path / "idf.txt")
 
     def test_header_required(self, tmp_path):
         (tmp_path / "vocab.txt").write_text("just\nterms\n")

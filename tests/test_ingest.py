@@ -62,6 +62,24 @@ class TestLoadTweets:
         with pytest.raises(ValidationError, match="line 1"):
             load_tweets(path)
 
+    def test_invalid_utf8_cites_line(self, tmp_dataset):
+        path = tmp_dataset([make_record(f"t{i}") for i in range(3)])
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b"hello", b"hel\xfflo")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValidationError, match="line 2: invalid UTF-8"):
+            load_tweets(path)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_line_ends(self, tmp_dataset, newline):
+        path = tmp_dataset([make_record(f"t{i}") for i in range(3)])
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(newline.join(lines + [b"{not json}"]))
+        with pytest.raises(ValidationError, match="line 4"):
+            load_tweets(path)
+        path.write_bytes(newline.join(lines) + newline)
+        assert [r.id for r in load_tweets(path)] == ["t0", "t1", "t2"]
+
     def test_naive_timestamp_rejected(self, tmp_path):
         record = {"id": "a", "text": "x", "created_at": "2020-01-01T00:00:00",
                   "verified": False, "followers": 0, "following": 0,

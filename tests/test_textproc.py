@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 from rumourlab.errors import ValidationError
 from rumourlab.featurize import Vocabulary
 from rumourlab.textproc import (
+    MENTION_TOKEN,
+    URL_TOKEN,
+    _EMOJI_JOINERS,
+    _EMOJI_RANGES,
+    _MENTION_RE,
+    _URL_RE,
     count_attributes,
+    emoji_aliases,
     encode_pair,
     is_word_token,
     normalize,
@@ -21,6 +28,59 @@ _FRAGMENTS = (
        "http://x.io/a", " www.ex.com ", "@bob", "#tag", "the", "not", ":-)", "  "]
 )
 text_strategy = st.lists(st.sampled_from(_FRAGMENTS), max_size=15).map("".join)
+
+
+# Reference implementations: the per-character loop that the table-driven
+# normalize and emoji count must reproduce exactly.
+def _oracle_is_emoji_char(char):
+    if char in emoji_aliases():
+        return True
+    point = ord(char)
+    return any(low <= point <= high for low, high in _EMOJI_RANGES)
+
+
+def oracle_normalize(text):
+    text = _URL_RE.sub(URL_TOKEN, text)
+    text = _MENTION_RE.sub(MENTION_TOKEN, text)
+    aliases = emoji_aliases()
+    parts = []
+    for char in text:
+        if char in _EMOJI_JOINERS:
+            continue
+        if char in aliases:
+            parts.append(f" :{aliases[char]}: ")
+        elif _oracle_is_emoji_char(char):
+            parts.append(" :emoji: ")
+        else:
+            parts.append(char)
+    return " ".join("".join(parts).split())
+
+
+def oracle_emoji_count(text):
+    return sum(1 for char in text
+               if char not in _EMOJI_JOINERS and _oracle_is_emoji_char(char))
+
+
+_RANGE_EDGES = [
+    chr(point)
+    for low, high in _EMOJI_RANGES
+    for point in (low - 1, low, low + 1, high - 1, high, high + 1)
+]
+_ORACLE_ALPHABET = st.one_of(
+    st.characters(max_codepoint=0x7F),
+    st.sampled_from(sorted(emoji_aliases())),
+    st.sampled_from(sorted(_EMOJI_JOINERS)),
+    st.sampled_from(_RANGE_EDGES),
+    st.sampled_from([chr(low + 0x40) for low, _ in _EMOJI_RANGES]),
+)
+oracle_strategy = st.lists(
+    st.one_of(
+        _ORACLE_ALPHABET,
+        st.sampled_from(["http://x.io/a", "https://t.co/", "www.ex.com",
+                         "@bob", "@", "http://", " ", "\u3000", "\n"]),
+    ),
+    max_size=30,
+).map("".join)
 
 
 class TestNormalize:
@@ -52,6 +112,29 @@ class TestNormalize:
         once = normalize(text)
         assert normalize(once) == once
 
+    @given(oracle_strategy)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_per_character_oracle(self, text):
+        assert normalize(text) == oracle_normalize(text)
+        assert count_attributes(text).emojis == oracle_emoji_count(text)
+
+    def test_range_edges_classified(self):
+        aliases = emoji_aliases()
+        for low, high in _EMOJI_RANGES:
+            for char in (chr(low), chr(high)):
+                assert normalize(char) == f":{aliases.get(char, 'emoji')}:"
+                assert count_attributes(char).emojis == 1
+            for char in (chr(low - 1), chr(high + 1)):
+                assert normalize(char) == char
+                assert count_attributes(char).emojis == 0
+
+    def test_joiner_between_emoji_dropped(self):
+        for joiner in sorted(_EMOJI_JOINERS):
+            text = f"\U0001F637{joiner}\U0001F9FF"
+            assert normalize(text) == ":face_with_medical_mask: :emoji:"
+            assert normalize(text) == oracle_normalize(text)
+            assert count_attributes(text).emojis == 2 == oracle_emoji_count(text)
+
 
 class TestTokenize:
     def test_hashtag_and_url_tokens(self):
@@ -72,6 +155,25 @@ class TestTokenize:
 
     def test_pure_punctuation_chunk(self):
         assert list(tokenize("?!")) == ["?", "!"]
+
+    @pytest.mark.parametrize("text, expected", [
+        (":)", [":)"]),
+        ("D:", ["D:"]),
+        (":-(", [":-("]),
+        ("HTTPURL.", ["HTTPURL", "."]),
+        ("#tag!!", ["#tag", "!", "!"]),
+        (":red_heart:,", [":red_heart:", ","]),
+        ("ok :) D: :-( HTTPURL. #tag!! :red_heart:,",
+         ["ok", ":)", "D:", ":-(", "HTTPURL", ".", "#tag", "!", "!",
+          ":red_heart:", ","]),
+    ])
+    def test_special_tokens_ending_in_punctuation(self, text, expected):
+        stream = tokenize(text)
+        assert list(stream) == list(stream.tokens) == expected
+        assert len(stream.spans) == len(expected)
+        assert list(stream.spans) == sorted(stream.spans)
+        for token, (start, end) in zip(stream.tokens, stream.spans):
+            assert text[start:end] == token
 
     @given(text_strategy)
     @settings(max_examples=200, deadline=None)
