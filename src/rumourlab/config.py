@@ -174,6 +174,6 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
 
 def load_config(path, base: Optional[RunConfig] = None) -> RunConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     return parse_config_text(path.read_text(encoding="utf-8"), base)

@@ -11,7 +11,7 @@ metrics file. Nothing written contains a timestamp.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,8 +21,6 @@ from .config import RunConfig, load_config
 from .errors import ValidationError
 from .featurize import (
     Standardizer,
-    TfidfModel,
-    Vocabulary,
     build_vocabulary,
     compute_class_weights,
     fit_tfidf,
@@ -180,40 +178,22 @@ def _history_text(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lstm_config(config: RunConfig) -> LstmConfig:
-    return LstmConfig(
-        vocab_cap=config.vocab_cap, embed_dim=config.embed_dim,
-        hidden_dim=config.hidden_dim, perceptron_dim=config.perceptron_dim,
-        max_len=config.max_len, dropout=config.dropout,
-    )
-
-
-def _bigcn_config(config: RunConfig, input_dim: int) -> BiGcnConfig:
-    return BiGcnConfig(
-        input_dim=input_dim, hidden_dim=config.bigcn_hidden_dim,
-        out_dim=config.bigcn_out_dim, drop_edge_rate=config.drop_edge_rate,
-        dropout=config.dropout, tree_raw_counts=config.tree_raw_counts,
-        keep_reply_links=config.keep_reply_links,
-    )
-
-
-def _train_config(config: RunConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        optimizer=config.optimizer, lr=config.lr,
-        weight_decay=config.weight_decay, epsilon=config.epsilon,
-        batch_size=config.batch_size, max_epochs=config.max_epochs,
-        patience=config.patience, class_weights=config.class_weights,
-        seed=seed,
-    )
-
-
-def _classic_options(config: RunConfig, seed: int) -> ClassicOptions:
+def _training_options(config: RunConfig):
+    """Training options with the seed left at 0: TrainConfig for the
+    gradient kinds, ClassicOptions for the classic kinds."""
+    if config.model in ("lstm", "bigcn"):
+        return TrainConfig(
+            optimizer=config.optimizer, lr=config.lr,
+            weight_decay=config.weight_decay, epsilon=config.epsilon,
+            batch_size=config.batch_size, max_epochs=config.max_epochs,
+            patience=config.patience,
+        )
     # The handcrafted block (first 8 columns when present) is the only
     # scale-sensitive part; TF-IDF rows are already unit-norm.
     scale_columns = 0 if config.features == "tfidf" else 8
     return ClassicOptions(
         class_weights=config.class_weights, smote=config.smote,
-        smote_k=config.smote_k, seed=seed, rf_trees=config.rf_trees,
+        smote_k=config.smote_k, rf_trees=config.rf_trees,
         rf_max_depth=config.rf_max_depth,
         rf_feature_subsample=config.rf_feature_subsample,
         logreg_l2=config.logreg_l2, svm_l2=config.svm_l2,
@@ -222,14 +202,65 @@ def _classic_options(config: RunConfig, seed: int) -> ClassicOptions:
     )
 
 
-def _classic_features(
-    config: RunConfig, tfidf: Optional[TfidfModel], threads: Sequence[Thread]
-) -> np.ndarray:
+def _fit_features(config: RunConfig, train: Sequence[Thread]):
+    """What a run learns from its train split before any model: the LSTM
+    vocabulary, TF-IDF over tweets (Bi-GCN) or over threads (classic
+    kinds with a TF-IDF block), or None."""
+    if config.model == "lstm":
+        # Reserve three ids (pad/unk/sep) inside the configured cap.
+        return build_vocabulary(thread_docs(train), config.vocab_cap - 3)
+    if config.model == "bigcn":
+        return fit_tfidf(tweet_docs(train), config.tfidf_top_k)
+    if config.features in ("tfidf", "both"):
+        return fit_tfidf(thread_docs(train), config.tfidf_top_k)
+    return None
+
+
+def _save_features(config: RunConfig, features, run_dir: Path) -> None:
+    if config.model == "lstm":
+        save_terms(features, run_dir / "vocab.txt")
+    elif features is not None:
+        save_vocabulary(features, run_dir / "vocab.txt", run_dir / "idf.txt")
+
+
+def _load_features(config: RunConfig, run_dir: Path):
+    """The inverse of _fit_features, read back from a run directory."""
+    if config.model == "lstm":
+        return load_terms(run_dir / "vocab.txt")
+    if config.model == "bigcn" or config.features in ("tfidf", "both"):
+        return load_vocabulary(run_dir / "vocab.txt", run_dir / "idf.txt")
+    return None
+
+
+def _gradient_model(config: RunConfig, features,
+                    class_weights: Optional[dict[str, float]] = None):
+    """The LSTM or Bi-GCN over the fitted features; None for classic kinds."""
+    if config.model == "lstm":
+        return LstmModel(LstmConfig(
+            vocab_cap=config.vocab_cap, embed_dim=config.embed_dim,
+            hidden_dim=config.hidden_dim, perceptron_dim=config.perceptron_dim,
+            max_len=config.max_len, dropout=config.dropout,
+        ), features, class_weights)
+    if config.model == "bigcn":
+        return BiGcnModel(BiGcnConfig(
+            input_dim=features.vocab.content_size, hidden_dim=config.bigcn_hidden_dim,
+            out_dim=config.bigcn_out_dim, drop_edge_rate=config.drop_edge_rate,
+            dropout=config.dropout, tree_raw_counts=config.tree_raw_counts,
+            keep_reply_links=config.keep_reply_links,
+        ), features, class_weights)
+    return None
+
+
+def _prepare(config: RunConfig, model, features, threads: Sequence[Thread]):
+    """Model input for threads: prepared batches for the gradient kinds,
+    the handcrafted and/or TF-IDF matrix for the classic kinds."""
+    if model is not None:
+        return model.prepare(threads)
     blocks = []
     if config.features in ("handcrafted", "both"):
         blocks.append(handcrafted_matrix(threads))
     if config.features in ("tfidf", "both"):
-        blocks.append(tfidf_matrix(tfidf, threads))
+        blocks.append(tfidf_matrix(features, threads))
     return np.hstack(blocks)
 
 
@@ -249,9 +280,11 @@ def _class_weight_map(config: RunConfig, threads) -> Optional[dict[str, float]]:
 def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     """Execute the full pipeline for one configuration.
 
-    Ingest, split, featurize, train once per seed, majority-vote the test
-    predictions, and persist everything under the digest-named run
-    directory. Raises with the failing stage named.
+    Ingest, split, featurize and prepare each split once, train once per
+    seed, majority-vote the test predictions, and persist everything under
+    the digest-named run directory. Features, model and training options
+    are built before the directory is, so a bad config writes nothing.
+    Raises with the failing stage named.
     """
 
     def note(message: str) -> None:
@@ -272,75 +305,48 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     threads, _ = stage("assemble", lambda: assemble_threads(records))
     labeled = [t for t in threads if t.label is not None]
     split = stage("split", lambda: split_dataset(labeled, config.ratios, config.split_seed))
+    features = stage("featurize", lambda: _fit_features(config, split.train))
+    model = _gradient_model(config, features, _class_weight_map(config, split.train))
+    options = _training_options(config)
+    train, dev, test = stage("featurize", lambda: [
+        _prepare(config, model, features, part)
+        for part in (split.train, split.dev, split.test)])
+
     run_dir = Path(config.out_dir) / f"{config.model}-{config.digest()}"
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.txt").write_text(config.canonical_text(), encoding="utf-8")
     save_split(split, run_dir / "split")
+    _save_features(config, features, run_dir)
     note(f"run dir {run_dir}: train={len(split.train)} dev={len(split.dev)} "
          f"test={len(split.test)}")
-    truth = [t.label for t in split.test]
+    train_y = [t.label for t in split.train]
     seed_predictions: list[list[str]] = []
     seed_scores: list[np.ndarray] = []
-
-    if config.model == "lstm":
-        # Reserve three ids (pad/unk/sep) inside the configured cap.
-        vocab = stage("featurize", lambda: build_vocabulary(
-            thread_docs(split.train), config.vocab_cap - 3))
-        save_terms(vocab, run_dir / "vocab.txt")
-        model = LstmModel(_lstm_config(config), vocab,
-                          _class_weight_map(config, split.train))
-        for seed in config.seeds:
-            result = stage(f"fit seed {seed}", lambda: fit(
-                model, split.train, split.dev, _train_config(config, seed)))
+    for seed in config.seeds:
+        options = replace(options, seed=seed)
+        if model is not None:
+            result = stage(f"fit seed {seed}", lambda: fit(model, train, dev, options))
             save_checkpoint(result.params, run_dir / f"ckpt_seed{seed}.txt")
-            (run_dir / f"history_seed{seed}.txt").write_text(
-                _history_text(result.history), encoding="utf-8")
-            labels, scores = predict_threads(model, result.params, split.test)
-            seed_predictions.append(labels)
-            seed_scores.append(scores)
-            note(f"seed {seed}: best epoch {result.best_epoch}")
-    elif config.model == "bigcn":
-        tfidf = stage("featurize", lambda: fit_tfidf(
-            tweet_docs(split.train), config.tfidf_top_k))
-        save_vocabulary(tfidf, run_dir / "vocab.txt", run_dir / "idf.txt")
-        model = BiGcnModel(_bigcn_config(config, tfidf.vocab.content_size), tfidf,
-                           _class_weight_map(config, split.train))
-        for seed in config.seeds:
-            result = stage(f"fit seed {seed}", lambda: fit(
-                model, split.train, split.dev, _train_config(config, seed)))
-            save_checkpoint(result.params, run_dir / f"ckpt_seed{seed}.txt")
-            (run_dir / f"history_seed{seed}.txt").write_text(
-                _history_text(result.history), encoding="utf-8")
-            labels, scores = predict_threads(model, result.params, split.test)
-            seed_predictions.append(labels)
-            seed_scores.append(scores)
-            note(f"seed {seed}: best epoch {result.best_epoch}")
-    else:
-        tfidf = None
-        if config.features in ("tfidf", "both"):
-            tfidf = stage("featurize", lambda: fit_tfidf(
-                thread_docs(split.train), config.tfidf_top_k))
-            save_vocabulary(tfidf, run_dir / "vocab.txt", run_dir / "idf.txt")
-        train_x = _classic_features(config, tfidf, split.train)
-        dev_x = _classic_features(config, tfidf, split.dev)
-        test_x = _classic_features(config, tfidf, split.test)
-        train_y = [t.label for t in split.train]
-        for seed in config.seeds:
-            model = stage(f"fit seed {seed}", lambda: train_classic(
-                config.model, train_x, train_y, _classic_options(config, seed)))
-            _save_classic(model, run_dir, seed)
-            dev_labels, _ = predict_classic(model, dev_x)
+            history = _history_text(result.history)
+            labels, scores = predict_threads(model, result.params, test)
+            summary = f"best epoch {result.best_epoch}"
+        else:
+            classic = stage(f"fit seed {seed}", lambda: train_classic(
+                config.model, train, train_y, options))
+            _save_classic(classic, run_dir, seed)
+            dev_labels, _ = predict_classic(classic, dev)
             dev_accuracy = float(np.mean(
                 [p == t.label for p, t in zip(dev_labels, split.dev)]))
-            (run_dir / f"history_seed{seed}.txt").write_text(
-                f"dev_accuracy = {repr(dev_accuracy)}\n", encoding="utf-8")
-            labels, scores = predict_classic(model, test_x)
-            seed_predictions.append(labels)
-            seed_scores.append(np.asarray(scores, dtype=float))
-            note(f"seed {seed}: dev accuracy {dev_accuracy:.3f}")
+            history = f"dev_accuracy = {repr(dev_accuracy)}\n"
+            labels, scores = predict_classic(classic, test)
+            summary = f"dev accuracy {dev_accuracy:.3f}"
+        (run_dir / f"history_seed{seed}.txt").write_text(history, encoding="utf-8")
+        seed_predictions.append(labels)
+        seed_scores.append(np.asarray(scores, dtype=float))
+        note(f"seed {seed}: {summary}")
 
     voted = majority_vote(seed_predictions)
-    report = compute_report(voted, truth, model=config.model,
+    report = compute_report(voted, [t.label for t in split.test], model=config.model,
                             config_digest=config.digest(), seeds=config.seeds)
     (run_dir / "report.txt").write_text(report_to_text(report), encoding="utf-8")
     (run_dir / "metrics.txt").write_text(metrics_to_text(report), encoding="utf-8")
@@ -384,43 +390,26 @@ class RunPredictor:
     def __init__(self, run_dir):
         self.run_dir = Path(run_dir)
         self.config = load_config(self.run_dir / "config.txt")
-        kind = self.config.model
-        self.tfidf: Optional[TfidfModel] = None
-        self.vocab: Optional[Vocabulary] = None
-        if kind == "lstm":
-            self.vocab = load_terms(self.run_dir / "vocab.txt")
-            self.model = LstmModel(_lstm_config(self.config), self.vocab)
-        elif kind == "bigcn":
-            self.tfidf = load_vocabulary(self.run_dir / "vocab.txt",
-                                         self.run_dir / "idf.txt")
-            self.model = BiGcnModel(
-                _bigcn_config(self.config, self.tfidf.vocab.content_size), self.tfidf)
-        else:
-            if self.config.features in ("tfidf", "both"):
-                self.tfidf = load_vocabulary(self.run_dir / "vocab.txt",
-                                             self.run_dir / "idf.txt")
-            self.model = None
-        self.seed_params: list = []
-        for seed in self.config.seeds:
-            if kind in ("lstm", "bigcn"):
-                arrays = load_checkpoint(self.run_dir / f"ckpt_seed{seed}.txt")
-                self.seed_params.append(
-                    {name: Tensor(values, requires_grad=True, name=name)
-                     for name, values in arrays.items()})
-            else:
-                self.seed_params.append(_load_classic(kind, self.run_dir, seed))
+        self.features = _load_features(self.config, self.run_dir)
+        self.model = _gradient_model(self.config, self.features)
+        self.seed_params = [self._load_seed(seed) for seed in self.config.seeds]
+
+    def _load_seed(self, seed: int):
+        """One seed's trained payload: parameters for a gradient model, a
+        ClassicModel otherwise."""
+        if self.model is None:
+            return _load_classic(self.config.model, self.run_dir, seed)
+        arrays = load_checkpoint(self.run_dir / f"ckpt_seed{seed}.txt")
+        return {name: Tensor(values, requires_grad=True, name=name)
+                for name, values in arrays.items()}
 
     def predict(self, threads: Sequence[Thread]) -> tuple[list[str], np.ndarray]:
-        kind = self.config.model
-        runs: list[list[str]] = []
-        scores: list[np.ndarray] = []
-        for payload in self.seed_params:
-            if kind in ("lstm", "bigcn"):
-                labels, run_scores = predict_threads(self.model, payload, threads)
-            else:
-                features = _classic_features(self.config, self.tfidf, threads)
-                labels, run_scores = predict_classic(payload, features)
-            runs.append(labels)
-            scores.append(np.asarray(run_scores, dtype=float))
-        voted = majority_vote(runs)
+        data = _prepare(self.config, self.model, self.features, threads)
+        if self.model is None:
+            outputs = [predict_classic(payload, data) for payload in self.seed_params]
+        else:
+            outputs = [predict_threads(self.model, payload, data)
+                       for payload in self.seed_params]
+        voted = majority_vote([labels for labels, _ in outputs])
+        scores = [np.asarray(run_scores, dtype=float) for _, run_scores in outputs]
         return voted, np.mean(np.stack(scores), axis=0)

@@ -275,10 +275,14 @@ def load_vocabulary(vocab_path, idf_path) -> TfidfModel:
     if key != "# doc_count" or not count.isdecimal():
         raise ParseError(f"{idf_path}: line 1 is not the '# doc_count = N' header")
     idf = np.zeros(vocab.content_size)
-    for line in lines[1:]:
-        term, value = line.split("\t")
+    for line_no, line in enumerate(lines[1:], start=2):
+        try:
+            term, value = line.split("\t")
+            weight = float(value)
+        except ValueError:
+            raise ParseError(f"{idf_path}: line {line_no}: expected term<TAB>idf") from None
         position = vocab.content_index(term)
         if position is None:
             raise ValidationError(f"idf term {term!r} not in vocabulary")
-        idf[position] = float(value)
+        idf[position] = weight
     return TfidfModel(vocab=vocab, idf=idf, doc_count=int(count))

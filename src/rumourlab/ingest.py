@@ -196,12 +196,12 @@ def _record_from_fields(fields: dict, line_no: int) -> TweetRecord:
 def load_tweets(path) -> list[TweetRecord]:
     """Read a JSON-lines dataset file, validating every record.
 
-    Raises FileNotFoundError for a missing file and ValidationError for
-    malformed lines (reported with their 1-based line number) or
-    duplicate ids.
+    Raises FileNotFoundError for a missing file or a path that is not a
+    file, and ValidationError for malformed lines (reported with their
+    1-based line number) or duplicate ids.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
     records: list[TweetRecord] = []
     seen: set[str] = set()

@@ -1,12 +1,13 @@
 """Mini-batch training loop shared by the LSTM and Bi-GCN models:
-seeded shuffling and initialization, optional class-weighted loss,
-early stopping on dev loss with best-parameter restore.
+seeded shuffling and initialization, early stopping on dev loss with
+best-parameter restore. Both entry points take the model's own prepared
+data (`model.prepare(threads)`), so a caller prepares each split once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from ..gradengine import (
     optimizer_step,
     zero_grads,
 )
-from ..ingest import RUMOUR, Thread
+from ..ingest import RUMOUR
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class TrainConfig:
     batch_size: int = 16
     max_epochs: int = 30
     patience: int = 5
-    class_weights: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -86,20 +86,14 @@ def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {name: p.values.copy() for name, p in params.items()}
 
 
-def fit(
-    model,
-    train_threads: Sequence[Thread],
-    dev_threads: Sequence[Thread],
-    config: TrainConfig,
-) -> FitResult:
-    """Train a gradient model, restoring the parameters of the epoch with
-    the lowest dev loss. Fully deterministic for a given config."""
-    if not train_threads or not dev_threads:
+def fit(model, train_data, dev_data, config: TrainConfig) -> FitResult:
+    """Train a gradient model on `model.prepare` output, restoring the
+    parameters of the epoch with the lowest dev loss. Fully deterministic
+    for a given config."""
+    if not train_data or not dev_data:
         raise ValidationError("train and dev sets must both be non-empty")
     rng = np.random.default_rng(config.seed)
     params = model.init_params(rng)
-    train_data = model.prepare(train_threads)
-    dev_data = model.prepare(dev_threads)
     state = OptimizerState(
         kind=config.optimizer, lr=config.lr,
         weight_decay=config.weight_decay, epsilon=config.epsilon,
@@ -143,11 +137,10 @@ def fit(
     return FitResult(params=params, history=tuple(history), best_epoch=best_epoch)
 
 
-def predict_threads(model, params: dict[str, Tensor],
-                    threads: Sequence[Thread],
+def predict_threads(model, params: dict[str, Tensor], data,
                     batch_size: int = 64) -> tuple[list[str], np.ndarray]:
-    """Labels and scores for threads under a trained gradient model."""
-    data = model.prepare(threads)
+    """Labels and scores for `model.prepare` output under a trained
+    gradient model."""
     labels: list[str] = []
     scores: list[float] = []
     for index in _batch_indices(len(data), batch_size):

@@ -169,9 +169,9 @@ def test_criterion_04_learning_sanity(planted_200):
                    perceptron_dim=12, max_len=32),
         vocab,
     )
-    lstm_result = fit(lstm, split.train, split.dev,
+    lstm_result = fit(lstm, lstm.prepare(split.train), lstm.prepare(split.dev),
                       TrainConfig(lr=0.05, batch_size=16, max_epochs=30,
-                                  patience=30, class_weights=True, seed=1))
+                                  patience=30, seed=1))
     lstm_best = max(r.train_accuracy for r in lstm_result.history)
     assert lstm_best >= 0.95, f"lstm train accuracy peaked at {lstm_best}"
 
@@ -182,9 +182,9 @@ def test_criterion_04_learning_sanity(planted_200):
                     out_dim=16, drop_edge_rate=0.2),
         tfidf,
     )
-    bigcn_result = fit(bigcn, split.train, split.dev,
+    bigcn_result = fit(bigcn, bigcn.prepare(split.train), bigcn.prepare(split.dev),
                        TrainConfig(lr=0.05, batch_size=16, max_epochs=30,
-                                   patience=30, class_weights=True, seed=1))
+                                   patience=30, seed=1))
     bigcn_best = max(r.train_accuracy for r in bigcn_result.history)
     assert bigcn_best >= 0.95, f"bigcn train accuracy peaked at {bigcn_best}"
 

@@ -1,13 +1,16 @@
-"""Smoke test for the benchmark's corpus generator: a small generated
-corpus goes through the four analysis kinds and a TF-IDF train, predict
-and evaluate through the command line, so the generator keeps producing
-input the program accepts."""
+"""Smoke tests for the benchmark's helpers. A small generated corpus goes
+through the four analysis kinds and a TF-IDF train, predict and evaluate
+through the command line, so the generator keeps producing input the
+program accepts. A traced LSTM run checks that the tracer still sees the
+pipeline's functions, and that each split is prepared once."""
 
 from pathlib import Path
 
 import pytest
 
+from rumourlab import evalrun
 from rumourlab.cli import main
+from rumourlab.config import RunConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +49,38 @@ def test_generated_corpus_runs_through_cli(corpus_module, tmp_path, capsys):
     assert main(["predict", "--run", str(run_dir), "--data", str(unlabeled)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == shape.unlabeled_threads
     assert main(["evaluate", "--run", str(run_dir)]) == 0
+
+
+def test_traced_run_prepares_each_split_once(corpus_module, tmp_path):
+    import tracer as tracing
+
+    shape = corpus_module.CorpusShape(
+        labeled_threads=12, unlabeled_threads=4, rumour_rate=0.5, reply_cap=8,
+        reply_tail=1.5, reply_scale=3.0, chain_prob=0.3, months=3, vocab_types=2000,
+    )
+    labeled, unlabeled = tmp_path / "labeled.jsonl", tmp_path / "unlabeled.jsonl"
+    corpus_module.generate(shape, 4, labeled, unlabeled)
+    config = RunConfig(dataset=str(labeled), model="lstm", out_dir=str(tmp_path / "runs"),
+                       seeds=(1, 2), vocab_cap=300, embed_dim=4, hidden_dim=4,
+                       perceptron_dim=4, max_len=16, max_epochs=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # Through the module, whose attributes the tracer patches.
+        result = evalrun.run_experiment(config)
+        evalrun.RunPredictor(result.run_dir).predict(result.split.test)
+    finally:
+        tracer.uninstall()
+
+    names = [span[0] for span in tracer.spans]
+    assert {"trainer.fit", "trainer.predict_threads", "evalrun.run_experiment"} <= set(names)
+
+    def ancestors(index):
+        parent = tracer.spans[index][3]
+        while parent != -1:
+            yield tracer.spans[parent][0]
+            parent = tracer.spans[parent][3]
+
+    prepares = [i for i, span in enumerate(tracer.spans) if span[0] == "lstm.prepare"]
+    assert sum("evalrun.run_experiment" in ancestors(i) for i in prepares) == 3
+    assert sum("evalrun.predictor_predict" in ancestors(i) for i in prepares) == 1

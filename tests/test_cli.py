@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from rumourlab.cli import main
@@ -44,6 +46,14 @@ class TestDispatch:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["stats", "--data", str(tmp_path / "nope.jsonl")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["ingest", "--data"], ["train", "--config"]])
+    def test_directory_path_exits_one(self, tmp_path, capsys, command):
+        argv = command + [str(tmp_path)]
+        if command[0] == "train":
+            argv += ["--out-dir", str(tmp_path / "runs")]
+        assert main(argv) == 1
+        assert str(tmp_path) in capsys.readouterr().err
 
     def test_selftest_passes_and_prints_per_suite(self, capsys):
         assert main(["selftest"]) == 0
@@ -134,6 +144,29 @@ class TestTrainPredictEvaluate:
     def test_evaluate_writes_report(self, trained_run, capsys):
         assert main(["evaluate", "--run", str(trained_run)]) == 0
         assert (trained_run / "eval_report.txt").exists()
+
+    def test_predict_with_damaged_idf_exits_one(self, trained_run, unlabeled_file,
+                                                 tmp_path, capsys):
+        run_dir = tmp_path / trained_run.name
+        shutil.copytree(trained_run, run_dir)
+        lines = (run_dir / "idf.txt").read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace("\t", " ")
+        (run_dir / "idf.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["predict", "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
+        assert "idf.txt: line 2: expected term<TAB>idf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,setting", [
+        ("bigcn", "dropout = 2"),
+        ("bigcn", "tfidf_top_k = 0"),
+        ("lstm", "lr = 0"),
+    ])
+    def test_bad_config_writes_nothing(self, planted_file, tmp_path, capsys,
+                                       model, setting):
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(planted_file), "--model", model,
+                     "--out-dir", str(out), "--set", setting]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnalyzeCommand:

@@ -247,14 +247,24 @@ class TestRunExperiment:
         for seed in (1, 2, 3):
             assert (result.run_dir / f"ckpt_seed{seed}.txt").exists()
 
-    def test_predictor_round_trip(self, planted_file, tmp_path):
-        config = self._config(planted_file, tmp_path)
+    @pytest.mark.parametrize("model", ["lstm", "bigcn", "logreg", "svm", "rf"])
+    def test_predictor_round_trip(self, planted_file, tmp_path, model):
+        sizes = {
+            "lstm": dict(vocab_cap=200, embed_dim=4, hidden_dim=4, perceptron_dim=4,
+                         max_len=16, max_epochs=1),
+            "bigcn": dict(tfidf_top_k=100, bigcn_hidden_dim=4, bigcn_out_dim=4,
+                          max_epochs=1),
+            "logreg": dict(),
+            "svm": dict(svm_iters=100),
+            "rf": dict(rf_trees=3, features="both"),
+        }[model]
+        config = self._config(planted_file, tmp_path, model=model, seeds=(1, 2), **sizes)
         result = run_experiment(config)
         predictor = RunPredictor(result.run_dir)
         labels, scores = predictor.predict(result.split.test)
         file_lines = (result.run_dir / "predictions.txt").read_text().splitlines()
         assert [l.split("\t")[1] for l in file_lines] == labels
-        assert len(scores) == len(labels)
+        assert [l.split("\t")[2] for l in file_lines] == [f"{s:.6g}" for s in scores]
 
     def test_stage_name_attached_to_errors(self, tmp_path):
         config = RunConfig(dataset=str(tmp_path / "missing.jsonl"),

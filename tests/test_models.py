@@ -210,8 +210,7 @@ class TestFitContracts:
 
     def test_patience_one_stops_after_second_epoch(self):
         model = _ScriptedModel(dev_losses=[1.0, 2.0, 3.0, 4.0, 5.0])
-        config = TrainConfig(lr=1.0, batch_size=1, max_epochs=10, patience=1,
-                             class_weights=False, seed=0)
+        config = TrainConfig(lr=1.0, batch_size=1, max_epochs=10, patience=1, seed=0)
         result = fit(model, self._threads(), self._threads(), config)
         assert len(result.history) == 2
         assert result.best_epoch == 1
@@ -220,8 +219,7 @@ class TestFitContracts:
 
     def test_patience_tolerates_plateau_then_recovers(self):
         model = _ScriptedModel(dev_losses=[3.0, 3.0, 2.0, 2.5, 2.4, 2.6, 2.7])
-        config = TrainConfig(lr=1.0, batch_size=1, max_epochs=7, patience=2,
-                             class_weights=False, seed=0)
+        config = TrainConfig(lr=1.0, batch_size=1, max_epochs=7, patience=2, seed=0)
         result = fit(model, self._threads(), self._threads(), config)
         assert result.best_epoch == 3
         assert len(result.history) == 5
@@ -250,9 +248,8 @@ class TestFitDeterminism:
         model = LstmModel(LstmConfig(vocab_cap=80, embed_dim=4, hidden_dim=5,
                                      perceptron_dim=4, max_len=10, dropout=0.2),
                           vocab)
-        config = TrainConfig(lr=0.05, batch_size=4, max_epochs=3, patience=3,
-                             class_weights=False, seed=11)
-        train, dev = toy_threads[:8], toy_threads[8:]
+        config = TrainConfig(lr=0.05, batch_size=4, max_epochs=3, patience=3, seed=11)
+        train, dev = model.prepare(toy_threads[:8]), model.prepare(toy_threads[8:])
         first = fit(model, train, dev, config)
         second = fit(model, train, dev, config)
         assert first.history == second.history
@@ -267,10 +264,10 @@ class TestLearningSanity:
         vocab = build_vocabulary(thread_docs(threads), cap=200)
         model = LstmModel(LstmConfig(vocab_cap=250, embed_dim=12, hidden_dim=12,
                                      perceptron_dim=8, max_len=24), vocab)
-        config = TrainConfig(lr=0.05, batch_size=8, max_epochs=15, patience=15,
-                             class_weights=True, seed=2)
-        result = fit(model, threads[:32], threads[32:], config)
-        labels, _ = predict_threads(model, result.params, threads[:32])
+        config = TrainConfig(lr=0.05, batch_size=8, max_epochs=15, patience=15, seed=2)
+        train = model.prepare(threads[:32])
+        result = fit(model, train, model.prepare(threads[32:]), config)
+        labels, _ = predict_threads(model, result.params, train)
         truth = [t.label for t in threads[:32]]
         accuracy = np.mean([p == t for p, t in zip(labels, truth)])
         assert accuracy >= 0.95
