@@ -390,6 +390,9 @@ class RunPredictor:
     def __init__(self, run_dir):
         self.run_dir = Path(run_dir)
         self.config = load_config(self.run_dir / "config.txt")
+        # report.txt is written after every seed's artifacts.
+        if not (self.run_dir / "report.txt").is_file():
+            raise ValidationError(f"{self.run_dir}: incomplete run (no report.txt)")
         self.features = _load_features(self.config, self.run_dir)
         self.model = _gradient_model(self.config, self.features)
         self.seed_params = [self._load_seed(seed) for seed in self.config.seeds]

@@ -269,9 +269,15 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     )
 
     def _back(grad):
-        full = np.zeros_like(table.values)
-        np.add.at(full, ids, grad)
-        _accumulate(table, full)
+        # Sum per distinct id, then add into those rows only: the same
+        # additions in the same order as a dense scatter, without a
+        # table-sized temporary per call.
+        unique, inverse = np.unique(ids, return_inverse=True)
+        rows = np.zeros((len(unique),) + table.shape[1:])
+        np.add.at(rows, inverse.reshape(ids.shape), grad)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.values)
+        table.grad[unique] += rows
 
     out._backward = _back
     return out

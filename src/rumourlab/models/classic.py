@@ -67,6 +67,21 @@ class ClassicOptions:
     max_iters: int = 500
     svm_iters: int = 2000
 
+    def __post_init__(self):
+        for name in ("rf_trees", "smote_k", "max_iters", "svm_iters"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1")
+        if not self.lr > 0:
+            raise ValidationError("lr must be positive")
+        if not (self.logreg_l2 >= 0 and self.svm_l2 >= 0):
+            raise ValidationError("logreg_l2 and svm_l2 must be non-negative")
+        # Depth 0 is a single majority leaf.
+        if self.rf_max_depth is not None and self.rf_max_depth < 0:
+            raise ValidationError("rf_max_depth must be none or non-negative")
+        if self.rf_feature_subsample not in ("sqrt", "all"):
+            raise ValidationError(
+                f"rf_feature_subsample must be sqrt or all, got {self.rf_feature_subsample!r}")
+
 
 @dataclass
 class ClassicModel:

@@ -155,10 +155,21 @@ class TestTrainPredictEvaluate:
         assert main(["predict", "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
         assert "idf.txt: line 2: expected term<TAB>idf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_incomplete_run_exits_one(self, trained_run, unlabeled_file, tmp_path,
+                                      capsys, command):
+        run_dir = tmp_path / trained_run.name
+        shutil.copytree(trained_run, run_dir)
+        (run_dir / "report.txt").unlink()
+        assert main([command, "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
+        assert f"{run_dir}: incomplete run (no report.txt)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("model,setting", [
         ("bigcn", "dropout = 2"),
         ("bigcn", "tfidf_top_k = 0"),
         ("lstm", "lr = 0"),
+        ("rf", "rf_trees = 0"),
+        ("logreg", "smote_k = 0"),
     ])
     def test_bad_config_writes_nothing(self, planted_file, tmp_path, capsys,
                                        model, setting):

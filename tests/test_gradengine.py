@@ -1,7 +1,10 @@
+import base64
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rumourlab.errors import ParseError, ValidationError
 from rumourlab.gradengine import (
@@ -122,6 +125,21 @@ class TestBackward:
             node = node + 1.0
         backward(sum_all(node))
         assert x.grad.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("ids_shape", [(16,), (4, 6)])
+    def test_gather_rows_backward_matches_dense_scatter(self, ids_shape):
+        rng = np.random.default_rng(3)
+        table = parameter(rng.normal(size=(40, 5)), "table")
+        expected = np.zeros_like(table.values)
+        for _ in range(3):
+            # Few distinct ids, so most rows repeat within a call.
+            ids = rng.integers(0, 7, size=ids_shape) * 5
+            upstream = rng.normal(size=ids_shape + (5,))
+            backward(sum_all(gather_rows(table, ids) * Tensor(upstream)))
+            full = np.zeros_like(table.values)
+            np.add.at(full, ids, upstream)
+            expected += full
+            assert table.grad.tobytes() == expected.tobytes()
 
     def test_zero_grads(self):
         x = parameter(np.ones(2), "x")
@@ -276,6 +294,18 @@ class TestSparseMatrix:
                          vals=np.array([1.0]))
 
 
+# Checkpoint-like lines: shapes with negative or zero dims, v1 float lists,
+# v2 base64 payloads of any length, and free text in each field.
+_FUZZ_LINE = st.tuples(
+    st.text(alphabet="wb", max_size=2),
+    st.one_of(st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+              .map(lambda dims: "x".join(map(str, dims))), st.text(max_size=4)),
+    st.one_of(st.lists(st.floats(), max_size=5).map(lambda vs: " ".join(map(repr, vs))),
+              st.binary(max_size=40).map(lambda b: base64.b64encode(b).decode("ascii")),
+              st.text(max_size=12)),
+).map(" ".join)
+
+
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -320,3 +350,50 @@ class TestCheckpoint:
         save_checkpoint(params, tmp_path / "one.txt")
         save_checkpoint(params, tmp_path / "two.txt")
         assert (tmp_path / "one.txt").read_bytes() == (tmp_path / "two.txt").read_bytes()
+
+    def test_v2_payload_is_little_endian_float64_base64(self, tmp_path):
+        values = np.array([[1.5, -0.0], [1e-300, math.pi]])
+        save_checkpoint({"w": values}, tmp_path / "c.txt")
+        header, line = (tmp_path / "c.txt").read_text(encoding="utf-8").splitlines()
+        assert header == "# rumourlab-ckpt v2"
+        name, shape, payload = line.split(" ")
+        assert (name, shape) == ("w", "2x2")
+        assert base64.b64decode(payload) == values.astype("<f8").tobytes()
+
+    def test_v1_awkward_values_load_bit_exact(self, tmp_path):
+        path = tmp_path / "v1.txt"
+        path.write_text(f"# rumourlab-ckpt v1\nw 2x2 1e-300 -0.0 {math.pi!r} 1000000000.0\n"
+                        "b 1 0.5\n", encoding="utf-8")
+        loaded = load_checkpoint(path)
+        expected = np.array([[1e-300, -0.0], [math.pi, 1e9]])
+        assert loaded["w"].tobytes() == expected.tobytes()
+        assert loaded["b"].tolist() == [0.5]
+
+    @pytest.mark.parametrize("line,message", [
+        (b"w 2 \xff\xfe", "invalid UTF-8"),
+        (b"w 2 AAAAAAAAAAA", "payload is not base64"),  # truncated: 11 of 24 characters
+        (b"w 2 AAAA!AAAAAAA", "payload is not base64"),
+        (b"w 2 AAAAAAAAAAAA", "payload of 9 bytes is not whole"),
+        (b"w 2 AAAAAAAAAAA=", "1 values for shape 2"),
+        (b"w 2 AAAAAAAAAAA= extra", "malformed parameter line"),
+        (b"w -2x-2 AAAAAAAAAAA=", "malformed parameter line"),
+    ])
+    def test_damaged_v2_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.txt"
+        good = base64.b64encode(np.zeros(2).tobytes())
+        path.write_bytes(b"# rumourlab-ckpt v2\nok 2 " + good + b"\n" + line + b"\n")
+        with pytest.raises(ParseError, match=f"bad.txt line 3: {message}"):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=st.sampled_from(["# rumourlab-ckpt v1", "# rumourlab-ckpt v2", "# x"]),
+           lines=st.lists(_FUZZ_LINE, max_size=4), raw_tail=st.binary(max_size=6))
+    def test_fuzzed_text_raises_only_documented_errors(self, tmp_path, header, lines,
+                                                       raw_tail):
+        path = tmp_path / "fuzz.txt"
+        path.write_bytes("\n".join([header] + lines).encode("utf-8") + raw_tail)
+        try:
+            load_checkpoint(path)
+        except (ParseError, ValidationError, FileNotFoundError):
+            pass

@@ -338,6 +338,15 @@ class TestTrainClassic:
         with pytest.raises(ValidationError):
             train_classic("logreg", x, ["rumour"] * 4, ClassicOptions())
 
+    @pytest.mark.parametrize("field,value", [
+        ("rf_trees", 0), ("smote_k", 0), ("max_iters", 0), ("svm_iters", 0),
+        ("lr", 0.0), ("lr", float("nan")), ("logreg_l2", -1e-3), ("svm_l2", -1.0),
+        ("rf_max_depth", -1), ("rf_feature_subsample", "half"),
+    ])
+    def test_out_of_range_options_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            ClassicOptions(**{field: value})
+
     def test_deterministic_given_seed(self):
         x, y = self._separable()
         a = train_classic("rf", x, y, ClassicOptions(seed=9, rf_trees=10))
