@@ -18,18 +18,6 @@ from .errors import ValidationError
 MODEL_KINDS = ("lstm", "bigcn", "logreg", "svm", "rf")
 FEATURE_MODES = ("handcrafted", "tfidf", "both")
 
-# Fine-tuning-style preset kept for reference runs: AdamW with decoupled
-# decay, small learning rate, and the usual short epoch budget. Apply by
-# merging into a config, e.g. parse_config_text(FINETUNE_PRESET, base).
-FINETUNE_PRESET = (
-    "optimizer = adamw\n"
-    "lr = 0.0001\n"
-    "weight_decay = 0.01\n"
-    "epsilon = 1e-07\n"
-    "batch_size = 16\n"
-    "max_epochs = 10\n"
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:

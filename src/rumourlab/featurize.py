@@ -24,11 +24,6 @@ UNK_ID = 1
 SEP_ID = 2
 RESERVED = ("<pad>", "<unk>", "<sep>")
 
-HANDCRAFTED_FIELDS = (
-    "retweet_count", "like_count", "create_year", "verified",
-    "followers", "following", "tweet_count", "listed_count",
-)
-
 
 @dataclass(frozen=True)
 class Vocabulary:

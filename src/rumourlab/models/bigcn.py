@@ -1,10 +1,11 @@
 """Two-direction graph-convolution classifier over propagation trees.
 
 Each direction (top-down, bottom-up) runs two convolution layers with
-its own weights; after every layer each node's output is concatenated
-with its graph root's output from the same layer. Per-graph mean pooling
-of both directions feeds one affine layer and a row softmax over the
-(rumour, nonrumour) pair.
+its own weights over the batch's one symmetric propagation operator, so
+the directions differ only in their weights. After every layer each
+node's output is concatenated with its graph root's output from the same
+layer. Per-graph mean pooling of both directions feeds one affine layer
+and a row softmax over the (rumour, nonrumour) pair.
 """
 
 from __future__ import annotations
@@ -113,14 +114,13 @@ class BiGcnModel:
         features = Tensor(batch.features)
         root_of_node = batch.root_index[batch.graph_membership]
         pooled = []
-        for direction, adjacency in (("td", batch.td_adjacency),
-                                     ("bu", batch.bu_adjacency)):
-            h1 = relu(spmm(adjacency, matmul(features, params[f"{direction}_w1"])))
+        for direction in DIRECTIONS:
+            h1 = relu(spmm(batch.adjacency, matmul(features, params[f"{direction}_w1"])))
             if train and cfg.dropout > 0.0:
                 keep = 1.0 - cfg.dropout
                 h1 = mask_mul(h1, (rng.random(h1.shape) < keep) / keep)
             h1 = concat([h1, gather_rows(h1, root_of_node)])
-            h2 = relu(spmm(adjacency, matmul(h1, params[f"{direction}_w2"])))
+            h2 = relu(spmm(batch.adjacency, matmul(h1, params[f"{direction}_w2"])))
             h2 = concat([h2, gather_rows(h2, root_of_node)])
             pooled.append(segment_mean(h2, batch.graph_membership, batch.n_graphs))
         representation = concat(pooled)

@@ -68,11 +68,13 @@ class ClassicOptions:
     svm_iters: int = 2000
 
     def __post_init__(self):
+        # Messages name the run-config key too where it differs.
         for name in ("rf_trees", "smote_k", "max_iters", "svm_iters"):
             if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1")
+                key = "classic_iters (max_iters)" if name == "max_iters" else name
+                raise ValidationError(f"{key} must be at least 1")
         if not self.lr > 0:
-            raise ValidationError("lr must be positive")
+            raise ValidationError("classic_lr (lr) must be positive")
         if not (self.logreg_l2 >= 0 and self.svm_l2 >= 0):
             raise ValidationError("logreg_l2 and svm_l2 must be non-negative")
         # Depth 0 is a single majority leaf.

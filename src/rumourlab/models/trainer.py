@@ -20,6 +20,7 @@ from ..gradengine import (
     optimizer_step,
     zero_grads,
 )
+from ..gradengine.optim import OPTIMIZER_KINDS
 from ..ingest import RUMOUR
 
 
@@ -35,8 +36,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if self.optimizer not in OPTIMIZER_KINDS:
+            raise ValidationError(f"optimizer must be one of {', '.join(OPTIMIZER_KINDS)}, "
+                                  f"got {self.optimizer!r}")
+        if not self.lr > 0:
             raise ValidationError("lr must be positive")
+        if not self.epsilon > 0:
+            raise ValidationError("epsilon must be positive")
+        if not self.weight_decay >= 0:
+            raise ValidationError("weight_decay must be non-negative")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be at least 1")
         if self.patience < 1:

@@ -6,18 +6,19 @@ parent is node 1. Trees serialize to a tab-separated text block (header
 ``thread_id<TAB>label``, then ``parent<TAB>index<TAB>i:v i:v ...`` per
 node) and concatenate into a corpus file introduced by a version line.
 
-Graph batches carry one normalized adjacency operator per direction.
-The raw edge sets are directed (top-down parent->child; bottom-up the
-transpose), while normalization treats each surviving edge as a
-symmetric link with self-loops: A_hat = D^{-1/2} (A + A^T + I) D^{-1/2},
-which keeps the operator symmetric. DropEdge removes raw edges (never
-self-loops) with one Bernoulli draw per edge shared by both directions,
-then renormalizes on the surviving support.
+Graph batches carry one normalized adjacency operator, shared by the
+top-down and bottom-up directions of the Bi-GCN. The raw edges are
+directed (parent->child), while normalization treats each surviving edge
+as a symmetric link with self-loops: A_hat = D^{-1/2} (A + A^T + I)
+D^{-1/2}. That operator is its own transpose, so the two directions
+differ only in their weights. DropEdge removes raw edges (never
+self-loops) with one Bernoulli draw per edge, then renormalizes on the
+surviving support.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,10 +74,6 @@ class PropTree:
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Directed (parent, child) pairs using 1-based node indices."""
-        return [(node.parent, node.index) for node in self.nodes[1:]]
 
 
 def build_tree(
@@ -183,12 +180,12 @@ def read_tree_corpus(path) -> list[PropTree]:
 
 @dataclass(frozen=True)
 class GraphBatch:
-    """Stacked trees: dense node features, the two normalized adjacency
-    operators, per-node graph membership, and each graph's root row."""
+    """Stacked trees: dense node features, the normalized adjacency
+    operator both directions share, per-node graph membership, and each
+    graph's root row."""
 
     features: np.ndarray
-    td_adjacency: SparseMatrix
-    bu_adjacency: SparseMatrix
+    adjacency: SparseMatrix
     graph_membership: np.ndarray
     root_index: np.ndarray
     td_edges: np.ndarray  # raw directed (parent, child) global node pairs
@@ -201,94 +198,65 @@ class GraphBatch:
     def n_graphs(self) -> int:
         return len(self.root_index)
 
-    @property
-    def bu_edges(self) -> np.ndarray:
-        return self.td_edges[:, ::-1] if len(self.td_edges) else self.td_edges
-
 
 def _normalized_adjacency(n_nodes: int, edges: np.ndarray) -> SparseMatrix:
-    """Symmetric normalization with self-loops over the edge support."""
-    degree = np.ones(n_nodes)
-    for u, v in edges:
-        degree[u] += 1.0
-        degree[v] += 1.0
+    """Symmetric normalization with self-loops over the edge support.
+
+    Entries list the self-loops, then each edge as (u, v) and (v, u), so
+    every row sums its self-loop first and its edges in input order."""
+    degree = 1 + np.bincount(edges.ravel(), minlength=n_nodes)
     inv_sqrt = 1.0 / np.sqrt(degree)
-    rows = list(range(n_nodes))
-    cols = list(range(n_nodes))
-    vals = [inv_sqrt[i] * inv_sqrt[i] for i in range(n_nodes)]
-    for u, v in edges:
-        rows.extend((u, v))
-        cols.extend((v, u))
-        weight = inv_sqrt[u] * inv_sqrt[v]
-        vals.extend((weight, weight))
-    return SparseMatrix(
-        shape=(n_nodes, n_nodes),
-        rows=np.array(rows, dtype=int),
-        cols=np.array(cols, dtype=int),
-        vals=np.array(vals, dtype=np.float64),
-    )
-
-
-def _batch_from_edges(
-    features: np.ndarray,
-    td_edges: np.ndarray,
-    membership: np.ndarray,
-    roots: np.ndarray,
-) -> GraphBatch:
-    n_nodes = features.shape[0]
-    td = _normalized_adjacency(n_nodes, td_edges)
-    bu_edges = td_edges[:, ::-1] if len(td_edges) else td_edges
-    bu = _normalized_adjacency(n_nodes, bu_edges)
-    return GraphBatch(
-        features=features,
-        td_adjacency=td,
-        bu_adjacency=bu,
-        graph_membership=membership,
-        root_index=roots,
-        td_edges=td_edges,
-    )
+    loops = np.arange(n_nodes)
+    rows = np.concatenate([loops, edges.ravel()])
+    cols = np.concatenate([loops, edges[:, ::-1].ravel()])
+    return SparseMatrix(shape=(n_nodes, n_nodes), rows=rows, cols=cols,
+                        vals=inv_sqrt[rows] * inv_sqrt[cols])
 
 
 def to_graph_batch(trees: Sequence[PropTree], vocab_size: int) -> GraphBatch:
     """Stack trees into one batch with global node numbering."""
     if not trees:
         raise ValidationError("cannot batch zero trees")
-    total = sum(tree.size for tree in trees)
-    features = np.zeros((total, vocab_size))
-    membership = np.zeros(total, dtype=int)
-    roots = np.zeros(len(trees), dtype=int)
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    for g, tree in enumerate(trees):
-        roots[g] = offset
+    nodes = [node for tree in trees for node in tree.nodes]
+    for tree in trees:
         for node in tree.nodes:
-            row = offset + node.index - 1
-            membership[row] = g
-            for index, value in node.features.entries:
-                if index >= vocab_size:
-                    raise ValidationError(
-                        f"tree {tree.thread_id}: feature index {index} "
-                        f">= vocab size {vocab_size}"
-                    )
-                features[row, index] = value
-        edges.extend(
-            (offset + parent - 1, offset + child - 1) for parent, child in tree.edges()
-        )
-        offset += tree.size
-    td_edges = np.array(edges, dtype=int).reshape(-1, 2)
-    return _batch_from_edges(features, td_edges, membership, roots)
+            # Indices strictly ascend, so the last entry holds the largest.
+            largest = node.features.entries[-1][0] if node.features.entries else -1
+            if largest >= vocab_size:
+                raise ValidationError(
+                    f"tree {tree.thread_id}: feature index {largest} "
+                    f">= vocab size {vocab_size}"
+                )
+    entries = [entry for node in nodes for entry in node.features.entries]
+    counts = [len(node.features.entries) for node in nodes]
+    columns = np.array([index for index, _ in entries], dtype=int)
+    features = np.zeros((len(nodes), vocab_size))
+    features[np.repeat(np.arange(len(nodes)), counts), columns] = [v for _, v in entries]
+    sizes = np.array([tree.size for tree in trees])
+    roots = np.cumsum(sizes) - sizes
+    membership = np.repeat(np.arange(len(trees)), sizes)
+    # Node rows follow tree order, so a non-source row is its own child index.
+    parent = np.array([node.parent or 0 for node in nodes])
+    child = np.flatnonzero(parent)
+    td_edges = np.stack([roots[membership[child]] + parent[child] - 1, child], axis=1)
+    return GraphBatch(
+        features=features,
+        adjacency=_normalized_adjacency(len(nodes), td_edges),
+        graph_membership=membership,
+        root_index=roots,
+        td_edges=td_edges,
+    )
 
 
 def drop_edge(batch: GraphBatch, rate: float, seed: int) -> GraphBatch:
-    """Remove each raw edge with probability `rate` (one draw covers the
-    edge in both directions), then renormalize. Self-loops are part of
-    normalization, never dropped. Rate 0 returns the batch unchanged."""
+    """Remove each raw edge with probability `rate`, then renormalize.
+    Self-loops are part of normalization, never dropped. Rate 0 returns
+    the batch unchanged."""
     if not 0.0 <= rate < 1.0:
         raise ValidationError(f"drop rate must be in [0, 1), got {rate}")
     if rate == 0.0 or len(batch.td_edges) == 0:
         return batch
     rng = np.random.default_rng(seed)
-    keep = rng.random(len(batch.td_edges)) >= rate
-    return _batch_from_edges(
-        batch.features, batch.td_edges[keep], batch.graph_membership, batch.root_index
-    )
+    kept = batch.td_edges[rng.random(len(batch.td_edges)) >= rate]
+    return replace(batch, adjacency=_normalized_adjacency(batch.n_nodes, kept),
+                   td_edges=kept)

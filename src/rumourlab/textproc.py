@@ -1,5 +1,5 @@
-"""Tweet-aware text handling: normalization, tokenization, surface counts,
-and fixed-length sentence-pair encoding.
+"""Tweet-aware text handling: normalization, tokenization and surface
+counts.
 
 Normalization rewrites user mentions to the literal token ``@USER``, URLs
 to ``HTTPURL``, and emoji to colon-delimited aliases from the bundled
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
-
-from .errors import ValidationError
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -178,55 +176,4 @@ def count_attributes(text: str) -> AttributeCounts:
     return AttributeCounts(
         words=words, urls=urls, emojis=emojis,
         hashtags=hashtags, mentions=mentions, stopwords=stops,
-    )
-
-
-@dataclass(frozen=True)
-class PairEncoding:
-    """Fixed-length two-segment encoding of a (source, reply) token pair."""
-
-    input_ids: tuple[int, ...]
-    attention_mask: tuple[int, ...]
-    segment_ids: tuple[int, ...]
-
-
-def encode_pair(
-    source_tokens: Sequence[str],
-    reply_tokens: Sequence[str],
-    vocab,
-    max_len: int,
-) -> PairEncoding:
-    """Encode [source, SEP, reply, SEP] into ids of length max_len.
-
-    The reply end is truncated first to fit; a source longer than
-    max_len - 2 is itself truncated and the reply dropped. Segment 0
-    covers the source tokens and the first separator, segment 1 the rest
-    of the attended prefix. Unknown tokens map to the unknown id and the
-    tail is padded.
-    """
-    if max_len < 3:
-        raise ValidationError(f"max_len must be at least 3, got {max_len}")
-    budget = max_len - 2
-    source = list(source_tokens)[:budget]
-    reply = list(reply_tokens)[:budget - len(source)] if len(source) < budget else []
-
-    def lookup(token: str) -> int:
-        found = vocab.id_of(token.lower())
-        return vocab.unk_id if found is None else found
-
-    ids = [lookup(t) for t in source] + [vocab.sep_id]
-    segment_break = len(ids)
-    ids += [lookup(t) for t in reply] + [vocab.sep_id]
-    attended = len(ids)
-    mask = [1] * attended + [0] * (max_len - attended)
-    segments = (
-        [0] * segment_break
-        + [1] * (attended - segment_break)
-        + [0] * (max_len - attended)
-    )
-    ids += [vocab.pad_id] * (max_len - attended)
-    return PairEncoding(
-        input_ids=tuple(ids),
-        attention_mask=tuple(mask),
-        segment_ids=tuple(segments),
     )

@@ -1,8 +1,8 @@
 """Smoke tests for the benchmark's helpers. A small generated corpus goes
 through the four analysis kinds and a TF-IDF train, predict and evaluate
 through the command line, so the generator keeps producing input the
-program accepts. A traced LSTM run checks that the tracer still sees the
-pipeline's functions, and that each split is prepared once."""
+program accepts. Traced LSTM and Bi-GCN runs check that the tracer still
+sees the pipeline's functions, and that each split is prepared once."""
 
 from pathlib import Path
 
@@ -23,13 +23,35 @@ def corpus_module(monkeypatch):
     return corpus
 
 
-def test_generated_corpus_runs_through_cli(corpus_module, tmp_path, capsys):
+@pytest.fixture
+def generated(corpus_module, tmp_path):
+    """A 12-thread labeled and a 4-thread unlabeled corpus, with reply chains."""
     shape = corpus_module.CorpusShape(
         labeled_threads=12, unlabeled_threads=4, rumour_rate=0.5, reply_cap=8,
         reply_tail=1.5, reply_scale=3.0, chain_prob=0.3, months=3, vocab_types=2000,
     )
     labeled, unlabeled = tmp_path / "labeled.jsonl", tmp_path / "unlabeled.jsonl"
     corpus_module.generate(shape, 4, labeled, unlabeled)
+    return shape, labeled, unlabeled
+
+
+def traced_run(config):
+    """Train a run and predict its test split under the bench tracer."""
+    import tracer as tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # Through the module, whose attributes the tracer patches.
+        result = evalrun.run_experiment(config)
+        evalrun.RunPredictor(result.run_dir).predict(result.split.test)
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
+def test_generated_corpus_runs_through_cli(generated, tmp_path, capsys):
+    shape, labeled, unlabeled = generated
 
     for kind in ("attributes", "topics", "emotion", "sentiment"):
         out = tmp_path / "analysis"
@@ -51,26 +73,12 @@ def test_generated_corpus_runs_through_cli(corpus_module, tmp_path, capsys):
     assert main(["evaluate", "--run", str(run_dir)]) == 0
 
 
-def test_traced_run_prepares_each_split_once(corpus_module, tmp_path):
-    import tracer as tracing
-
-    shape = corpus_module.CorpusShape(
-        labeled_threads=12, unlabeled_threads=4, rumour_rate=0.5, reply_cap=8,
-        reply_tail=1.5, reply_scale=3.0, chain_prob=0.3, months=3, vocab_types=2000,
-    )
-    labeled, unlabeled = tmp_path / "labeled.jsonl", tmp_path / "unlabeled.jsonl"
-    corpus_module.generate(shape, 4, labeled, unlabeled)
+def test_traced_run_prepares_each_split_once(generated, tmp_path):
+    _, labeled, _ = generated
     config = RunConfig(dataset=str(labeled), model="lstm", out_dir=str(tmp_path / "runs"),
                        seeds=(1, 2), vocab_cap=300, embed_dim=4, hidden_dim=4,
                        perceptron_dim=4, max_len=16, max_epochs=1)
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        # Through the module, whose attributes the tracer patches.
-        result = evalrun.run_experiment(config)
-        evalrun.RunPredictor(result.run_dir).predict(result.split.test)
-    finally:
-        tracer.uninstall()
+    tracer = traced_run(config)
 
     names = [span[0] for span in tracer.spans]
     assert {"trainer.fit", "trainer.predict_threads", "evalrun.run_experiment"} <= set(names)
@@ -84,3 +92,13 @@ def test_traced_run_prepares_each_split_once(corpus_module, tmp_path):
     prepares = [i for i, span in enumerate(tracer.spans) if span[0] == "lstm.prepare"]
     assert sum("evalrun.run_experiment" in ancestors(i) for i in prepares) == 3
     assert sum("evalrun.predictor_predict" in ancestors(i) for i in prepares) == 1
+
+
+def test_traced_bigcn_run_sees_graph_batching(generated, tmp_path):
+    _, labeled, _ = generated
+    config = RunConfig(dataset=str(labeled), model="bigcn", out_dir=str(tmp_path / "runs"),
+                       keep_reply_links=True, tfidf_top_k=200, bigcn_hidden_dim=4,
+                       bigcn_out_dim=4, max_epochs=1)
+    tracer = traced_run(config)
+    names = {span[0] for span in tracer.spans}
+    assert {"proptree.to_graph_batch", "proptree.drop_edge", "gradengine.spmm"} <= names

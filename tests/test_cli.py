@@ -170,6 +170,10 @@ class TestTrainPredictEvaluate:
         ("lstm", "lr = 0"),
         ("rf", "rf_trees = 0"),
         ("logreg", "smote_k = 0"),
+        ("lstm", "lr = nan"),
+        ("lstm", "optimizer = sgdx"),
+        ("lstm", "epsilon = 0"),
+        ("bigcn", "weight_decay = -1"),
     ])
     def test_bad_config_writes_nothing(self, planted_file, tmp_path, capsys,
                                        model, setting):
@@ -178,6 +182,13 @@ class TestTrainPredictEvaluate:
                      "--out-dir", str(out), "--set", setting]) == 1
         assert "error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["classic_iters", "classic_lr"])
+    def test_classic_range_error_names_config_key(self, planted_file, tmp_path,
+                                                  capsys, key):
+        assert main(["train", "--data", str(planted_file), "--model", "logreg",
+                     "--out-dir", str(tmp_path / "runs"), "--set", f"{key} = 0"]) == 1
+        assert f"error: {key} " in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:

@@ -186,17 +186,6 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             parse_config_text("model = transformer\n")
 
-    def test_finetune_preset_values(self):
-        from rumourlab.config import FINETUNE_PRESET
-
-        config = parse_config_text(FINETUNE_PRESET)
-        assert config.optimizer == "adamw"
-        assert config.lr == 1e-4
-        assert config.weight_decay == 1e-2
-        assert config.epsilon == 1e-7
-        assert config.batch_size == 16
-        assert config.max_epochs == 10
-
 
 @pytest.fixture(scope="module")
 def planted_file(tmp_path_factory):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumourlab.errors import ParseError, ValidationError
 from rumourlab.featurize import SparseVector, fit_tfidf
@@ -158,14 +160,12 @@ def tree_of_size(thread_id, n, tfidf, label="rumour"):
 class TestGraphBatch:
     def test_single_node_identity(self, tfidf):
         batch = to_graph_batch([tree_of_size("a", 1, tfidf)], 10)
-        assert np.allclose(batch.td_adjacency.to_dense(), np.eye(1))
-        assert np.allclose(batch.bu_adjacency.to_dense(), np.eye(1))
+        assert np.allclose(batch.adjacency.to_dense(), np.eye(1))
 
     def test_two_node_normalization(self, tfidf):
         batch = to_graph_batch([tree_of_size("a", 2, tfidf)], 10)
         expected = np.full((2, 2), 0.5)
-        assert np.allclose(batch.td_adjacency.to_dense(), expected, atol=1e-12)
-        assert np.allclose(batch.bu_adjacency.to_dense(), expected, atol=1e-12)
+        assert np.allclose(batch.adjacency.to_dense(), expected, atol=1e-12)
 
     def test_membership_and_roots(self, tfidf):
         batch = to_graph_batch(
@@ -177,23 +177,21 @@ class TestGraphBatch:
     def test_normalized_adjacency_symmetric(self, tfidf):
         trees = [tree_of_size(f"t{i}", i + 1, tfidf) for i in range(4)]
         batch = to_graph_batch(trees, 10)
-        for matrix in (batch.td_adjacency, batch.bu_adjacency):
-            dense = matrix.to_dense()
-            assert np.abs(dense - dense.T).max() < 1e-12
-            assert (np.abs(dense).sum(axis=1) > 0).all()
+        dense = batch.adjacency.to_dense()
+        assert np.abs(dense - dense.T).max() < 1e-12
+        assert (np.abs(dense).sum(axis=1) > 0).all()
 
     def test_raw_edges_directed_parent_to_child(self, tfidf):
         batch = to_graph_batch([tree_of_size("a", 3, tfidf)], 10)
         assert batch.td_edges.tolist() == [[0, 1], [0, 2]]
-        assert batch.bu_edges.tolist() == [[1, 0], [2, 0]]
 
     def test_permuted_tree_order_permutes_blocks(self, tfidf):
         t1 = tree_of_size("a", 3, tfidf)
         t2 = tree_of_size("b", 2, tfidf)
         forward_batch = to_graph_batch([t1, t2], 10)
         swapped = to_graph_batch([t2, t1], 10)
-        assert np.allclose(forward_batch.td_adjacency.to_dense()[:3, :3],
-                           swapped.td_adjacency.to_dense()[2:, 2:], atol=1e-12)
+        assert np.allclose(forward_batch.adjacency.to_dense()[:3, :3],
+                           swapped.adjacency.to_dense()[2:, 2:], atol=1e-12)
         assert np.allclose(forward_batch.features[:3], swapped.features[2:])
 
     def test_feature_index_out_of_range(self, tfidf):
@@ -216,12 +214,12 @@ class TestDropEdge:
         a = drop_edge(batch, 0.4, seed=9)
         b = drop_edge(batch, 0.4, seed=9)
         assert np.array_equal(a.td_edges, b.td_edges)
-        assert np.array_equal(a.td_adjacency.vals, b.td_adjacency.vals)
+        assert np.array_equal(a.adjacency.vals, b.adjacency.vals)
 
     def test_self_loops_survive(self, tfidf):
         batch = self._batch(tfidf)
         dropped = drop_edge(batch, 0.9, seed=2)
-        dense = dropped.td_adjacency.to_dense()
+        dense = dropped.adjacency.to_dense()
         assert (np.diag(dense) > 0).all()
 
     def test_renormalized_on_surviving_support(self, tfidf):
@@ -229,7 +227,7 @@ class TestDropEdge:
         dropped = drop_edge(batch, 0.999, seed=0)
         # With every edge removed only self-loops remain, degree 1.
         assert len(dropped.td_edges) == 0
-        assert np.allclose(dropped.td_adjacency.to_dense(), np.eye(3))
+        assert np.allclose(dropped.adjacency.to_dense(), np.eye(3))
 
     def test_binomial_bound_at_half(self, tfidf):
         # 10,000 edges; retention should sit within 3 sigma of 5,000.
@@ -245,3 +243,101 @@ class TestDropEdge:
             drop_edge(batch, 1.0, seed=0)
         with pytest.raises(ValidationError):
             drop_edge(batch, -0.1, seed=0)
+
+
+# Reference batching: the per-edge and per-entry loops that the
+# vectorized to_graph_batch and drop_edge replaced. Their outputs must
+# stay byte-equal, because spmm sums each row in entry order.
+ORACLE_VOCAB = 12
+
+
+def reference_adjacency(n_nodes, edges):
+    degree = np.ones(n_nodes)
+    for u, v in edges:
+        degree[u] += 1.0
+        degree[v] += 1.0
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    rows = list(range(n_nodes))
+    cols = list(range(n_nodes))
+    vals = [inv_sqrt[i] * inv_sqrt[i] for i in range(n_nodes)]
+    for u, v in edges:
+        rows.extend((u, v))
+        cols.extend((v, u))
+        weight = inv_sqrt[u] * inv_sqrt[v]
+        vals.extend((weight, weight))
+    return (np.array(rows, dtype=int), np.array(cols, dtype=int),
+            np.array(vals, dtype=np.float64))
+
+
+def reference_batch(trees, vocab_size):
+    total = sum(tree.size for tree in trees)
+    features = np.zeros((total, vocab_size))
+    membership = np.zeros(total, dtype=int)
+    roots = np.zeros(len(trees), dtype=int)
+    edges = []
+    offset = 0
+    for g, tree in enumerate(trees):
+        roots[g] = offset
+        for node in tree.nodes:
+            row = offset + node.index - 1
+            membership[row] = g
+            for index, value in node.features.entries:
+                features[row, index] = value
+        edges.extend((offset + node.parent - 1, offset + node.index - 1)
+                     for node in tree.nodes[1:])
+        offset += tree.size
+    return features, membership, roots, np.array(edges, dtype=int).reshape(-1, 2)
+
+
+def assert_same_operator(matrix, expected):
+    for actual, wanted in zip((matrix.rows, matrix.cols, matrix.vals), expected):
+        assert actual.dtype == wanted.dtype
+        assert actual.tobytes() == wanted.tobytes()
+
+
+@st.composite
+def forests(draw):
+    trees = []
+    for t in range(draw(st.integers(1, 4))):
+        nodes = []
+        for index in range(1, draw(st.integers(1, 30)) + 1):
+            # The previous node as parent builds chains; any earlier node
+            # builds bushier shapes.
+            parent = None if index == 1 else draw(
+                st.one_of(st.just(index - 1), st.integers(1, index - 1)))
+            columns = sorted(draw(st.sets(st.integers(0, ORACLE_VOCAB - 1), max_size=4)))
+            values = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(columns),
+                                   max_size=len(columns)))
+            nodes.append(PropNode(index=index, parent=parent,
+                                  features=SparseVector(entries=tuple(zip(columns, values)))))
+        trees.append(PropTree(thread_id=f"t{t}", label="rumour", nodes=tuple(nodes)))
+    return trees
+
+
+class TestBatchingOracle:
+    @given(forests(), st.floats(0.0, 0.9, exclude_max=True), st.integers(0, 2 ** 63 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_loop_reference(self, trees, rate, seed):
+        features, membership, roots, edges = reference_batch(trees, ORACLE_VOCAB)
+        batch = to_graph_batch(trees, ORACLE_VOCAB)
+        assert batch.features.tobytes() == features.tobytes()
+        assert batch.graph_membership.tobytes() == membership.tobytes()
+        assert batch.root_index.tobytes() == roots.tobytes()
+        assert batch.td_edges.tobytes() == edges.tobytes()
+        assert_same_operator(batch.adjacency, reference_adjacency(len(features), edges))
+
+        kept = edges
+        if rate > 0.0 and len(edges):
+            kept = edges[np.random.default_rng(seed).random(len(edges)) >= rate]
+        dropped = drop_edge(batch, rate, seed)
+        assert dropped.features is batch.features
+        assert dropped.td_edges.tobytes() == kept.tobytes()
+        assert_same_operator(dropped.adjacency, reference_adjacency(len(features), kept))
+
+    def test_all_empty_features(self):
+        empty = SparseVector(entries=())
+        tree = PropTree(thread_id="t", label=None, nodes=(
+            PropNode(index=1, parent=None, features=empty),
+            PropNode(index=2, parent=1, features=empty)))
+        batch = to_graph_batch([tree], 3)
+        assert not batch.features.any() and batch.features.shape == (2, 3)

@@ -2,8 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumourlab.errors import ValidationError
-from rumourlab.featurize import Vocabulary
 from rumourlab.textproc import (
     MENTION_TOKEN,
     URL_TOKEN,
@@ -13,7 +11,6 @@ from rumourlab.textproc import (
     _URL_RE,
     count_attributes,
     emoji_aliases,
-    encode_pair,
     is_word_token,
     normalize,
     stopword_list,
@@ -226,61 +223,3 @@ class TestCountAttributes:
     def test_stopwords_never_exceed_words(self, text):
         counts = count_attributes(text)
         assert counts.stopwords <= counts.words
-
-
-VOCAB = Vocabulary(terms=("alpha", "beta", "gamma"))
-
-
-class TestEncodePair:
-    def test_short_pair_layout(self):
-        enc = encode_pair(["alpha", "beta"], ["gamma", "alpha", "beta"], VOCAB, 10)
-        assert sum(enc.attention_mask) == 7
-        assert enc.segment_ids[:7] == (0, 0, 0, 1, 1, 1, 1)
-        assert enc.input_ids[2] == VOCAB.sep_id
-        assert enc.input_ids[6] == VOCAB.sep_id
-        assert enc.input_ids[7:] == (VOCAB.pad_id,) * 3
-        assert enc.attention_mask == (1,) * 7 + (0,) * 3
-
-    def test_reply_truncated_from_end(self):
-        enc = encode_pair(["alpha"] * 5, ["beta"] * 200, VOCAB, 8)
-        assert sum(enc.attention_mask) == 8
-        # 5 source + sep + 1 reply + sep
-        assert enc.input_ids[5] == VOCAB.sep_id
-        assert enc.input_ids[7] == VOCAB.sep_id
-        assert enc.segment_ids == (0,) * 6 + (1, 1)
-
-    def test_long_source_truncated_and_reply_dropped(self):
-        enc = encode_pair(["alpha"] * 20, ["beta"] * 4, VOCAB, 8)
-        assert sum(enc.attention_mask) == 8
-        assert enc.input_ids[6] == VOCAB.sep_id
-        assert enc.input_ids[7] == VOCAB.sep_id
-        assert enc.segment_ids[:8] == (0,) * 7 + (1,)
-
-    def test_oov_maps_to_unknown(self):
-        enc = encode_pair(["zzz"], ["alpha"], VOCAB, 6)
-        assert enc.input_ids[0] == VOCAB.unk_id
-
-    def test_lookup_is_lowercased(self):
-        enc = encode_pair(["ALPHA"], [], VOCAB, 5)
-        assert enc.input_ids[0] == VOCAB.id_of("alpha")
-
-    def test_max_len_under_three_rejected(self):
-        with pytest.raises(ValidationError):
-            encode_pair(["alpha"], ["beta"], VOCAB, 2)
-
-    def test_default_128_length(self):
-        enc = encode_pair(["alpha"] * 3, ["beta"] * 2, VOCAB, 128)
-        assert len(enc.input_ids) == 128
-        assert sum(enc.attention_mask) == 7
-
-    @given(st.integers(0, 40), st.integers(0, 40), st.integers(3, 30))
-    @settings(max_examples=200, deadline=None)
-    def test_mask_sum_and_segment_monotone(self, n_source, n_reply, max_len):
-        enc = encode_pair(["alpha"] * n_source, ["beta"] * n_reply, VOCAB, max_len)
-        attended = sum(enc.attention_mask)
-        assert attended == min(max_len, n_source + n_reply + 2)
-        assert enc.attention_mask == (1,) * attended + (0,) * (max_len - attended)
-        prefix = enc.segment_ids[:attended]
-        assert all(a <= b for a, b in zip(prefix, prefix[1:]))
-        for position in range(attended, max_len):
-            assert enc.input_ids[position] == VOCAB.pad_id
