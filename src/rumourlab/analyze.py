@@ -56,8 +56,6 @@ BOOSTERS = frozenset([
     "decidedly", "frickin", "fricking", "friggin", "frigging", "fully",
 ])
 
-SENTIMENT_DIMENSIONS = EMOTIONS + ("compound",)
-
 # Bin edges per attribute; the final right edge is open (infinity).
 HISTOGRAM_EDGES: dict[str, tuple[float, ...]] = {
     "words": (0, 10, 20, 30, 40, 50, 75, 100, math.inf),
@@ -315,31 +313,32 @@ def _month_range(months: Sequence[str]) -> list[str]:
 
 
 def monthly_average_scores(
-    scored: Sequence[tuple[TweetRecord, str, EmotionScores, SentimentScores]],
+    scored: Sequence[tuple[TweetRecord, str, dict[str, float]]],
 ) -> list[MonthlyMean]:
-    """Monthly per-class means of each emotion dimension and of the
-    sentiment compound. Months inside the data range with no tweets for
-    a class produce explicit gap rows (mean None), not zeros."""
+    """Monthly per-class means of each scored dimension, in the order of
+    the first tweet's scores (every tweet scores the same dimensions).
+    Months inside the data range with no tweets for a class produce
+    explicit gap rows (mean None), not zeros."""
     if not scored:
         return []
+    dimensions = tuple(scored[0][2])
     sums: dict[tuple[str, str], dict[str, float]] = defaultdict(
-        lambda: {dim: 0.0 for dim in SENTIMENT_DIMENSIONS})
+        lambda: dict.fromkeys(dimensions, 0.0))
     counts: Counter = Counter()
-    for record, label, emotions, sentiment in scored:
+    for record, label, scores in scored:
         if label not in LABELS:
             raise ValidationError(f"tweet {record.id}: unknown label {label!r}")
         key = (_month_key(record), label)
         counts[key] += 1
         cell = sums[key]
-        for dim in EMOTIONS:
-            cell[dim] += getattr(emotions, dim)
-        cell["compound"] += sentiment.compound
+        for dim in dimensions:
+            cell[dim] += scores[dim]
     months = _month_range([month for month, _ in counts])
     rows = []
     for month in months:
         for label in LABELS:
             n = counts[(month, label)]
-            for dim in SENTIMENT_DIMENSIONS:
+            for dim in dimensions:
                 mean = sums[(month, label)][dim] / n if n else None
                 rows.append(MonthlyMean(month=month, label=label,
                                         dimension=dim, mean=mean, n=n))

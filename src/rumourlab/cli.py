@@ -109,7 +109,10 @@ def _cmd_ingest(args) -> int:
     print(f"orphan replies dropped: {diagnostics.orphan_replies}")
     print(f"unlabeled sources: {diagnostics.unlabeled_sources}")
     if args.split_out:
-        ratios = tuple(float(x) for x in args.ratios.split(","))
+        try:
+            ratios = tuple(float(x) for x in args.ratios.split(","))
+        except ValueError:
+            raise ValidationError(f"--ratios: expected numbers, got {args.ratios!r}") from None
         split = split_dataset(labeled, ratios, args.seed)
         save_split(split, args.split_out)
         print(f"split manifest written to {args.split_out}")
@@ -219,16 +222,13 @@ def _cmd_analyze(args) -> int:
         table = analysis.terms_to_csv(tables)
         path = out_dir / "topics.csv"
     else:
-        scored = [
-            (record, label,
-             analysis.score_emotions(record.text),
-             analysis.score_sentiment(record.text))
-            for record, label in labeled
-        ]
-        rows = analysis.monthly_average_scores(scored)
-        wanted = analysis.EMOTIONS if args.kind == "emotion" else ("compound",)
-        rows = [r for r in rows if r.dimension in wanted]
-        table = analysis.timeseries_to_csv(rows)
+        def dimensions(text):
+            if args.kind == "emotion":
+                return analysis.score_emotions(text).as_dict()
+            return {"compound": analysis.score_sentiment(text).compound}
+
+        scored = [(record, label, dimensions(record.text)) for record, label in labeled]
+        table = analysis.timeseries_to_csv(analysis.monthly_average_scores(scored))
         path = out_dir / f"{args.kind}.csv"
     path.write_text(table, encoding="utf-8")
     _progress(f"wrote {path}")

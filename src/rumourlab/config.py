@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import ValidationError, read_utf8
 
 MODEL_KINDS = ("lstm", "bigcn", "logreg", "svm", "rf")
 FEATURE_MODES = ("handcrafted", "tfidf", "both")
@@ -164,4 +164,4 @@ def load_config(path, base: Optional[RunConfig] = None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), base)
+    return parse_config_text(read_utf8(path), base)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import RunConfig, load_config
-from .errors import ValidationError
+from .errors import ValidationError, read_utf8
 from .featurize import (
     Standardizer,
     build_vocabulary,
@@ -373,8 +373,8 @@ def _save_classic(model: ClassicModel, run_dir: Path, seed: int) -> None:
 
 def _load_classic(kind: str, run_dir: Path, seed: int) -> ClassicModel:
     if kind == "rf":
-        return forest_from_text(
-            (run_dir / f"forest_seed{seed}.txt").read_text(encoding="utf-8"))
+        path = run_dir / f"forest_seed{seed}.txt"
+        return forest_from_text(read_utf8(path), str(path))
     params = load_checkpoint(run_dir / f"ckpt_seed{seed}.txt")
     return ClassicModel(
         kind=kind, weights=params["w"], bias=float(params["b"][0]),

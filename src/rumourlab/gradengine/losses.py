@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ValidationError
-from .tensor import Tensor, mask_mul, mean_all, relu, sum_all
+from .tensor import Tensor, _accumulate, _node, mask_mul, mean_all, relu, sum_all
 
 PROB_CLAMP = 1e-12
 
@@ -36,16 +36,11 @@ def bce_loss(
     total_w = w.sum()
     p = _clamp(predictions.values)
     value = -(w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))).sum() / total_w
-    out = Tensor(value, requires_grad=predictions.requires_grad or bool(predictions._parents),
-                 parents=(predictions,))
 
     def _back(grad):
         g = -w * (y / p - (1.0 - y) / (1.0 - p)) / total_w
-        from .tensor import _accumulate
         _accumulate(predictions, float(grad) * g)
-
-    out._backward = _back
-    return out
+    return _node(value, (predictions,), _back)
 
 
 def weighted_ce_loss(
@@ -68,18 +63,12 @@ def weighted_ce_loss(
     p = _clamp(probabilities.values)
     picked = p[np.arange(len(y)), y]
     value = -(w * np.log(picked)).sum() / total_w
-    out = Tensor(value,
-                 requires_grad=probabilities.requires_grad or bool(probabilities._parents),
-                 parents=(probabilities,))
 
     def _back(grad):
         g = np.zeros_like(p)
         g[np.arange(len(y)), y] = -w / (picked * total_w)
-        from .tensor import _accumulate
         _accumulate(probabilities, float(grad) * g)
-
-    out._backward = _back
-    return out
+    return _node(value, (probabilities,), _back)
 
 
 def hinge_loss(

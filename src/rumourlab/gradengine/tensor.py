@@ -1,8 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Every primitive builds a node of the operation graph; backward() walks
-the graph once in reverse topological order and accumulates gradients
-into the leaves marked requires_grad. All arithmetic is float64.
+Every primitive builds its output through _node: it is tracked (requires
+grad, keeps its parents and backward closure) when some input is, so
+constants and values computed from constants alone are never tracked.
+backward() walks the tracked graph once in reverse topological order
+and accumulates gradients into every tracked tensor. All arithmetic is
+float64.
 """
 
 from __future__ import annotations
@@ -61,9 +64,6 @@ class Tensor:
     def __rsub__(self, other):
         return add(_wrap(other), -self)
 
-    def backward(self):
-        backward(self)
-
 
 def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -71,10 +71,6 @@ def _wrap(value) -> Tensor:
 
 def parameter(values, name: str) -> Tensor:
     return Tensor(values, requires_grad=True, name=name)
-
-
-def _needs_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -93,21 +89,27 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
     tensor.grad += grad
 
 
+def _node(values, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """A primitive's output: tracked only when some parent requires grad,
+    otherwise a plain constant that backward() never visits."""
+    for parent in parents:
+        if parent.requires_grad:
+            return Tensor(values, requires_grad=True, parents=parents, backward=backward)
+    return Tensor(values)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         values = a.values + b.values
     except ValueError:
         raise ValidationError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = Tensor(values, requires_grad=_needs_grad(a, b), parents=(a, b))
 
     def _back(grad):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             _accumulate(a, _unbroadcast(grad, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             _accumulate(b, _unbroadcast(grad, b.shape))
-
-    out._backward = _back
-    return out
+    return _node(values, (a, b), _back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -115,31 +117,25 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         values = a.values * b.values
     except ValueError:
         raise ValidationError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = Tensor(values, requires_grad=_needs_grad(a, b), parents=(a, b))
 
     def _back(grad):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             _accumulate(a, _unbroadcast(grad * b.values, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             _accumulate(b, _unbroadcast(grad * a.values, b.shape))
-
-    out._backward = _back
-    return out
+    return _node(values, (a, b), _back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValidationError(f"matmul: shapes {a.shape} and {b.shape} incompatible")
-    out = Tensor(a.values @ b.values, requires_grad=_needs_grad(a, b), parents=(a, b))
 
     def _back(grad):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             _accumulate(a, grad @ b.values.T)
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             _accumulate(b, a.values.T @ grad)
-
-    out._backward = _back
-    return out
+    return _node(a.values @ b.values, (a, b), _back)
 
 
 def spmm(matrix: SparseMatrix, dense: Tensor) -> Tensor:
@@ -149,70 +145,48 @@ def spmm(matrix: SparseMatrix, dense: Tensor) -> Tensor:
         raise ValidationError(
             f"spmm: shapes {matrix.shape} and {dense.shape} incompatible"
         )
-    out = Tensor(
-        matrix.matmul_dense(dense.values),
-        requires_grad=dense.requires_grad or bool(dense._parents),
-        parents=(dense,),
-    )
-    transposed = matrix.transpose()
 
     def _back(grad):
-        _accumulate(dense, transposed.matmul_dense(grad))
-
-    out._backward = _back
-    return out
+        _accumulate(dense, matrix.transpose().matmul_dense(grad))
+    return _node(matrix.matmul_dense(dense.values), (dense,), _back)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.values, 0.0), requires_grad=x.requires_grad or bool(x._parents), parents=(x,))
-
     def _back(grad):
         # Subgradient at exactly zero is zero.
         _accumulate(x, grad * (x.values > 0.0))
-
-    out._backward = _back
-    return out
+    return _node(np.maximum(x.values, 0.0), (x,), _back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     v = x.values
     values = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
-    out = Tensor(values, requires_grad=x.requires_grad or bool(x._parents), parents=(x,))
 
     def _back(grad):
         _accumulate(x, grad * values * (1.0 - values))
-
-    out._backward = _back
-    return out
+    return _node(values, (x,), _back)
 
 
 def tanh(x: Tensor) -> Tensor:
     values = np.tanh(x.values)
-    out = Tensor(values, requires_grad=x.requires_grad or bool(x._parents), parents=(x,))
 
     def _back(grad):
         _accumulate(x, grad * (1.0 - values * values))
-
-    out._backward = _back
-    return out
+    return _node(values, (x,), _back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     if not tensors:
         raise ValidationError("concat: no inputs")
-    values = np.concatenate([t.values for t in tensors], axis=axis)
-    out = Tensor(values, requires_grad=_needs_grad(*tensors), parents=tuple(tensors))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    tensors = tuple(tensors)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def _back(grad):
         pieces = np.split(grad, offsets[1:-1], axis=axis)
         for tensor, piece in zip(tensors, pieces):
-            if tensor.requires_grad or tensor._parents:
+            if tensor.requires_grad:
                 _accumulate(tensor, piece)
-
-    out._backward = _back
-    return out
+    return _node(np.concatenate([t.values for t in tensors], axis=axis), tensors, _back)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -221,14 +195,11 @@ def softmax_rows(x: Tensor) -> Tensor:
     shifted = x.values - x.values.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     values = exp / exp.sum(axis=1, keepdims=True)
-    out = Tensor(values, requires_grad=x.requires_grad or bool(x._parents), parents=(x,))
 
     def _back(grad):
         dot = (grad * values).sum(axis=1, keepdims=True)
         _accumulate(x, values * (grad - dot))
-
-    out._backward = _back
-    return out
+    return _node(values, (x,), _back)
 
 
 def segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -243,14 +214,10 @@ def segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tenso
         raise ValidationError("segment_mean: every segment needs at least one row")
     sums = np.zeros((num_segments, x.shape[1]))
     np.add.at(sums, segment_ids, x.values)
-    values = sums / counts[:, None]
-    out = Tensor(values, requires_grad=x.requires_grad or bool(x._parents), parents=(x,))
 
     def _back(grad):
         _accumulate(x, grad[segment_ids] / counts[segment_ids][:, None])
-
-    out._backward = _back
-    return out
+    return _node(sums / counts[:, None], (x,), _back)
 
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -262,11 +229,6 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ValidationError(
             f"gather_rows: id out of range for table with {table.shape[0]} rows"
         )
-    out = Tensor(
-        table.values[ids],
-        requires_grad=table.requires_grad or bool(table._parents),
-        parents=(table,),
-    )
 
     def _back(grad):
         # Sum per distinct id, then add into those rows only: the same
@@ -278,9 +240,7 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
         if table.grad is None:
             table.grad = np.zeros_like(table.values)
         table.grad[unique] += rows
-
-    out._backward = _back
-    return out
+    return _node(table.values[ids], (table,), _back)
 
 
 def mask_mul(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -290,34 +250,24 @@ def mask_mul(x: Tensor, mask: np.ndarray) -> Tensor:
         values = x.values * mask
     except ValueError:
         raise ValidationError(f"mask_mul: mask {mask.shape} does not fit {x.shape}") from None
-    out = Tensor(values, requires_grad=x.requires_grad or bool(x._parents), parents=(x,))
 
     def _back(grad):
         _accumulate(x, _unbroadcast(grad * mask, x.shape))
-
-    out._backward = _back
-    return out
+    return _node(values, (x,), _back)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.values.sum(), requires_grad=x.requires_grad or bool(x._parents), parents=(x,))
-
     def _back(grad):
         _accumulate(x, np.full_like(x.values, float(grad)))
-
-    out._backward = _back
-    return out
+    return _node(x.values.sum(), (x,), _back)
 
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.values.size
-    out = Tensor(x.values.mean(), requires_grad=x.requires_grad or bool(x._parents), parents=(x,))
 
     def _back(grad):
         _accumulate(x, np.full_like(x.values, float(grad) / n))
-
-    out._backward = _back
-    return out
+    return _node(x.values.mean(), (x,), _back)
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:

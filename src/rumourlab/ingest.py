@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError, read_utf8
 
 RUMOUR = "rumour"
 NONRUMOUR = "nonrumour"
@@ -344,9 +344,9 @@ def split_dataset(
     one thread of the global ratios. Output is invariant to input order.
     """
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):
         raise ValidationError("ratios must be three positive fractions")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ValidationError(f"ratios sum to {sum(ratios)!r}, expected 1")
     by_label: dict[str, list[Thread]] = {}
     seen_ids: set[str] = set()
@@ -413,15 +413,18 @@ def load_split(directory, threads: Sequence[Thread]) -> DatasetSplit:
         if not path.exists():
             raise FileNotFoundError(f"split manifest part missing: {path}")
         ids: list[str] = []
-        for line in path.read_text(encoding="utf-8").splitlines():
+        for line_no, line in enumerate(read_utf8(path).splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                if "seed =" in line:
-                    seed = int(line.split("=", 1)[1])
-                elif "ratios =" in line:
-                    ratios = tuple(float(x) for x in line.split("=", 1)[1].split(","))
+                try:
+                    if "seed =" in line:
+                        seed = int(line.split("=", 1)[1])
+                    elif "ratios =" in line:
+                        ratios = tuple(float(x) for x in line.split("=", 1)[1].split(","))
+                except ValueError:
+                    raise ParseError(f"{path} line {line_no}: bad header {line!r}") from None
                 continue
             ids.append(line)
         missing = [i for i in ids if i not in by_id]

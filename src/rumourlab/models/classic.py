@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ParseError, ValidationError
 from ..featurize import Standardizer, compute_class_weights, smote_oversample
 from ..gradengine import (
     OptimizerState,
@@ -92,15 +92,9 @@ class ClassicModel:
     bias: float = 0.0
     standardizer: Optional[Standardizer] = None
     forest: list[list[TreeNode]] = field(default_factory=list)
-
-    @property
-    def feature_dim(self) -> int:
-        if self.kind == "rf":
-            return self._forest_dim
-        return len(self.weights)
+    forest_dim: int = 0
 
     def __post_init__(self):
-        self._forest_dim = 0
         if self.kind not in CLASSIC_KINDS:
             raise ValidationError(f"unknown classic model kind {self.kind!r}")
 
@@ -307,9 +301,7 @@ def train_classic(
             x_raw[rows], y[rows], sample_weights[rows], rng,
             options.rf_max_depth, n_candidates,
         ))
-    model = ClassicModel(kind="rf", forest=forest)
-    model._forest_dim = n_features
-    return model
+    return ClassicModel(kind="rf", forest=forest, forest_dim=n_features)
 
 
 def predict_classic(model: ClassicModel, features: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -332,9 +324,9 @@ def predict_classic(model: ClassicModel, features: np.ndarray) -> tuple[list[str
             scores = z
             labels = [RUMOUR if s >= 0.0 else NONRUMOUR for s in scores]
         return labels, scores
-    if x.shape[1] != model._forest_dim:
+    if x.shape[1] != model.forest_dim:
         raise ValidationError(
-            f"expected {model._forest_dim} features, got {x.shape[1]}"
+            f"expected {model.forest_dim} features, got {x.shape[1]}"
         )
     votes = np.stack([_tree_votes(tree, x) for tree in model.forest])
     scores = votes.mean(axis=0)
@@ -345,7 +337,7 @@ def predict_classic(model: ClassicModel, features: np.ndarray) -> tuple[list[str
 def forest_to_text(model: ClassicModel) -> str:
     lines = ["# rumourlab-forest v1",
              f"n_trees = {len(model.forest)}",
-             f"feature_dim = {model._forest_dim}"]
+             f"feature_dim = {model.forest_dim}"]
     for i, tree in enumerate(model.forest):
         lines.append(f"tree {i}")
         for node in tree:
@@ -356,29 +348,46 @@ def forest_to_text(model: ClassicModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def forest_from_text(text: str) -> ClassicModel:
+def forest_from_text(text: str, source: str = "forest") -> ClassicModel:
+    """Parse forest_to_text output. A malformed line, a node before the
+    first tree, an empty tree, a tree count other than n_trees, a missing
+    header value, or a split whose feature or children fall outside the
+    forest raises ParseError naming `source` and the line."""
     lines = text.splitlines()
     if not lines or lines[0] != "# rumourlab-forest v1":
-        raise ValidationError("not a rumourlab-forest v1 file")
-    feature_dim = 0
-    forest: list[list[TreeNode]] = []
-    current: Optional[list[TreeNode]] = None
-    for line in lines[1:]:
+        raise ValidationError(f"{source}: not a rumourlab-forest v1 file")
+    header: dict[str, tuple[int, int]] = {}  # key -> (value, line number)
+    trees: list[tuple[int, list[tuple[int, TreeNode]]]] = []  # with line numbers
+    for line_no, line in enumerate(lines[1:], start=2):
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("n_trees"):
-            continue
-        if line.startswith("feature_dim"):
-            feature_dim = int(line.split("=", 1)[1])
-            continue
-        if line.startswith("tree "):
-            current = []
-            forest.append(current)
-            continue
-        feat, thr, left, right, c0, c1 = line.split(" ")
-        current.append(TreeNode(int(feat), float(thr), int(left), int(right),
-                                (float(c0), float(c1))))
-    model = ClassicModel(kind="rf", forest=forest)
-    model._forest_dim = feature_dim
-    return model
+        key, _, value = line.partition(" = ")
+        try:
+            if key in ("n_trees", "feature_dim"):
+                header[key] = (int(value), line_no)
+            elif line == f"tree {len(trees)}":
+                trees.append((line_no, []))
+            elif line and trees:
+                feat, thr, left, right, c0, c1 = line.split(" ")
+                trees[-1][1].append((line_no, TreeNode(int(feat), float(thr), int(left),
+                                                       int(right), (float(c0), float(c1)))))
+            elif line:
+                raise ValueError(line)
+        except ValueError:
+            raise ParseError(f"{source} line {line_no}: malformed forest line {line!r}") from None
+    if "n_trees" not in header or "feature_dim" not in header:
+        raise ParseError(f"{source}: the n_trees or feature_dim line is missing")
+    (n_trees, n_line), (feature_dim, _) = header["n_trees"], header["feature_dim"]
+    if len(trees) != n_trees or not trees:
+        raise ParseError(f"{source} line {n_line}: n_trees = {n_trees}, but the file "
+                         f"holds {len(trees)} trees (a forest needs at least one)")
+    for tree_line, tree in trees:
+        if not tree:
+            raise ParseError(f"{source} line {tree_line}: tree has no nodes")
+        for index, (line_no, node) in enumerate(tree):
+            if node.feature != LEAF and not (0 <= node.feature < feature_dim
+                                             and index < node.left < len(tree)
+                                             and index < node.right < len(tree)):
+                raise ParseError(f"{source} line {line_no}: split feature or child "
+                                 "index outside the forest")
+    return ClassicModel(kind="rf", forest=[[node for _, node in tree] for _, tree in trees],
+                        forest_dim=feature_dim)

@@ -230,8 +230,9 @@ class TestMonthlyTopTerms:
 
 
 def _scored(record, label):
-    return (record, label,
-            score_emotions(record.text), score_sentiment(record.text))
+    scores = score_emotions(record.text).as_dict()
+    scores["compound"] = score_sentiment(record.text).compound
+    return (record, label, scores)
 
 
 class TestMonthlyAverages:

@@ -1,8 +1,9 @@
 """Smoke tests for the benchmark's helpers. A small generated corpus goes
 through the four analysis kinds and a TF-IDF train, predict and evaluate
 through the command line, so the generator keeps producing input the
-program accepts. Traced LSTM and Bi-GCN runs check that the tracer still
-sees the pipeline's functions, and that each split is prepared once."""
+program accepts. Traced LSTM, Bi-GCN and SVM runs check that the tracer
+still sees the pipeline's functions and every engine primitive, and that
+each split is prepared once."""
 
 from pathlib import Path
 
@@ -35,16 +36,17 @@ def generated(corpus_module, tmp_path):
     return shape, labeled, unlabeled
 
 
-def traced_run(config):
-    """Train a run and predict its test split under the bench tracer."""
+def traced_run(*configs):
+    """Train each run and predict its test split under one bench tracer."""
     import tracer as tracing
 
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        # Through the module, whose attributes the tracer patches.
-        result = evalrun.run_experiment(config)
-        evalrun.RunPredictor(result.run_dir).predict(result.split.test)
+        for config in configs:
+            # Through the module, whose attributes the tracer patches.
+            result = evalrun.run_experiment(config)
+            evalrun.RunPredictor(result.run_dir).predict(result.split.test)
     finally:
         tracer.uninstall()
     return tracer
@@ -102,3 +104,22 @@ def test_traced_bigcn_run_sees_graph_batching(generated, tmp_path):
     tracer = traced_run(config)
     names = {span[0] for span in tracer.spans}
     assert {"proptree.to_graph_batch", "proptree.drop_edge", "gradengine.spmm"} <= names
+
+
+def test_traced_runs_see_every_engine_primitive(generated, tmp_path):
+    """gradengine.op_calls counts the primitives by name, so each must
+    still be called through the module attribute the tracer patches."""
+    import tracer as tracing
+
+    _, labeled, _ = generated
+    common = dict(dataset=str(labeled), out_dir=str(tmp_path / "runs"), max_epochs=1)
+    tracer = traced_run(
+        RunConfig(model="lstm", vocab_cap=300, embed_dim=4, hidden_dim=4,
+                  perceptron_dim=4, max_len=16, dropout=0.5, **common),
+        RunConfig(model="bigcn", tfidf_top_k=200, bigcn_hidden_dim=4, bigcn_out_dim=4,
+                  dropout=0.5, **common),
+        # Without class weights the hinge loss takes its mean_all branch.
+        RunConfig(model="svm", features="tfidf", class_weights=False, svm_iters=3, **common),
+    )
+    names = {span[0] for span in tracer.spans}
+    assert {f"gradengine.{name}" for name in tracing.PRIMITIVES} <= names

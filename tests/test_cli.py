@@ -35,6 +35,15 @@ def trained_run(planted_file, tmp_path_factory):
     return run_dir
 
 
+@pytest.fixture(scope="module")
+def forest_run(planted_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs")
+    assert main(["train", "--data", str(planted_file), "--model", "rf",
+                 "--out-dir", str(out), "--set", "rf_trees = 2"]) == 0
+    (run_dir,) = list(out.iterdir())
+    return run_dir
+
+
 class TestDispatch:
     def test_unknown_subcommand_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -75,14 +84,20 @@ class TestInvalidUtf8:
     @pytest.mark.parametrize("command", [
         ["ingest"],
         ["train", "--model", "logreg", "--set", "seeds = 1"],
+        ["train", "--config", "bad.cfg"],
     ])
     def test_bad_byte_exits_one_naming_line(self, bad_utf8_file, tmp_path, capsys, command):
-        argv = command + ["--data", str(bad_utf8_file)]
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"seeds = 1\nmodel = logreg \xff\n")
+        argv = [str(config) if arg == "bad.cfg" else arg for arg in command]
+        argv += ["--data", str(bad_utf8_file)]
         if command[0] == "train":
             argv += ["--out-dir", str(tmp_path / "runs")]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "line 2:" in err and "UTF-8" in err
+        if "--config" in command:
+            assert f"{config} line 2:" in err
 
 
 class TestIngestAndStats:
@@ -96,6 +111,15 @@ class TestIngestAndStats:
                      "--split-out", str(tmp_path / "split")]) == 0
         for part in ("train", "dev", "test"):
             assert (tmp_path / "split" / f"{part}.ids").exists()
+
+    @pytest.mark.parametrize("ratios,message", [
+        ("a,b", "error: --ratios: expected numbers"),
+        ("nan,nan,nan", "error: ratios must be three positive fractions"),
+    ])
+    def test_bad_ratios_exit_one(self, planted_file, tmp_path, capsys, ratios, message):
+        assert main(["ingest", "--data", str(planted_file), "--ratios", ratios,
+                     "--split-out", str(tmp_path / "split")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_stats_summary(self, planted_file, capsys):
         assert main(["stats", "--data", str(planted_file)]) == 0
@@ -163,6 +187,28 @@ class TestTrainPredictEvaluate:
         (run_dir / "report.txt").unlink()
         assert main([command, "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
         assert f"{run_dir}: incomplete run (no report.txt)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,damage,line_no", [
+        # The forest is cut after its first tree; line 2 holds n_trees.
+        ("forest_seed1.txt", lambda lines: lines[:lines.index("tree 1")], 2),
+        ("forest_seed1.txt", lambda lines: lines[:3] + [lines[4]] + lines[3:], 4),
+        ("forest_seed1.txt", lambda lines: lines[:4] + [" ".join(lines[4].split()[:3])]
+         + lines[5:], 5),
+        # The root of tree 0 splits; point its left child outside the tree.
+        ("forest_seed1.txt", lambda lines: lines[:4] + [lines[4].replace(" 1 ", " 99 ", 1)]
+         + lines[5:], 5),
+        ("split/test.ids", lambda lines: [line.replace("# seed = 13", "# seed = x")
+                                          for line in lines], 2),
+    ], ids=["cut", "node-before-tree", "three-fields", "child-99", "split-seed"])
+    def test_damaged_run_file_exits_one_naming_line(self, forest_run, tmp_path, capsys,
+                                                    name, damage, line_no):
+        run_dir = tmp_path / forest_run.name
+        shutil.copytree(forest_run, run_dir)
+        path = run_dir / name
+        lines = damage(path.read_text(encoding="utf-8").splitlines())
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--run", str(run_dir)]) == 1
+        assert f"error: {path} line {line_no}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model,setting", [
         ("bigcn", "dropout = 2"),

@@ -118,6 +118,18 @@ class TestBackward:
         backward(sum_all(y + y))
         assert x.grad.tolist() == [12.0]
 
+    def test_values_from_constants_are_not_tracked(self):
+        out = relu(sigmoid(Tensor([[0.5, -1.0]])))
+        assert out.requires_grad is False
+        assert out._parents == ()
+
+    def test_constant_chain_gets_no_gradient(self):
+        x = parameter(np.array([[1.0, 2.0]]), "x")
+        constant = relu(sigmoid(Tensor([[0.5, -1.0]])))
+        backward(sum_all(x * constant))
+        assert constant.grad is None
+        assert np.array_equal(x.grad, constant.values)
+
     def test_deep_chain_iterative_topo(self):
         x = parameter(np.array([[1.0]]), "x")
         node = x

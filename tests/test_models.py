@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rumourlab.errors import ValidationError
+from rumourlab.errors import ParseError, ValidationError
 from rumourlab.featurize import build_vocabulary, fit_tfidf
 from rumourlab.gradengine import Tensor, parameter
 from rumourlab.models import (
@@ -363,6 +365,18 @@ class TestTrainClassic:
             predict_classic(model, np.zeros((2, 5)))
 
 
+FOREST_TEXT = """# rumourlab-forest v1
+n_trees = 2
+feature_dim = 2
+tree 0
+0 0.5 1 2 1.0 1.0
+-1 0.0 -1 -1 1.0 0.0
+-1 0.0 -1 -1 0.0 1.0
+tree 1
+-1 0.0 -1 -1 1.0 1.0
+"""
+
+
 class TestForestPersistence:
     def test_round_trip_predictions_identical(self):
         rng = np.random.default_rng(6)
@@ -379,6 +393,47 @@ class TestForestPersistence:
     def test_version_required(self):
         with pytest.raises(ValidationError):
             forest_from_text("not a forest\n")
+
+    @pytest.mark.parametrize("body,message", [
+        ("n_trees = 1\ntree 0\n-1 0.0 -1 -1 1.0 0.0\n", "feature_dim line is missing"),
+        # A child that points back at its own node would loop at predict.
+        ("n_trees = 1\nfeature_dim = 2\ntree 0\n0 0.5 0 2 1.0 1.0\n"
+         "-1 0.0 -1 -1 1.0 0.0\n-1 0.0 -1 -1 0.0 1.0\n", "forest line 5: split feature"),
+        ("n_trees = 1\nfeature_dim = 2\ntree 0\n2 0.5 1 2 1.0 1.0\n", "forest line 5: split"),
+        ("n_trees = 1\nfeature_dim = 2\ntree 0\n", "forest line 4: tree has no nodes"),
+        ("n_trees = 1\nfeature_dim = 2\ntree 0\n-1 x -1 -1 1.0 0.0\n", "forest line 5: malformed"),
+    ], ids=["no-feature-dim", "child-loops-back", "feature-outside", "empty-tree", "bad-float"])
+    def test_damaged_forest_names_line(self, body, message):
+        with pytest.raises(ParseError, match=message):
+            forest_from_text("# rumourlab-forest v1\n" + body)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(
+        st.sampled_from(["delete", "insert", "replace"]), st.integers(0, 9), st.one_of(
+            st.builds("n_trees = {}".format, st.integers(-1, 3)),
+            st.builds("feature_dim = {}".format, st.integers(-1, 3)),
+            st.builds("tree {}".format, st.integers(0, 3)),
+            st.builds("{} {} {} {} 1.0 0.0".format, st.integers(-2, 2),
+                      st.sampled_from(["0.5", "nan", "x"]),
+                      st.integers(-1, 4), st.integers(-1, 4)),
+            st.text(max_size=8))), max_size=3),
+        cut=st.one_of(st.just(0), st.integers(1, 80)))
+    def test_fuzzed_forest_raises_only_documented_errors(self, edits, cut):
+        lines = FOREST_TEXT.splitlines()
+        for op, at, line in edits:
+            at %= len(lines) + 1
+            if op == "insert":
+                lines.insert(at, line)
+            elif at < len(lines):
+                lines[at:at + 1] = [] if op == "delete" else [line]
+        text = "\n".join(lines) + "\n"
+        try:
+            model = forest_from_text(text[:len(text) - cut])
+        except (ParseError, ValidationError, FileNotFoundError):
+            return
+        # Whatever loads also predicts.
+        _, scores = predict_classic(model, np.zeros((3, model.forest_dim)))
+        assert scores.shape == (3,)
 
 
 class TestBiGcnPredictMatchesArgmax(object):
