@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import analyze as analysis
-from .config import RunConfig, load_config, parse_config_text
+from .config import RunConfig, apply_settings, load_config
 from .errors import ParseError, ValidationError
 from .evalrun import RunPredictor, compute_report, report_to_text, run_experiment
 from .featurize import fit_tfidf, save_vocabulary
@@ -85,16 +86,9 @@ def _build_parser() -> _Parser:
 
 def _train_config_from_args(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    overrides = []
-    if args.data:
-        overrides.append(f"dataset = {args.data}")
-    if args.model:
-        overrides.append(f"model = {args.model}")
-    if args.out_dir:
-        overrides.append(f"out_dir = {args.out_dir}")
-    overrides.extend(args.set)
-    if overrides:
-        config = parse_config_text("\n".join(overrides), config)
+    flags = {"dataset": args.data, "model": args.model, "out_dir": args.out_dir}
+    config = replace(config, **{name: value for name, value in flags.items() if value})
+    config = apply_settings(args.set, config)
     if not config.dataset:
         raise ValidationError("no dataset configured; pass --data or set dataset =")
     return config

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import ValidationError, read_utf8
 
@@ -138,30 +138,42 @@ def _parse_value(name: str, raw: str):
     return raw
 
 
-def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
-    config = base or RunConfig()
+def _parse_line(line: str, where: str, updates: dict) -> None:
+    """Add one `key = value` line to `updates`; errors start with `where`."""
+    line = line.split("#", 1)[0].strip()
+    if not line:
+        return
+    if "=" not in line:
+        raise ValidationError(f"{where}: expected key = value")
+    name, raw = line.split("=", 1)
+    name = name.strip()
+    try:
+        updates[name] = _parse_value(name, raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+    except ValueError:
+        raise ValidationError(f"{where}: bad value for {name!r}: {raw.strip()!r}") from None
+
+
+def parse_config_text(text: str, base: Optional[RunConfig] = None,
+                      source: str = "config") -> RunConfig:
+    """Apply config text to `base`; errors name `source` and the line."""
     updates = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"config line {line_no}: expected key = value")
-        name, raw = line.split("=", 1)
-        name = name.strip()
-        try:
-            updates[name] = _parse_value(name, raw)
-        except ValidationError:
-            raise
-        except ValueError:
-            raise ValidationError(
-                f"config line {line_no}: bad value for {name!r}: {raw.strip()!r}"
-            ) from None
-    return replace(config, **updates)
+        _parse_line(line, f"{source} line {line_no}", updates)
+    return replace(base or RunConfig(), **updates)
+
+
+def apply_settings(settings: Sequence[str], base: RunConfig) -> RunConfig:
+    """Apply `key = value` strings given one per `--set` flag."""
+    updates = {}
+    for setting in settings:
+        _parse_line(setting, f"--set {setting!r}", updates)
+    return replace(base, **updates)
 
 
 def load_config(path, base: Optional[RunConfig] = None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    return parse_config_text(read_utf8(path), base)
+    return parse_config_text(read_utf8(path), base, source=str(path))

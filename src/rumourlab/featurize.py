@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_utf8
 from .ingest import TweetRecord
 
 PAD_ID = 0
@@ -245,9 +245,9 @@ def save_terms(vocab: Vocabulary, path) -> None:
 
 
 def load_terms(path) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if tuple(lines[:3]) != RESERVED:
-        raise ValidationError("vocabulary file lacks the reserved-id header")
+        raise ValidationError(f"{path} line 1: vocabulary file lacks the reserved-id header")
     return Vocabulary(terms=tuple(lines[3:]))
 
 
@@ -264,7 +264,7 @@ def save_vocabulary(model: TfidfModel, vocab_path, idf_path) -> None:
 
 def load_vocabulary(vocab_path, idf_path) -> TfidfModel:
     vocab = load_terms(vocab_path)
-    lines = Path(idf_path).read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(idf_path).splitlines()
     # Only the first line is the header: later lines may be hashtag terms.
     key, _, count = lines[0].partition(" = ") if lines else ("", "", "")
     if key != "# doc_count" or not count.isdecimal():

@@ -351,7 +351,7 @@ def forest_to_text(model: ClassicModel) -> str:
 def forest_from_text(text: str, source: str = "forest") -> ClassicModel:
     """Parse forest_to_text output. A malformed line, a node before the
     first tree, an empty tree, a tree count other than n_trees, a missing
-    header value, or a split whose feature or children fall outside the
+    header value, a negative feature_dim, or a split whose feature or children fall outside the
     forest raises ParseError naming `source` and the line."""
     lines = text.splitlines()
     if not lines or lines[0] != "# rumourlab-forest v1":
@@ -376,7 +376,9 @@ def forest_from_text(text: str, source: str = "forest") -> ClassicModel:
             raise ParseError(f"{source} line {line_no}: malformed forest line {line!r}") from None
     if "n_trees" not in header or "feature_dim" not in header:
         raise ParseError(f"{source}: the n_trees or feature_dim line is missing")
-    (n_trees, n_line), (feature_dim, _) = header["n_trees"], header["feature_dim"]
+    (n_trees, n_line), (feature_dim, dim_line) = header["n_trees"], header["feature_dim"]
+    if feature_dim < 0:
+        raise ParseError(f"{source} line {dim_line}: feature_dim = {feature_dim} is negative")
     if len(trees) != n_trees or not trees:
         raise ParseError(f"{source} line {n_line}: n_trees = {n_trees}, but the file "
                          f"holds {len(trees)} trees (a forest needs at least one)")

@@ -83,7 +83,8 @@ def test_traced_run_prepares_each_split_once(generated, tmp_path):
     tracer = traced_run(config)
 
     names = [span[0] for span in tracer.spans]
-    assert {"trainer.fit", "trainer.predict_threads", "evalrun.run_experiment"} <= set(names)
+    assert {"ingest.load_tweets", "ingest.assemble_threads", "trainer.fit",
+            "trainer.predict_threads", "evalrun.run_experiment"} <= set(names)
 
     def ancestors(index):
         parent = tracer.spans[index][3]

@@ -1,3 +1,4 @@
+import json
 import shutil
 
 import pytest
@@ -121,6 +122,24 @@ class TestIngestAndStats:
                      "--split-out", str(tmp_path / "split")]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "stats"])
+    @pytest.mark.parametrize("reply,message", [
+        ({"parent_id": []}, "parent_id must be a string or null"),
+        ({"id": 2, "parent_id": 1}, "id must be a string"),
+        ({"id": None}, "id must be a string"),
+        ({"created_at": "2020-03-01T12:05:00"},
+         "created_at '2020-03-01T12:05:00' lacks a UTC offset"),
+    ], ids=["list-parent", "numeric-ids", "null-id", "naive-time"])
+    def test_bad_record_exits_one_naming_file_and_line(self, planted_file, tmp_path, capsys,
+                                                       command, reply, message):
+        source = json.loads(planted_file.read_text(encoding="utf-8").splitlines()[0])
+        path = tmp_path / "bad.jsonl"
+        reply = {**source, "id": "r", "parent_id": source["id"], **reply}
+        reply.pop("label")
+        path.write_text(json.dumps(source) + "\n" + json.dumps(reply) + "\n", encoding="utf-8")
+        assert main([command, "--data", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path} line 2: {message}\n"
+
     def test_stats_summary(self, planted_file, capsys):
         assert main(["stats", "--data", str(planted_file)]) == 0
         out = capsys.readouterr().out
@@ -199,14 +218,19 @@ class TestTrainPredictEvaluate:
          + lines[5:], 5),
         ("split/test.ids", lambda lines: [line.replace("# seed = 13", "# seed = x")
                                           for line in lines], 2),
-    ], ids=["cut", "node-before-tree", "three-fields", "child-99", "split-seed"])
+        # "\udcff" is written as the byte 0xff.
+        ("vocab.txt", lambda lines: lines[:5] + [lines[5] + "\udcff"] + lines[6:], 6),
+        ("idf.txt", lambda lines: lines[:2] + [lines[2] + "\udcff"] + lines[3:], 3),
+        ("vocab.txt", lambda lines: lines[1:], 1),
+    ], ids=["cut", "node-before-tree", "three-fields", "child-99", "split-seed",
+            "vocab-byte", "idf-byte", "vocab-header"])
     def test_damaged_run_file_exits_one_naming_line(self, forest_run, tmp_path, capsys,
                                                     name, damage, line_no):
         run_dir = tmp_path / forest_run.name
         shutil.copytree(forest_run, run_dir)
         path = run_dir / name
         lines = damage(path.read_text(encoding="utf-8").splitlines())
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         assert main(["evaluate", "--run", str(run_dir)]) == 1
         assert f"error: {path} line {line_no}:" in capsys.readouterr().err
 
@@ -227,6 +251,25 @@ class TestTrainPredictEvaluate:
         assert main(["train", "--data", str(planted_file), "--model", model,
                      "--out-dir", str(out), "--set", setting]) == 1
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source,text,message", [
+        ("--config", "seeds 1\n", "{config} line 1: expected key = value"),
+        ("--config", "model = rf\nseeds = x\n", "{config} line 2: bad value for 'seeds': 'x'"),
+        ("--config", "sedes = 1\n", "{config} line 1: unknown config key 'sedes'"),
+        ("--set", "seeds 1", "--set 'seeds 1': expected key = value"),
+        ("--set", "seeds = x", "--set 'seeds = x': bad value for 'seeds': 'x'"),
+    ], ids=["config-no-equals", "config-bad-value", "config-unknown-key", "set-no-equals",
+            "set-bad-value"])
+    def test_config_error_names_its_source(self, planted_file, tmp_path, capsys,
+                                           source, text, message):
+        config = tmp_path / "c.cfg"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "runs"
+        argv = ["train", "--data", str(planted_file), "--out-dir", str(out)]
+        argv += ["--config", str(config)] if source == "--config" else ["--set", text]
+        assert main(argv) == 1
+        assert f"error: {message.format(config=config)}\n" == capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["classic_iters", "classic_lr"])

@@ -1,7 +1,10 @@
 import json
+import re
 from datetime import timezone
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rumourlab.errors import ValidationError
 from rumourlab.ingest import (
@@ -16,6 +19,11 @@ from rumourlab.ingest import (
 )
 
 from conftest import make_record, make_thread
+
+GOOD = {"id": "a", "text": "x", "created_at": "2020-01-01T00:00:00Z",
+        "verified": False, "followers": 0, "following": 0,
+        "tweet_count": 0, "listed_count": 0,
+        "account_created_year": 2015, "retweet_count": 0, "like_count": 0}
 
 
 class TestLoadTweets:
@@ -34,14 +42,10 @@ class TestLoadTweets:
         assert loaded.created_at.tzinfo == timezone.utc
 
     def test_missing_text_field_cites_line(self, tmp_path):
-        good = {"id": "a", "text": "x", "created_at": "2020-01-01T00:00:00Z",
-                "verified": False, "followers": 0, "following": 0,
-                "tweet_count": 0, "listed_count": 0,
-                "account_created_year": 2015, "retweet_count": 0, "like_count": 0}
-        bad = {k: v for k, v in good.items() if k != "text"}
+        bad = {k: v for k, v in GOOD.items() if k != "text"}
         bad["id"] = "b"
         path = tmp_path / "data.jsonl"
-        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        path.write_text(json.dumps(GOOD) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(ValidationError, match="line 2.*text"):
             load_tweets(path)
 
@@ -87,7 +91,40 @@ class TestLoadTweets:
                   "account_created_year": 2015, "retweet_count": 0, "like_count": 0}
         path = tmp_path / "data.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(ValidationError, match="offset"):
+        with pytest.raises(ValidationError, match="offset") as caught:
+            load_tweets(path)
+        assert str(caught.value) == (
+            f"{path} line 1: created_at '2020-01-01T00:00:00' lacks a UTC offset")
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"id": 2, "parent_id": 1}, "id must be a string"),
+        ({"id": None}, "id must be a string"),
+        ({"id": ""}, "tweet id must be non-empty"),
+        ({"parent_id": 1}, "parent_id must be a string or null"),
+        ({"parent_id": []}, "parent_id must be a string or null"),
+        ({"label": 0}, "label must be a string or null"),
+        ({"followers": True}, "followers must be a non-negative integer"),
+        ({"like_count": -1}, "like_count must be a non-negative integer"),
+        ({"verified": 0}, "verified must be true or false"),
+        ({"text": None}, "text must be a string"),
+        ({"created_at": "0001-01-01T00:00:00+01:00"}, "created_at .* is out of range"),
+    ], ids=["numeric-id", "null-id", "empty-id", "numeric-parent", "list-parent",
+            "numeric-label", "bool-count", "negative-count", "int-verified", "null-text",
+            "overflowing-time"])
+    def test_wrong_field_type_cites_file_and_line(self, tmp_path, changes, message):
+        path = tmp_path / "data.jsonl"
+        reply = {**GOOD, "id": "b", "parent_id": "a", **changes}
+        path.write_text(json.dumps(GOOD) + "\n" + json.dumps(reply) + "\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))} line 2: {message}$"):
+            load_tweets(path)
+
+    @pytest.mark.parametrize("line", ["1" * 5000, "[" * 100_000],
+                             ids=["long-integer", "deep-nesting"])
+    def test_unparsable_json_cites_file_and_line(self, tmp_path, line):
+        path = tmp_path / "data.jsonl"
+        path.write_text(line + "\n")
+        prefix = re.escape(str(path))
+        with pytest.raises(ValidationError, match=f"^{prefix} line 1: invalid record"):
             load_tweets(path)
 
     def test_save_load_round_trip_is_identity(self, tmp_dataset, tmp_path):
@@ -102,6 +139,52 @@ class TestLoadTweets:
         second = tmp_path / "again.jsonl"
         save_tweets(loaded, second)
         assert load_tweets(second) == records
+
+
+# Field values of every JSON type, so each field is sometimes right.
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=True),
+    st.sampled_from(["", "a", "b", "rumour", "nonrumour", "2020-01-01T00:00:00Z",
+                     "2020-01-01T00:05:00+00:00", "2020-01-01T00:00:00",
+                     "0001-01-01T00:00:00+01:00", "2015"]),
+    st.lists(st.integers(0, 2), max_size=2), st.dictionaries(st.just("k"), st.integers()),
+)
+
+
+@st.composite
+def _fuzz_line(draw):
+    record = dict(GOOD, id=draw(st.sampled_from(["a", "b", "c"])))
+    for name in draw(st.lists(st.sampled_from(list(GOOD) + ["parent_id", "label"]),
+                              max_size=3)):
+        if draw(st.booleans()):
+            record[name] = draw(_ANY_VALUE)
+        else:
+            record.pop(name, None)
+    line = json.dumps(record).encode("utf-8")
+    cut = draw(st.integers(0, len(line)))
+    return draw(st.sampled_from([line, line[:cut], line[:cut] + b"\xff" + line[cut:],
+                                 draw(st.binary(max_size=12))]))
+
+
+class TestFuzzedDataset:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_fuzz_line(), max_size=4),
+           newline=st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    def test_load_and_assemble_raise_only_documented_errors(self, tmp_path, lines,
+                                                             newline):
+        path = tmp_path / "fuzz.jsonl"
+        path.write_bytes(newline.join(lines))
+        try:
+            records = load_tweets(path)
+        except ValidationError as exc:
+            assert str(exc).startswith(f"{path} line ")
+            assert str(exc).count(" line ") == 1
+            return
+        try:
+            assemble_threads(records)
+        except ValidationError:
+            pass
 
 
 class TestRecordValidation:

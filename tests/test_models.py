@@ -402,7 +402,10 @@ class TestForestPersistence:
         ("n_trees = 1\nfeature_dim = 2\ntree 0\n2 0.5 1 2 1.0 1.0\n", "forest line 5: split"),
         ("n_trees = 1\nfeature_dim = 2\ntree 0\n", "forest line 4: tree has no nodes"),
         ("n_trees = 1\nfeature_dim = 2\ntree 0\n-1 x -1 -1 1.0 0.0\n", "forest line 5: malformed"),
-    ], ids=["no-feature-dim", "child-loops-back", "feature-outside", "empty-tree", "bad-float"])
+        ("n_trees = 1\nfeature_dim = -1\ntree 0\n-1 0.0 -1 -1 1.0 0.0\n",
+         "forest line 3: feature_dim = -1 is negative"),
+    ], ids=["no-feature-dim", "child-loops-back", "feature-outside", "empty-tree", "bad-float",
+            "negative-feature-dim"])
     def test_damaged_forest_names_line(self, body, message):
         with pytest.raises(ParseError, match=message):
             forest_from_text("# rumourlab-forest v1\n" + body)
