@@ -202,6 +202,8 @@ def _labeled_sources(threads, run_dir):
 
 
 def _cmd_analyze(args) -> int:
+    if args.top_n < 1:
+        raise ValidationError(f"--top-n must be at least 1, got {args.top_n}")
     records = load_tweets(args.data)
     threads, _ = assemble_threads(records)
     labeled = _labeled_sources(threads, args.run)

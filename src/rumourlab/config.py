@@ -3,17 +3,21 @@
 Config files hold one ``key = value`` pair per line; ``#`` starts a
 comment. Command-line flags override file values. The canonical text
 (sorted keys, normalized values) feeds the run-directory digest, so
-identical configurations land in identical directories.
+identical configurations land in identical directories. Every setting
+with a range has one rule in `_RANGES`; each parsed value and every
+field of a built `RunConfig` is checked against it, whichever model runs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ValidationError, read_utf8
+from .gradengine.optim import OPTIMIZER_KINDS
 
 MODEL_KINDS = ("lstm", "bigcn", "logreg", "svm", "rf")
 FEATURE_MODES = ("handcrafted", "tfidf", "both")
@@ -71,14 +75,8 @@ class RunConfig:
     exclude_keywords: tuple[str, ...] = ("covid", "corona virus")
 
     def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ValidationError(f"unknown model kind {self.model!r}")
-        if self.features not in FEATURE_MODES:
-            raise ValidationError(f"unknown feature mode {self.features!r}")
-        if len(self.ratios) != 3:
-            raise ValidationError("ratios needs exactly three values")
-        if not self.seeds:
-            raise ValidationError("at least one seed is required")
+        for name in _RANGES:
+            _check(name, getattr(self, name))
 
     def canonical_text(self) -> str:
         """Sorted key = value lines covering every experiment-defining
@@ -94,6 +92,48 @@ class RunConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:12]
+
+
+def _one_of(*options):
+    return (lambda v: v in options, "one of " + ", ".join(options))
+
+
+# Setting -> (accepts value, what it must be). Settings without a range
+# (paths, switches, the split seed, exclude_keywords) are absent.
+_RANGES = {
+    **dict.fromkeys(("batch_size", "max_epochs", "patience", "embed_dim", "hidden_dim",
+                     "perceptron_dim", "max_len", "tfidf_top_k", "bigcn_hidden_dim",
+                     "bigcn_out_dim", "smote_k", "rf_trees", "classic_iters", "svm_iters",
+                     "top_n"), (lambda v: v >= 1, "at least 1")),
+    **dict.fromkeys(("lr", "epsilon", "classic_lr"),
+                    (lambda v: math.isfinite(v) and v > 0, "finite and positive")),
+    **dict.fromkeys(("weight_decay", "logreg_l2", "svm_l2"),
+                    (lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")),
+    **dict.fromkeys(("dropout", "drop_edge_rate"), (lambda v: 0.0 <= v < 1.0, "in [0, 1)")),
+    "model": _one_of(*MODEL_KINDS),
+    "features": _one_of(*FEATURE_MODES),
+    "optimizer": _one_of(*OPTIMIZER_KINDS),
+    "rf_feature_subsample": _one_of("sqrt", "all"),
+    "ratios": (lambda v: len(v) == 3 and all(r > 0 for r in v) and abs(sum(v) - 1.0) <= 1e-9,
+               "three positive fractions that sum to 1"),
+    "seeds": (lambda v: len(v) == len(set(v)) >= 1 and min(v) >= 0,
+              "one or more distinct non-negative integers"),
+    # The three reserved ids (pad/unk/sep) plus at least one term.
+    "vocab_cap": (lambda v: v >= 4, "at least 4"),
+    # Depth 0 is a single majority leaf.
+    "rf_max_depth": (lambda v: v is None or v >= 0, "none or non-negative"),
+}
+
+
+def _check(name: str, value) -> None:
+    """Raise a ValidationError naming `name` when `value` is outside its range."""
+    accepts, requirement = _RANGES.get(name, (None, ""))
+    try:
+        ok = accepts is None or accepts(value)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be {requirement}")
 
 
 def _format_value(value) -> str:
@@ -149,6 +189,7 @@ def _parse_line(line: str, where: str, updates: dict) -> None:
     name = name.strip()
     try:
         updates[name] = _parse_value(name, raw)
+        _check(name, updates[name])
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
     except ValueError:

@@ -11,7 +11,7 @@ metrics file. Nothing written contains a timestamp.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,13 +42,9 @@ from .ingest import (
     split_dataset,
 )
 from .models import (
-    BiGcnConfig,
     BiGcnModel,
     ClassicModel,
-    ClassicOptions,
-    LstmConfig,
     LstmModel,
-    TrainConfig,
     fit,
     forest_from_text,
     forest_to_text,
@@ -178,30 +174,6 @@ def _history_text(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _training_options(config: RunConfig):
-    """Training options with the seed left at 0: TrainConfig for the
-    gradient kinds, ClassicOptions for the classic kinds."""
-    if config.model in ("lstm", "bigcn"):
-        return TrainConfig(
-            optimizer=config.optimizer, lr=config.lr,
-            weight_decay=config.weight_decay, epsilon=config.epsilon,
-            batch_size=config.batch_size, max_epochs=config.max_epochs,
-            patience=config.patience,
-        )
-    # The handcrafted block (first 8 columns when present) is the only
-    # scale-sensitive part; TF-IDF rows are already unit-norm.
-    scale_columns = 0 if config.features == "tfidf" else 8
-    return ClassicOptions(
-        class_weights=config.class_weights, smote=config.smote,
-        smote_k=config.smote_k, rf_trees=config.rf_trees,
-        rf_max_depth=config.rf_max_depth,
-        rf_feature_subsample=config.rf_feature_subsample,
-        logreg_l2=config.logreg_l2, svm_l2=config.svm_l2,
-        lr=config.classic_lr, max_iters=config.classic_iters,
-        svm_iters=config.svm_iters, scale_columns=scale_columns,
-    )
-
-
 def _fit_features(config: RunConfig, train: Sequence[Thread]):
     """What a run learns from its train split before any model: the LSTM
     vocabulary, TF-IDF over tweets (Bi-GCN) or over threads (classic
@@ -236,18 +208,9 @@ def _gradient_model(config: RunConfig, features,
                     class_weights: Optional[dict[str, float]] = None):
     """The LSTM or Bi-GCN over the fitted features; None for classic kinds."""
     if config.model == "lstm":
-        return LstmModel(LstmConfig(
-            vocab_cap=config.vocab_cap, embed_dim=config.embed_dim,
-            hidden_dim=config.hidden_dim, perceptron_dim=config.perceptron_dim,
-            max_len=config.max_len, dropout=config.dropout,
-        ), features, class_weights)
+        return LstmModel(config, features, class_weights)
     if config.model == "bigcn":
-        return BiGcnModel(BiGcnConfig(
-            input_dim=features.vocab.content_size, hidden_dim=config.bigcn_hidden_dim,
-            out_dim=config.bigcn_out_dim, drop_edge_rate=config.drop_edge_rate,
-            dropout=config.dropout, tree_raw_counts=config.tree_raw_counts,
-            keep_reply_links=config.keep_reply_links,
-        ), features, class_weights)
+        return BiGcnModel(config, features, class_weights)
     return None
 
 
@@ -282,8 +245,9 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
 
     Ingest, split, featurize and prepare each split once, train once per
     seed, majority-vote the test predictions, and persist everything under
-    the digest-named run directory. Features, model and training options
-    are built before the directory is, so a bad config writes nothing.
+    the digest-named run directory. `config` checked every setting when it
+    was built, and features and model are built before the directory is,
+    so a bad config writes nothing.
     Raises with the failing stage named.
     """
 
@@ -307,7 +271,6 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     split = stage("split", lambda: split_dataset(labeled, config.ratios, config.split_seed))
     features = stage("featurize", lambda: _fit_features(config, split.train))
     model = _gradient_model(config, features, _class_weight_map(config, split.train))
-    options = _training_options(config)
     train, dev, test = stage("featurize", lambda: [
         _prepare(config, model, features, part)
         for part in (split.train, split.dev, split.test)])
@@ -323,16 +286,15 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     seed_predictions: list[list[str]] = []
     seed_scores: list[np.ndarray] = []
     for seed in config.seeds:
-        options = replace(options, seed=seed)
         if model is not None:
-            result = stage(f"fit seed {seed}", lambda: fit(model, train, dev, options))
+            result = stage(f"fit seed {seed}", lambda: fit(model, train, dev, config, seed))
             save_checkpoint(result.params, run_dir / f"ckpt_seed{seed}.txt")
             history = _history_text(result.history)
             labels, scores = predict_threads(model, result.params, test)
             summary = f"best epoch {result.best_epoch}"
         else:
             classic = stage(f"fit seed {seed}", lambda: train_classic(
-                config.model, train, train_y, options))
+                config.model, train, train_y, config, seed))
             _save_classic(classic, run_dir, seed)
             dev_labels, _ = predict_classic(classic, dev)
             dev_accuracy = float(np.mean(

@@ -145,10 +145,13 @@ def transform_tfidf(
     return SparseVector(entries=tuple(entries))
 
 
+HANDCRAFTED_WIDTH = 8
+
+
 def extract_handcrafted(tweet: TweetRecord) -> np.ndarray:
-    """The eight numeric features, in the fixed documented order:
-    retweet count, like count, account creation year, verified flag,
-    followers, following, tweet count, listed count."""
+    """The HANDCRAFTED_WIDTH numeric features, in the fixed documented
+    order: retweet count, like count, account creation year, verified
+    flag, followers, following, tweet count, listed count."""
     user = tweet.user
     return np.array([
         float(tweet.retweet_count),
@@ -268,16 +271,16 @@ def load_vocabulary(vocab_path, idf_path) -> TfidfModel:
     # Only the first line is the header: later lines may be hashtag terms.
     key, _, count = lines[0].partition(" = ") if lines else ("", "", "")
     if key != "# doc_count" or not count.isdecimal():
-        raise ParseError(f"{idf_path}: line 1 is not the '# doc_count = N' header")
+        raise ParseError(f"{idf_path} line 1: expected the '# doc_count = N' header")
     idf = np.zeros(vocab.content_size)
     for line_no, line in enumerate(lines[1:], start=2):
         try:
             term, value = line.split("\t")
             weight = float(value)
         except ValueError:
-            raise ParseError(f"{idf_path}: line {line_no}: expected term<TAB>idf") from None
+            raise ParseError(f"{idf_path} line {line_no}: expected term<TAB>idf") from None
         position = vocab.content_index(term)
         if position is None:
-            raise ValidationError(f"idf term {term!r} not in vocabulary")
+            raise ParseError(f"{idf_path} line {line_no}: idf term {term!r} not in vocabulary")
         idf[position] = weight
     return TfidfModel(vocab=vocab, idf=idf, doc_count=int(count))

@@ -1,21 +1,19 @@
 """The classifier families and the shared training loop."""
 
-from .bigcn import BiGcnConfig, BiGcnModel
+from .bigcn import BiGcnModel
 from .classic import (
     ClassicModel,
-    ClassicOptions,
     forest_from_text,
     forest_to_text,
     predict_classic,
     smote_balance,
     train_classic,
 )
-from .lstm import LstmConfig, LstmModel
-from .trainer import EpochRecord, FitResult, TrainConfig, fit, predict_threads
+from .lstm import LstmModel
+from .trainer import EpochRecord, FitResult, fit, predict_threads
 
 __all__ = [
-    "BiGcnConfig", "BiGcnModel", "ClassicModel", "ClassicOptions",
-    "EpochRecord", "FitResult", "LstmConfig", "LstmModel", "TrainConfig",
+    "BiGcnModel", "ClassicModel", "EpochRecord", "FitResult", "LstmModel",
     "fit", "forest_from_text", "forest_to_text", "predict_classic",
     "predict_threads", "smote_balance", "train_classic",
 ]

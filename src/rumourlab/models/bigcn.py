@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..config import RunConfig
 from ..errors import ValidationError
 from ..featurize import TfidfModel
 from ..gradengine import (
@@ -40,25 +41,6 @@ CLASS_ORDER = (RUMOUR, NONRUMOUR)
 
 
 @dataclass(frozen=True)
-class BiGcnConfig:
-    input_dim: int = 5000
-    hidden_dim: int = 64
-    out_dim: int = 64
-    drop_edge_rate: float = 0.2
-    dropout: float = 0.0
-    tree_raw_counts: bool = False
-    keep_reply_links: bool = False
-
-    def __post_init__(self):
-        if min(self.input_dim, self.hidden_dim, self.out_dim) <= 0:
-            raise ValidationError("all Bi-GCN dimensions must be positive")
-        if not 0.0 <= self.drop_edge_rate < 1.0:
-            raise ValidationError("drop_edge_rate must be in [0, 1)")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValidationError("dropout must be in [0, 1)")
-
-
-@dataclass(frozen=True)
 class TreeData:
     trees: tuple[PropTree, ...]
     targets: np.ndarray
@@ -70,22 +52,23 @@ class TreeData:
 class BiGcnModel:
     kind = "bigcn"
 
-    def __init__(self, config: BiGcnConfig, tfidf: TfidfModel,
+    def __init__(self, config: RunConfig, tfidf: TfidfModel,
                  class_weights: Optional[dict[str, float]] = None):
         self.config = config
         self.tfidf = tfidf
+        # One input column per TF-IDF content term.
+        self.input_dim = tfidf.vocab.content_size
         self.class_weights = class_weights
 
     def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
-        cfg = self.config
+        hidden, out = self.config.bigcn_hidden_dim, self.config.bigcn_out_dim
         params: dict[str, Tensor] = {}
         for direction in DIRECTIONS:
             params[f"{direction}_w1"] = parameter(
-                xavier_uniform(rng, (cfg.input_dim, cfg.hidden_dim)), f"{direction}_w1")
+                xavier_uniform(rng, (self.input_dim, hidden)), f"{direction}_w1")
             params[f"{direction}_w2"] = parameter(
-                xavier_uniform(rng, (2 * cfg.hidden_dim, cfg.out_dim)), f"{direction}_w2")
-        params["cls_w"] = parameter(
-            xavier_uniform(rng, (4 * cfg.out_dim, 2)), "cls_w")
+                xavier_uniform(rng, (2 * hidden, out)), f"{direction}_w2")
+        params["cls_w"] = parameter(xavier_uniform(rng, (4 * out, 2)), "cls_w")
         params["cls_b"] = parameter(np.zeros((1, 2)), "cls_b")
         return params
 
@@ -106,10 +89,10 @@ class BiGcnModel:
                 train: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
         """Per-graph class probabilities, columns (rumour, nonrumour)."""
         cfg = self.config
-        if batch.features.shape[1] != cfg.input_dim:
+        if batch.features.shape[1] != self.input_dim:
             raise ValidationError(
                 f"batch features have {batch.features.shape[1]} columns, "
-                f"model expects {cfg.input_dim}"
+                f"model expects {self.input_dim}"
             )
         features = Tensor(batch.features)
         root_of_node = batch.root_index[batch.graph_membership]
@@ -129,7 +112,7 @@ class BiGcnModel:
 
     def loss_and_predictions(self, params, data: TreeData, train: bool,
                              rng: Optional[np.random.Generator] = None):
-        batch = to_graph_batch(data.trees, self.config.input_dim)
+        batch = to_graph_batch(data.trees, self.input_dim)
         if train and self.config.drop_edge_rate > 0.0:
             batch = drop_edge(batch, self.config.drop_edge_rate,
                               seed=int(rng.integers(2 ** 63)))

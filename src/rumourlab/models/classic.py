@@ -15,8 +15,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..config import RunConfig
 from ..errors import ParseError, ValidationError
-from ..featurize import Standardizer, compute_class_weights, smote_oversample
+from ..featurize import (
+    HANDCRAFTED_WIDTH,
+    Standardizer,
+    compute_class_weights,
+    smote_oversample,
+)
 from ..gradengine import (
     OptimizerState,
     Tensor,
@@ -47,42 +53,6 @@ class TreeNode:
     left: int
     right: int
     counts: tuple[float, float]
-
-
-@dataclass
-class ClassicOptions:
-    class_weights: bool = False
-    smote: bool = False
-    smote_k: int = 5
-    seed: int = 0
-    # Only the first scale_columns features are z-scored (None = all);
-    # unit-norm text blocks appended after them keep their scale.
-    scale_columns: Optional[int] = None
-    rf_trees: int = 100
-    rf_max_depth: Optional[int] = None
-    rf_feature_subsample: str = "sqrt"  # "sqrt" or "all"
-    logreg_l2: float = 0.0
-    svm_l2: float = 1e-4
-    lr: float = 0.1
-    max_iters: int = 500
-    svm_iters: int = 2000
-
-    def __post_init__(self):
-        # Messages name the run-config key too where it differs.
-        for name in ("rf_trees", "smote_k", "max_iters", "svm_iters"):
-            if getattr(self, name) < 1:
-                key = "classic_iters (max_iters)" if name == "max_iters" else name
-                raise ValidationError(f"{key} must be at least 1")
-        if not self.lr > 0:
-            raise ValidationError("classic_lr (lr) must be positive")
-        if not (self.logreg_l2 >= 0 and self.svm_l2 >= 0):
-            raise ValidationError("logreg_l2 and svm_l2 must be non-negative")
-        # Depth 0 is a single majority leaf.
-        if self.rf_max_depth is not None and self.rf_max_depth < 0:
-            raise ValidationError("rf_max_depth must be none or non-negative")
-        if self.rf_feature_subsample not in ("sqrt", "all"):
-            raise ValidationError(
-                f"rf_feature_subsample must be sqrt or all, got {self.rf_feature_subsample!r}")
 
 
 @dataclass
@@ -134,7 +104,7 @@ def _gradient_fit(
     kind: str,
     x: np.ndarray,
     labels: list[str],
-    options: ClassicOptions,
+    config: RunConfig,
 ) -> tuple[np.ndarray, float]:
     """Shared full-batch loop for logreg (BCE) and svm (hinge + L2)."""
     n, dim = x.shape
@@ -143,26 +113,26 @@ def _gradient_fit(
     params = {"w": w, "b": b}
     xt = Tensor(x)
     sample_weights = None
-    if options.class_weights:
+    if config.class_weights:
         per_class = compute_class_weights(labels, classes=(NONRUMOUR, RUMOUR))
         sample_weights = np.array([per_class[c] for c in labels])[:, None]
     y01 = np.array([1.0 if c == RUMOUR else 0.0 for c in labels])[:, None]
     ypm = 2.0 * y01 - 1.0
     if kind == "logreg":
-        state = OptimizerState(kind="adam", lr=options.lr)
-        iters = options.max_iters
+        state = OptimizerState(kind="adam", lr=config.classic_lr)
+        iters = config.classic_iters
     else:
-        iters = options.svm_iters
+        iters = config.svm_iters
     for step in range(iters):
         zero_grads(params.values())
         scores = matmul(xt, w) + b
         if kind == "logreg":
             loss = bce_loss(sigmoid(scores), y01, sample_weights)
-            if options.logreg_l2 > 0.0:
-                loss = loss + options.logreg_l2 * sum_all(w * w)
+            if config.logreg_l2 > 0.0:
+                loss = loss + config.logreg_l2 * sum_all(w * w)
         else:
             loss = hinge_loss(
-                scores, ypm, weight_param=w, l2=options.svm_l2,
+                scores, ypm, weight_param=w, l2=config.svm_l2,
                 sample_weights=sample_weights,
             )
         backward(loss)
@@ -171,8 +141,8 @@ def _gradient_fit(
             optimizer_step(state, params, grads)
         else:
             # Plain subgradient descent for the SVM.
-            w.values -= options.lr * grads["w"]
-            b.values -= options.lr * grads["b"]
+            w.values -= config.classic_lr * grads["w"]
+            b.values -= config.classic_lr * grads["b"]
     return w.values[:, 0].copy(), float(b.values[0, 0])
 
 
@@ -264,42 +234,46 @@ def train_classic(
     kind: str,
     features: np.ndarray,
     labels: Sequence[str],
-    options: Optional[ClassicOptions] = None,
+    config: RunConfig,
+    seed: int,
 ) -> ClassicModel:
-    """Fit one classical model; deterministic for a given options.seed."""
+    """Fit one classical model with the classic settings of `config`;
+    deterministic for a given seed. Only the handcrafted block (the first
+    HANDCRAFTED_WIDTH columns, absent when `config.features` is tfidf) is
+    z-scored: TF-IDF rows are already unit-norm."""
     if kind not in CLASSIC_KINDS:
         raise ValidationError(f"unknown classic model kind {kind!r}")
-    options = options or ClassicOptions()
     x = np.asarray(features, dtype=float)
     labels = list(labels)
     _check_training_input(x, labels)
-    standardizer = Standardizer.fit(x, options.scale_columns)
+    scaled = 0 if config.features == "tfidf" else HANDCRAFTED_WIDTH
+    standardizer = Standardizer.fit(x, scaled)
     x_std = standardizer.transform(x)
-    if options.smote:
-        x_std, labels = smote_balance(x_std, labels, options.smote_k, options.seed)
+    if config.smote:
+        x_std, labels = smote_balance(x_std, labels, config.smote_k, seed)
     if kind in ("logreg", "svm"):
-        weights, bias = _gradient_fit(kind, x_std, labels, options)
+        weights, bias = _gradient_fit(kind, x_std, labels, config)
         return ClassicModel(kind=kind, weights=weights, bias=bias,
                             standardizer=standardizer)
     # Forest: raw feature values; invert any SMOTE rows back to raw scale.
     x_raw = standardizer.inverse(x_std)
     y = np.array([1 if c == RUMOUR else 0 for c in labels])
     sample_weights = np.ones(len(labels))
-    if options.class_weights:
+    if config.class_weights:
         per_class = compute_class_weights(labels, classes=(NONRUMOUR, RUMOUR))
         sample_weights = np.array([per_class[c] for c in labels])
     n_features = x_raw.shape[1]
-    if options.rf_feature_subsample == "sqrt":
+    if config.rf_feature_subsample == "sqrt":
         n_candidates = max(1, math.isqrt(n_features))
     else:
         n_candidates = n_features
-    rng = np.random.default_rng(options.seed)
+    rng = np.random.default_rng(seed)
     forest = []
-    for _ in range(options.rf_trees):
+    for _ in range(config.rf_trees):
         rows = rng.integers(0, len(x_raw), size=len(x_raw))
         forest.append(_grow_tree(
             x_raw[rows], y[rows], sample_weights[rows], rng,
-            options.rf_max_depth, n_candidates,
+            config.rf_max_depth, n_candidates,
         ))
     return ClassicModel(kind="rf", forest=forest, forest_dim=n_features)
 

@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..config import RunConfig
 from ..errors import ValidationError
 from ..featurize import Vocabulary
 from ..gradengine import (
@@ -33,23 +34,6 @@ GATES = ("i", "f", "o", "c")
 
 
 @dataclass(frozen=True)
-class LstmConfig:
-    vocab_cap: int = 20_000
-    embed_dim: int = 64
-    hidden_dim: int = 128
-    perceptron_dim: int = 64
-    max_len: int = 128
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        if min(self.vocab_cap, self.embed_dim, self.hidden_dim,
-               self.perceptron_dim, self.max_len) <= 0:
-            raise ValidationError("all LSTM dimensions must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValidationError("dropout must be in [0, 1)")
-
-
-@dataclass(frozen=True)
 class LstmBatch:
     ids: np.ndarray
     mask: np.ndarray
@@ -60,11 +44,12 @@ class LstmBatch:
 
 
 class LstmModel:
-    """Model wiring plus dataset preparation for the shared trainer."""
+    """Model wiring plus dataset preparation for the shared trainer; the
+    sizes and dropout come from the run configuration."""
 
     kind = "lstm"
 
-    def __init__(self, config: LstmConfig, vocab: Vocabulary,
+    def __init__(self, config: RunConfig, vocab: Vocabulary,
                  class_weights: Optional[dict[str, float]] = None):
         self.config = config
         self.vocab = vocab

@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..config import RunConfig
 from ..errors import ValidationError
 from ..gradengine import (
     OptimizerState,
@@ -20,37 +21,7 @@ from ..gradengine import (
     optimizer_step,
     zero_grads,
 )
-from ..gradengine.optim import OPTIMIZER_KINDS
 from ..ingest import RUMOUR
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    optimizer: str = "adam"
-    lr: float = 0.01
-    weight_decay: float = 0.0
-    epsilon: float = 1e-8
-    batch_size: int = 16
-    max_epochs: int = 30
-    patience: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.optimizer not in OPTIMIZER_KINDS:
-            raise ValidationError(f"optimizer must be one of {', '.join(OPTIMIZER_KINDS)}, "
-                                  f"got {self.optimizer!r}")
-        if not self.lr > 0:
-            raise ValidationError("lr must be positive")
-        if not self.epsilon > 0:
-            raise ValidationError("epsilon must be positive")
-        if not self.weight_decay >= 0:
-            raise ValidationError("weight_decay must be non-negative")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be at least 1")
-        if self.patience < 1:
-            raise ValidationError("patience must be at least 1")
-        if self.max_epochs < 1:
-            raise ValidationError("max_epochs must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -94,13 +65,14 @@ def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {name: p.values.copy() for name, p in params.items()}
 
 
-def fit(model, train_data, dev_data, config: TrainConfig) -> FitResult:
-    """Train a gradient model on `model.prepare` output, restoring the
-    parameters of the epoch with the lowest dev loss. Fully deterministic
-    for a given config."""
+def fit(model, train_data, dev_data, config: RunConfig, seed: int) -> FitResult:
+    """Train a gradient model on `model.prepare` output with the optimizer
+    and loop settings of `config`, restoring the parameters of the epoch
+    with the lowest dev loss. Fully deterministic for a given config and
+    seed."""
     if not train_data or not dev_data:
         raise ValidationError("train and dev sets must both be non-empty")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     params = model.init_params(rng)
     state = OptimizerState(
         kind=config.optimizer, lr=config.lr,

@@ -8,6 +8,7 @@ from collections import Counter
 
 import numpy as np
 
+from .config import RunConfig
 from .evalrun import compute_report
 from .featurize import fit_tfidf, smote_oversample, transform_tfidf
 from .gradengine import (
@@ -32,7 +33,7 @@ from .gradengine import (
     weighted_ce_loss,
 )
 from .ingest import NONRUMOUR, RUMOUR
-from .models import BiGcnConfig, BiGcnModel, LstmConfig, LstmModel
+from .models import BiGcnModel, LstmModel
 from .models.data import thread_docs, tweet_docs
 from .featurize import build_vocabulary
 from .proptree import drop_edge, to_graph_batch
@@ -110,8 +111,8 @@ def _toy_threads(n=8, seed=3):
 def check_lstm_gradients(seed: int = 11) -> float:
     threads = _toy_threads()
     vocab = build_vocabulary(thread_docs(threads), cap=60)
-    model = LstmModel(LstmConfig(vocab_cap=100, embed_dim=5, hidden_dim=6,
-                                 perceptron_dim=4, max_len=12), vocab)
+    model = LstmModel(RunConfig(vocab_cap=100, embed_dim=5, hidden_dim=6,
+                                perceptron_dim=4, max_len=12), vocab)
     rng = np.random.default_rng(seed)
     params = model.init_params(rng)
     data = model.prepare(threads)
@@ -129,9 +130,8 @@ def check_lstm_gradients(seed: int = 11) -> float:
 def check_bigcn_gradients(seed: int = 13) -> float:
     threads = _toy_threads()
     tfidf = fit_tfidf(tweet_docs(threads), top_k=40)
-    model = BiGcnModel(BiGcnConfig(input_dim=tfidf.vocab.content_size,
-                                   hidden_dim=5, out_dim=4,
-                                   drop_edge_rate=0.0), tfidf)
+    model = BiGcnModel(RunConfig(bigcn_hidden_dim=5, bigcn_out_dim=4,
+                                 drop_edge_rate=0.0), tfidf)
     rng = np.random.default_rng(seed)
     params = model.init_params(rng)
     data = model.prepare(threads)

@@ -17,12 +17,8 @@ from rumourlab.featurize import build_vocabulary, fit_tfidf, transform_tfidf
 from rumourlab.gradengine import grad_check, load_checkpoint, save_checkpoint
 from rumourlab.ingest import load_tweets, save_tweets, split_dataset
 from rumourlab.models import (
-    BiGcnConfig,
     BiGcnModel,
-    ClassicOptions,
-    LstmConfig,
     LstmModel,
-    TrainConfig,
     fit,
     predict_classic,
     smote_balance,
@@ -60,8 +56,8 @@ def test_criterion_01_gradient_correctness():
     # Full LSTM graph on a toy batch (<= 30 tokens per example).
     threads = make_planted_threads(n_threads=10, seed=3, max_replies=2)
     vocab = build_vocabulary(thread_docs(threads), cap=80)
-    lstm = LstmModel(LstmConfig(vocab_cap=100, embed_dim=6, hidden_dim=7,
-                                perceptron_dim=5, max_len=30), vocab)
+    lstm = LstmModel(RunConfig(vocab_cap=100, embed_dim=6, hidden_dim=7,
+                               perceptron_dim=5, max_len=30), vocab)
     params = lstm.init_params(np.random.default_rng(1))
     data = lstm.prepare(threads)
 
@@ -76,9 +72,8 @@ def test_criterion_01_gradient_correctness():
     # Full Bi-GCN graph on a toy batch (<= 20 nodes total).
     small = threads[:6]
     tfidf = fit_tfidf(tweet_docs(small), top_k=40)
-    bigcn = BiGcnModel(BiGcnConfig(input_dim=tfidf.vocab.content_size,
-                                   hidden_dim=6, out_dim=5,
-                                   drop_edge_rate=0.0), tfidf)
+    bigcn = BiGcnModel(RunConfig(bigcn_hidden_dim=6, bigcn_out_dim=5,
+                                 drop_edge_rate=0.0), tfidf)
     gcn_params = bigcn.init_params(np.random.default_rng(2))
     gcn_data = bigcn.prepare(small)
     assert sum(t.size for t in gcn_data.trees) <= 20
@@ -165,26 +160,25 @@ def test_criterion_04_learning_sanity(planted_200):
     # LSTM: training accuracy must reach 0.95 within 30 epochs.
     vocab = build_vocabulary(thread_docs(split.train), cap=2000)
     lstm = LstmModel(
-        LstmConfig(vocab_cap=2000, embed_dim=16, hidden_dim=24,
-                   perceptron_dim=12, max_len=32),
+        RunConfig(vocab_cap=2000, embed_dim=16, hidden_dim=24,
+                  perceptron_dim=12, max_len=32),
         vocab,
     )
     lstm_result = fit(lstm, lstm.prepare(split.train), lstm.prepare(split.dev),
-                      TrainConfig(lr=0.05, batch_size=16, max_epochs=30,
-                                  patience=30, seed=1))
+                      RunConfig(lr=0.05, batch_size=16, max_epochs=30, patience=30),
+                      seed=1)
     lstm_best = max(r.train_accuracy for r in lstm_result.history)
     assert lstm_best >= 0.95, f"lstm train accuracy peaked at {lstm_best}"
 
     # Bi-GCN: same bar.
     tfidf = fit_tfidf(tweet_docs(split.train), top_k=500)
     bigcn = BiGcnModel(
-        BiGcnConfig(input_dim=tfidf.vocab.content_size, hidden_dim=24,
-                    out_dim=16, drop_edge_rate=0.2),
+        RunConfig(bigcn_hidden_dim=24, bigcn_out_dim=16, drop_edge_rate=0.2),
         tfidf,
     )
     bigcn_result = fit(bigcn, bigcn.prepare(split.train), bigcn.prepare(split.dev),
-                       TrainConfig(lr=0.05, batch_size=16, max_epochs=30,
-                                   patience=30, seed=1))
+                       RunConfig(lr=0.05, batch_size=16, max_epochs=30, patience=30),
+                       seed=1)
     bigcn_best = max(r.train_accuracy for r in bigcn_result.history)
     assert bigcn_best >= 0.95, f"bigcn train accuracy peaked at {bigcn_best}"
 
@@ -195,8 +189,9 @@ def test_criterion_04_learning_sanity(planted_200):
     train_y = ["rumour" if y else "nonrumour" for y in labels01(split.train)]
     dev_y = ["rumour" if y else "nonrumour" for y in labels01(split.dev)]
     model = train_classic("logreg", train_x, train_y,
-                          ClassicOptions(seed=1, max_iters=500, lr=0.1,
-                                         logreg_l2=1e-3, scale_columns=0))
+                          RunConfig(class_weights=False, features="tfidf",
+                                    classic_iters=500, classic_lr=0.1, logreg_l2=1e-3),
+                          seed=1)
     dev_labels, _ = predict_classic(model, dev_x)
     logreg_dev = float(np.mean([p == t for p, t in zip(dev_labels, dev_y)]))
     assert logreg_dev >= 0.9, f"logreg dev accuracy {logreg_dev}"
@@ -280,8 +275,8 @@ def test_criterion_07_structural_invariance():
     # LSTM padding-extension invariance, 100 randomized cases.
     threads = make_planted_threads(n_threads=30, seed=5, max_replies=2)
     vocab = build_vocabulary(thread_docs(threads), cap=300)
-    lstm = LstmModel(LstmConfig(vocab_cap=400, embed_dim=8, hidden_dim=10,
-                                perceptron_dim=6, max_len=20), vocab)
+    lstm = LstmModel(RunConfig(vocab_cap=400, embed_dim=8, hidden_dim=10,
+                               perceptron_dim=6, max_len=20), vocab)
     for case in range(100):
         params = lstm.init_params(np.random.default_rng(case))
         subset = [threads[i] for i in rng.choice(len(threads), size=4, replace=False)]
@@ -295,16 +290,15 @@ def test_criterion_07_structural_invariance():
 
     # Bi-GCN non-root permutation invariance, 100 randomized cases.
     tfidf = fit_tfidf(tweet_docs(threads), top_k=120)
-    bigcn = BiGcnModel(BiGcnConfig(input_dim=tfidf.vocab.content_size,
-                                   hidden_dim=8, out_dim=6,
-                                   drop_edge_rate=0.0), tfidf)
+    bigcn = BiGcnModel(RunConfig(bigcn_hidden_dim=8, bigcn_out_dim=6,
+                                 drop_edge_rate=0.0), tfidf)
     big_threads = [t for t in threads if len(t.replies) >= 2]
     trees = [build_tree(t, tfidf) for t in big_threads]
     from rumourlab.proptree import PropNode, PropTree
 
     for case in range(100):
         params = bigcn.init_params(np.random.default_rng(1000 + case))
-        batch = to_graph_batch(trees, bigcn.config.input_dim)
+        batch = to_graph_batch(trees, bigcn.input_dim)
         base = bigcn.forward(params, batch).values
         permuted = []
         for tree in trees:
@@ -319,7 +313,7 @@ def test_criterion_07_structural_invariance():
                 ),
             ))
         shuffled = bigcn.forward(
-            params, to_graph_batch(permuted, bigcn.config.input_dim)).values
+            params, to_graph_batch(permuted, bigcn.input_dim)).values
         assert np.abs(shuffled - base).max() <= 1e-9
 
     report_pass(7, "structural invariance", "100 cases each")

@@ -124,3 +124,7 @@ def test_traced_runs_see_every_engine_primitive(generated, tmp_path):
     )
     names = {span[0] for span in tracer.spans}
     assert {f"gradengine.{name}" for name in tracing.PRIMITIVES} <= names
+    # The note hooks read train_classic's kind and fit's train data by
+    # position; a signature change would rename or blank these counters.
+    assert tracer.counts["classic.train_svm_s"] > 0
+    assert tracer.counts["trainer.epochs"] >= 1

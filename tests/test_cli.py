@@ -196,7 +196,8 @@ class TestTrainPredictEvaluate:
         lines[1] = lines[1].replace("\t", " ")
         (run_dir / "idf.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["predict", "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
-        assert "idf.txt: line 2: expected term<TAB>idf" in capsys.readouterr().err
+        assert f"error: {run_dir / 'idf.txt'} line 2: expected term<TAB>idf\n" == \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_incomplete_run_exits_one(self, trained_run, unlabeled_file, tmp_path,
@@ -222,8 +223,10 @@ class TestTrainPredictEvaluate:
         ("vocab.txt", lambda lines: lines[:5] + [lines[5] + "\udcff"] + lines[6:], 6),
         ("idf.txt", lambda lines: lines[:2] + [lines[2] + "\udcff"] + lines[3:], 3),
         ("vocab.txt", lambda lines: lines[1:], 1),
+        ("idf.txt", lambda lines: lines[1:], 1),
+        ("idf.txt", lambda lines: lines[:2] + ["nosuchterm\t1.0"] + lines[3:], 3),
     ], ids=["cut", "node-before-tree", "three-fields", "child-99", "split-seed",
-            "vocab-byte", "idf-byte", "vocab-header"])
+            "vocab-byte", "idf-byte", "vocab-header", "idf-header", "idf-unknown-term"])
     def test_damaged_run_file_exits_one_naming_line(self, forest_run, tmp_path, capsys,
                                                     name, damage, line_no):
         run_dir = tmp_path / forest_run.name
@@ -244,13 +247,22 @@ class TestTrainPredictEvaluate:
         ("lstm", "optimizer = sgdx"),
         ("lstm", "epsilon = 0"),
         ("bigcn", "weight_decay = -1"),
+        # Each setting is checked whichever model runs.
+        ("rf", "seeds = -1"),
+        ("lstm", "seeds = -1"),
+        ("lstm", "seeds = 1,1"),
+        ("lstm", "vocab_cap = 2"),
+        ("logreg", "dropout = 2"),
+        ("lstm", "rf_trees = 0"),
+        ("bigcn", "max_len = 0"),
     ])
     def test_bad_config_writes_nothing(self, planted_file, tmp_path, capsys,
                                        model, setting):
         out = tmp_path / "runs"
         assert main(["train", "--data", str(planted_file), "--model", model,
                      "--out-dir", str(out), "--set", setting]) == 1
-        assert "error" in capsys.readouterr().err
+        key = setting.split(" =")[0]
+        assert capsys.readouterr().err.startswith(f"error: --set {setting!r}: {key} must be ")
         assert not out.exists()
 
     @pytest.mark.parametrize("source,text,message", [
@@ -259,8 +271,12 @@ class TestTrainPredictEvaluate:
         ("--config", "sedes = 1\n", "{config} line 1: unknown config key 'sedes'"),
         ("--set", "seeds 1", "--set 'seeds 1': expected key = value"),
         ("--set", "seeds = x", "--set 'seeds = x': bad value for 'seeds': 'x'"),
+        ("--config", "model = logreg\ndropout = 2\n", "{config} line 2: dropout must be in [0, 1)"),
+        ("--set", "classic_iters = 0", "--set 'classic_iters = 0': classic_iters must be at least 1"),
+        ("--set", "classic_lr = 0",
+         "--set 'classic_lr = 0': classic_lr must be finite and positive"),
     ], ids=["config-no-equals", "config-bad-value", "config-unknown-key", "set-no-equals",
-            "set-bad-value"])
+            "set-bad-value", "config-range", "set-classic-iters", "set-classic-lr"])
     def test_config_error_names_its_source(self, planted_file, tmp_path, capsys,
                                            source, text, message):
         config = tmp_path / "c.cfg"
@@ -271,13 +287,6 @@ class TestTrainPredictEvaluate:
         assert main(argv) == 1
         assert f"error: {message.format(config=config)}\n" == capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("key", ["classic_iters", "classic_lr"])
-    def test_classic_range_error_names_config_key(self, planted_file, tmp_path,
-                                                  capsys, key):
-        assert main(["train", "--data", str(planted_file), "--model", "logreg",
-                     "--out-dir", str(tmp_path / "runs"), "--set", f"{key} = 0"]) == 1
-        assert f"error: {key} " in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:
@@ -293,6 +302,14 @@ class TestAnalyzeCommand:
                      "--out", str(out)]) == 0
         text = (out / filename).read_text(encoding="utf-8")
         assert text.splitlines()[0].count(",") >= 3
+
+    @pytest.mark.parametrize("top_n", ["0", "-2"])
+    def test_top_n_below_one_exits_one(self, planted_file, tmp_path, capsys, top_n):
+        out = tmp_path / "topics"
+        assert main(["analyze", "--kind", "topics", "--data", str(planted_file),
+                     "--out", str(out), "--top-n", top_n]) == 1
+        assert capsys.readouterr().err == f"error: --top-n must be at least 1, got {top_n}\n"
+        assert not out.exists()
 
     def test_unlabeled_without_model_exits_one(self, unlabeled_file, tmp_path, capsys):
         assert main(["analyze", "--kind", "attributes",

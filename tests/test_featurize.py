@@ -294,14 +294,14 @@ class TestPersistence:
     def test_idf_header_malformed(self, tmp_path, idf_text):
         save_terms(Vocabulary(terms=("alpha",)), tmp_path / "vocab.txt")
         (tmp_path / "idf.txt").write_text(idf_text)
-        with pytest.raises(ParseError, match="idf.txt: line 1"):
+        with pytest.raises(ParseError, match="idf.txt line 1: expected the"):
             load_vocabulary(tmp_path / "vocab.txt", tmp_path / "idf.txt")
 
     @pytest.mark.parametrize("term_line", ["alpha 1.0", "alpha\tmany"])
     def test_idf_term_line_damaged(self, tmp_path, term_line):
         save_terms(Vocabulary(terms=("alpha",)), tmp_path / "vocab.txt")
         (tmp_path / "idf.txt").write_text(f"# doc_count = 3\n{term_line}\n")
-        with pytest.raises(ParseError, match=r"idf.txt: line 2: expected term<TAB>idf"):
+        with pytest.raises(ParseError, match=r"idf.txt line 2: expected term<TAB>idf"):
             load_vocabulary(tmp_path / "vocab.txt", tmp_path / "idf.txt")
 
     def test_header_required(self, tmp_path):

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rumourlab import config as config_module
+from rumourlab.config import RunConfig
 from rumourlab.errors import ParseError, ValidationError
 from rumourlab.featurize import build_vocabulary, fit_tfidf
 from rumourlab.gradengine import Tensor, parameter
 from rumourlab.models import (
-    BiGcnConfig,
     BiGcnModel,
-    ClassicOptions,
-    LstmConfig,
     LstmModel,
-    TrainConfig,
     fit,
     forest_from_text,
     forest_to_text,
@@ -36,8 +34,8 @@ def toy_threads():
 def lstm_setup(toy_threads):
     vocab = build_vocabulary(thread_docs(toy_threads), cap=80)
     model = LstmModel(
-        LstmConfig(vocab_cap=100, embed_dim=6, hidden_dim=8,
-                   perceptron_dim=5, max_len=16),
+        RunConfig(vocab_cap=100, embed_dim=6, hidden_dim=8,
+                  perceptron_dim=5, max_len=16),
         vocab,
     )
     params = model.init_params(np.random.default_rng(0))
@@ -82,8 +80,8 @@ class TestLstm:
         # Reserved ids live inside the cap: a vocabulary built with
         # cap - 3 content terms must embed without range errors.
         vocab = build_vocabulary(thread_docs(toy_threads), cap=17)
-        model = LstmModel(LstmConfig(vocab_cap=20, embed_dim=4, hidden_dim=4,
-                                     perceptron_dim=3, max_len=8), vocab)
+        model = LstmModel(RunConfig(vocab_cap=20, embed_dim=4, hidden_dim=4,
+                                    perceptron_dim=3, max_len=8), vocab)
         params = model.init_params(np.random.default_rng(0))
         assert params["embed"].shape[0] == vocab.size
         data = model.prepare(toy_threads[:3])
@@ -91,8 +89,8 @@ class TestLstm:
 
     def test_vocab_exceeding_cap_rejected(self, toy_threads):
         vocab = build_vocabulary(thread_docs(toy_threads), cap=30)
-        model = LstmModel(LstmConfig(vocab_cap=20, embed_dim=4, hidden_dim=4,
-                                     perceptron_dim=3, max_len=8), vocab)
+        model = LstmModel(RunConfig(vocab_cap=20, embed_dim=4, hidden_dim=4,
+                                    perceptron_dim=3, max_len=8), vocab)
         with pytest.raises(ValidationError, match="vocab_cap"):
             model.init_params(np.random.default_rng(0))
 
@@ -101,8 +99,7 @@ class TestLstm:
 def bigcn_setup(toy_threads):
     tfidf = fit_tfidf(tweet_docs(toy_threads), top_k=50)
     model = BiGcnModel(
-        BiGcnConfig(input_dim=tfidf.vocab.content_size, hidden_dim=6,
-                    out_dim=5, drop_edge_rate=0.0),
+        RunConfig(bigcn_hidden_dim=6, bigcn_out_dim=5, drop_edge_rate=0.0),
         tfidf,
     )
     params = model.init_params(np.random.default_rng(1))
@@ -113,14 +110,14 @@ class TestBiGcn:
     def test_probabilities_sum_to_one(self, bigcn_setup, toy_threads):
         model, params = bigcn_setup
         data = model.prepare(toy_threads)
-        batch = to_graph_batch(data.trees, model.config.input_dim)
+        batch = to_graph_batch(data.trees, model.input_dim)
         probs = model.forward(params, batch).values
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_non_root_permutation_invariance(self, bigcn_setup, toy_threads):
         model, params = bigcn_setup
         data = model.prepare([t for t in toy_threads if len(t.replies) >= 2][:3])
-        batch = to_graph_batch(data.trees, model.config.input_dim)
+        batch = to_graph_batch(data.trees, model.input_dim)
         base = model.forward(params, batch).values
         permuted_trees = []
         for tree in data.trees:
@@ -135,7 +132,7 @@ class TestBiGcn:
                                   nodes=tuple(renumbered))
             permuted_trees.append(tree)
         permuted = model.forward(
-            params, to_graph_batch(permuted_trees, model.config.input_dim)).values
+            params, to_graph_batch(permuted_trees, model.input_dim)).values
         assert np.abs(permuted - base).max() <= 1e-9
 
     def test_single_node_directions_agree_with_tied_weights(self, bigcn_setup):
@@ -145,7 +142,7 @@ class TestBiGcn:
         tied["bu_w2"] = parameter(params["td_w2"].values.copy(), "bu_w2")
         thread = make_thread("solo", label="rumour", text="people say report")
         data = model.prepare([thread])
-        batch = to_graph_batch(data.trees, model.config.input_dim)
+        batch = to_graph_batch(data.trees, model.input_dim)
         features = Tensor(batch.features)
         from rumourlab.gradengine import concat, gather_rows, matmul, relu, segment_mean, spmm
 
@@ -162,7 +159,7 @@ class TestBiGcn:
     def test_dimension_mismatch_rejected(self, bigcn_setup, toy_threads):
         model, params = bigcn_setup
         data = model.prepare(toy_threads[:2])
-        batch = to_graph_batch(data.trees, model.config.input_dim + 3)
+        batch = to_graph_batch(data.trees, model.input_dim + 3)
         with pytest.raises(ValidationError, match="columns"):
             model.forward(params, batch)
 
@@ -211,8 +208,8 @@ class TestFitContracts:
 
     def test_patience_one_stops_after_second_epoch(self):
         model = _ScriptedModel(dev_losses=[1.0, 2.0, 3.0, 4.0, 5.0])
-        config = TrainConfig(lr=1.0, batch_size=1, max_epochs=10, patience=1, seed=0)
-        result = fit(model, self._threads(), self._threads(), config)
+        config = RunConfig(lr=1.0, batch_size=1, max_epochs=10, patience=1)
+        result = fit(model, self._threads(), self._threads(), config, 0)
         assert len(result.history) == 2
         assert result.best_epoch == 1
         # Epoch-1 parameters restored: theta was 1.0 after the first epoch.
@@ -220,8 +217,8 @@ class TestFitContracts:
 
     def test_patience_tolerates_plateau_then_recovers(self):
         model = _ScriptedModel(dev_losses=[3.0, 3.0, 2.0, 2.5, 2.4, 2.6, 2.7])
-        config = TrainConfig(lr=1.0, batch_size=1, max_epochs=7, patience=2, seed=0)
-        result = fit(model, self._threads(), self._threads(), config)
+        config = RunConfig(lr=1.0, batch_size=1, max_epochs=7, patience=2)
+        result = fit(model, self._threads(), self._threads(), config, 0)
         assert result.best_epoch == 3
         assert len(result.history) == 5
         assert result.params["theta"].values.tolist() == [3.0]
@@ -233,26 +230,25 @@ class TestFitContracts:
                     return Tensor(np.array(np.nan)), ["nonrumour"], np.zeros(1)
                 return Tensor(np.array(1.0)), ["nonrumour"], np.zeros(len(batch))
 
-        config = TrainConfig(lr=1.0, batch_size=1, max_epochs=3, patience=1, seed=0)
+        config = RunConfig(lr=1.0, batch_size=1, max_epochs=3, patience=1)
         with pytest.raises(ValidationError, match="epoch 1, batch 1"):
-            fit(ExplodingModel([1.0]), self._threads(), self._threads(), config)
+            fit(ExplodingModel([1.0]), self._threads(), self._threads(), config, 0)
 
     def test_empty_sets_rejected(self):
-        config = TrainConfig(seed=0)
         with pytest.raises(ValidationError):
-            fit(_ScriptedModel([1.0]), [], self._threads(), config)
+            fit(_ScriptedModel([1.0]), [], self._threads(), RunConfig(), 0)
 
 
 class TestFitDeterminism:
     def test_same_seed_bitwise_identical(self, toy_threads):
         vocab = build_vocabulary(thread_docs(toy_threads), cap=60)
-        model = LstmModel(LstmConfig(vocab_cap=80, embed_dim=4, hidden_dim=5,
-                                     perceptron_dim=4, max_len=10, dropout=0.2),
-                          vocab)
-        config = TrainConfig(lr=0.05, batch_size=4, max_epochs=3, patience=3, seed=11)
+        config = RunConfig(vocab_cap=80, embed_dim=4, hidden_dim=5, perceptron_dim=4,
+                           max_len=10, dropout=0.2, lr=0.05, batch_size=4, max_epochs=3,
+                           patience=3)
+        model = LstmModel(config, vocab)
         train, dev = model.prepare(toy_threads[:8]), model.prepare(toy_threads[8:])
-        first = fit(model, train, dev, config)
-        second = fit(model, train, dev, config)
+        first = fit(model, train, dev, config, 11)
+        second = fit(model, train, dev, config, 11)
         assert first.history == second.history
         for name in first.params:
             assert np.array_equal(first.params[name].values,
@@ -263,15 +259,36 @@ class TestLearningSanity:
     def test_lstm_learns_planted_signal(self):
         threads = make_planted_threads(n_threads=40, seed=21, max_replies=1)
         vocab = build_vocabulary(thread_docs(threads), cap=200)
-        model = LstmModel(LstmConfig(vocab_cap=250, embed_dim=12, hidden_dim=12,
-                                     perceptron_dim=8, max_len=24), vocab)
-        config = TrainConfig(lr=0.05, batch_size=8, max_epochs=15, patience=15, seed=2)
+        config = RunConfig(vocab_cap=250, embed_dim=12, hidden_dim=12, perceptron_dim=8,
+                           max_len=24, lr=0.05, batch_size=8, max_epochs=15, patience=15)
+        model = LstmModel(config, vocab)
         train = model.prepare(threads[:32])
-        result = fit(model, train, model.prepare(threads[32:]), config)
+        result = fit(model, train, model.prepare(threads[32:]), config, 2)
         labels, _ = predict_threads(model, result.params, train)
         truth = [t.label for t in threads[:32]]
         accuracy = np.mean([p == t for p, t in zip(labels, truth)])
         assert accuracy >= 0.95
+
+
+def _classic(**settings):
+    """Classic-model settings without class weights."""
+    return RunConfig(class_weights=False, **settings)
+
+
+# At least one out-of-range value for every ranged RunConfig setting.
+RANGE_CASES = [
+    ("rf_trees", 0), ("smote_k", 0), ("classic_iters", 0), ("svm_iters", 0),
+    ("lr", 0.0), ("lr", float("nan")), ("logreg_l2", -1e-3), ("svm_l2", -1.0),
+    ("rf_max_depth", -1), ("rf_feature_subsample", "half"),
+    ("model", "mlp"), ("features", "words"), ("optimizer", "sgd"),
+    ("ratios", (0.5, 0.5)), ("ratios", (0.5, 0.5, 0.5)), ("ratios", (-0.2, 0.6, 0.6)),
+    ("seeds", ()), ("seeds", (-1,)), ("seeds", (1, 1)),
+    ("weight_decay", float("inf")), ("epsilon", 0.0), ("batch_size", 0),
+    ("max_epochs", 0), ("patience", 0), ("dropout", 1.0), ("dropout", -0.1),
+    ("drop_edge_rate", 1.0), ("vocab_cap", 3), ("embed_dim", 0), ("hidden_dim", 0),
+    ("perceptron_dim", 0), ("max_len", 0), ("tfidf_top_k", 0), ("bigcn_hidden_dim", 0),
+    ("bigcn_out_dim", 0), ("classic_lr", float("inf")), ("top_n", 0),
+]
 
 
 class TestTrainClassic:
@@ -285,14 +302,14 @@ class TestTrainClassic:
 
     def test_logreg_separates(self):
         x, y = self._separable()
-        model = train_classic("logreg", x, y, ClassicOptions(seed=1, max_iters=300))
+        model = train_classic("logreg", x, y, _classic(classic_iters=300), 1)
         labels, scores = predict_classic(model, x)
         assert labels == y
         assert ((scores > 0) & (scores < 1)).all()
 
     def test_logreg_zero_weights_score_half(self):
         x, y = self._separable()
-        model = train_classic("logreg", x, y, ClassicOptions(seed=1, max_iters=300))
+        model = train_classic("logreg", x, y, _classic(classic_iters=300), 1)
         model.weights[:] = 0.0
         model = type(model)(kind="logreg", weights=model.weights * 0, bias=0.0,
                             standardizer=model.standardizer)
@@ -304,7 +321,7 @@ class TestTrainClassic:
         x = np.array([[2.0], [2.2], [2.4], [2.6], [2.8],
                       [-2.0], [-2.2], [-2.4], [-2.6], [-2.8]])
         y = ["rumour"] * 5 + ["nonrumour"] * 5
-        model = train_classic("svm", x, y, ClassicOptions(seed=0, svm_iters=2000, lr=0.1))
+        model = train_classic("svm", x, y, _classic(svm_iters=2000, classic_lr=0.1), 0)
         z = model.standardizer.transform(x) @ model.weights + model.bias
         signs = np.where(np.array(y) == "rumour", 1.0, -1.0)
         hinge = np.maximum(0.0, 1.0 - signs * z).mean()
@@ -315,14 +332,13 @@ class TestTrainClassic:
     def test_rf_depth_zero_predicts_majority(self):
         x = np.arange(12.0).reshape(-1, 1)
         y = ["rumour"] * 8 + ["nonrumour"] * 4
-        model = train_classic("rf", x, y, ClassicOptions(
-            seed=5, rf_trees=1, rf_max_depth=0))
+        model = train_classic("rf", x, y, _classic(rf_trees=1, rf_max_depth=0), 5)
         labels, _ = predict_classic(model, np.array([[0.0], [100.0]]))
         assert labels == ["rumour", "rumour"]
 
     def test_rf_unanimous_scores_one(self):
         x, y = self._separable()
-        model = train_classic("rf", x, y, ClassicOptions(seed=2, rf_trees=15))
+        model = train_classic("rf", x, y, _classic(rf_trees=15), 2)
         _, scores = predict_classic(model, np.array([[3.0, 3.0], [-3.0, -3.0]]))
         assert scores[0] == 1.0 and scores[1] == 0.0
 
@@ -331,36 +347,43 @@ class TestTrainClassic:
         x = np.vstack([x, x[:4] + 0.1])
         y = y + ["rumour"] * 4
         model = train_classic("logreg", x, y,
-                              ClassicOptions(seed=3, smote=True, max_iters=100))
+                              _classic(smote=True, classic_iters=100), 3)
         assert model.weights is not None  # smoke: fit succeeded on balanced data
 
     def test_single_class_rejected(self):
         x = np.zeros((4, 2))
         with pytest.raises(ValidationError):
-            train_classic("logreg", x, ["rumour"] * 4, ClassicOptions())
+            train_classic("logreg", x, ["rumour"] * 4, _classic(), 0)
+
+    @pytest.mark.parametrize("field,value", RANGE_CASES)
+    def test_out_of_range_options_rejected(self, field, value):
+        # Every ranged setting is checked on RunConfig, whichever model runs.
+        with pytest.raises(ValidationError, match=f"^{field} must be "):
+            RunConfig(**{field: value})
+
+    def test_range_cases_cover_every_ranged_setting(self):
+        assert {field for field, _ in RANGE_CASES} == set(config_module._RANGES)
 
     @pytest.mark.parametrize("field,value", [
-        ("rf_trees", 0), ("smote_k", 0), ("max_iters", 0), ("svm_iters", 0),
-        ("lr", 0.0), ("lr", float("nan")), ("logreg_l2", -1e-3), ("svm_l2", -1.0),
-        ("rf_max_depth", -1), ("rf_feature_subsample", "half"),
+        ("seeds", (0, 7)), ("vocab_cap", 4), ("dropout", 0.0), ("rf_max_depth", 0),
+        ("rf_max_depth", None), ("weight_decay", 0.0), ("ratios", (0.8, 0.1, 0.1)),
     ])
-    def test_out_of_range_options_rejected(self, field, value):
-        with pytest.raises(ValidationError, match=field):
-            ClassicOptions(**{field: value})
+    def test_range_boundaries_accepted(self, field, value):
+        assert getattr(RunConfig(**{field: value}), field) == value
 
     def test_deterministic_given_seed(self):
         x, y = self._separable()
-        a = train_classic("rf", x, y, ClassicOptions(seed=9, rf_trees=10))
-        b = train_classic("rf", x, y, ClassicOptions(seed=9, rf_trees=10))
+        a = train_classic("rf", x, y, _classic(rf_trees=10), 9)
+        b = train_classic("rf", x, y, _classic(rf_trees=10), 9)
         assert forest_to_text(a) == forest_to_text(b)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
-            train_classic("mlp", np.zeros((2, 2)), ["rumour", "nonrumour"])
+            train_classic("mlp", np.zeros((2, 2)), ["rumour", "nonrumour"], _classic(), 0)
 
     def test_dimension_mismatch_on_predict(self):
         x, y = self._separable()
-        model = train_classic("logreg", x, y, ClassicOptions(max_iters=50))
+        model = train_classic("logreg", x, y, _classic(classic_iters=50), 0)
         with pytest.raises(ValidationError, match="features"):
             predict_classic(model, np.zeros((2, 5)))
 
@@ -382,7 +405,7 @@ class TestForestPersistence:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(30, 3))
         y = ["rumour" if v > 0 else "nonrumour" for v in x[:, 0]]
-        model = train_classic("rf", x, y, ClassicOptions(seed=4, rf_trees=12))
+        model = train_classic("rf", x, y, _classic(rf_trees=12), 4)
         text = forest_to_text(model)
         reloaded = forest_from_text(text)
         labels_a, scores_a = predict_classic(model, x)
@@ -443,7 +466,7 @@ class TestBiGcnPredictMatchesArgmax(object):
     def test_predict_equals_argmax(self, bigcn_setup, toy_threads):
         model, params = bigcn_setup
         data = model.prepare(toy_threads)
-        batch = to_graph_batch(data.trees, model.config.input_dim)
+        batch = to_graph_batch(data.trees, model.input_dim)
         probs = model.forward(params, batch).values
         _, labels, _ = model.loss_and_predictions(params, data, train=False)
         expected = ["rumour" if row[0] >= row[1] else "nonrumour" for row in probs]
