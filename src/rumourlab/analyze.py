@@ -157,7 +157,7 @@ def score_sentiment(text: str, lexicon: Optional[dict[str, float]] = None) -> Se
     """Compound intensity in (-1, 1) plus positive/neutral/negative
     shares that always sum to one."""
     lexicon = lexicon if lexicon is not None else load_valence_lexicon()
-    tokens = list(tokenize(normalize(text)))
+    tokens = tokenize(normalize(text))
     adjusted = _adjusted_valences(tokens, lexicon)
     if not adjusted:
         return SentimentScores(pos=0.0, neu=1.0, neg=0.0, compound=0.0)

@@ -86,17 +86,29 @@ def _build_parser() -> _Parser:
 
 def _train_config_from_args(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    flags = {"dataset": args.data, "model": args.model, "out_dir": args.out_dir}
-    config = replace(config, **{name: value for name, value in flags.items() if value})
+    flags = (("--data", "dataset", args.data), ("--model", "model", args.model),
+             ("--out-dir", "out_dir", args.out_dir))
+    for flag, name, value in flags:
+        if value:
+            try:
+                config = replace(config, **{name: value})
+            except ValidationError as exc:
+                raise ValidationError(f"{flag} {value!r}: {exc}") from None
     config = apply_settings(args.set, config)
     if not config.dataset:
         raise ValidationError("no dataset configured; pass --data or set dataset =")
     return config
 
 
+def _load_threads(path):
+    """The records of a dataset file, its threads and assembly diagnostics;
+    assembly errors name the file."""
+    records = load_tweets(path)
+    return (records, *assemble_threads(records, path))
+
+
 def _cmd_ingest(args) -> int:
-    records = load_tweets(args.data)
-    threads, diagnostics = assemble_threads(records)
+    records, threads, diagnostics = _load_threads(args.data)
     labeled = [t for t in threads if t.label is not None]
     print(f"records: {len(records)}")
     print(f"threads: {len(threads)} ({len(labeled)} labeled)")
@@ -114,8 +126,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    records = load_tweets(args.data)
-    threads, _ = assemble_threads(records)
+    records, threads, _ = _load_threads(args.data)
     labels = {}
     reply_total = 0
     for thread in threads:
@@ -134,8 +145,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_build_trees(args) -> int:
     config = load_config(args.config) if args.config else RunConfig()
-    records = load_tweets(args.data)
-    threads, _ = assemble_threads(records)
+    _, threads, _ = _load_threads(args.data)
     labeled = [t for t in threads if t.label is not None]
     split = split_dataset(labeled, config.ratios, config.split_seed)
     tfidf = fit_tfidf(tweet_docs(split.train), config.tfidf_top_k)
@@ -163,8 +173,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     predictor = RunPredictor(args.run)
     data_path = args.data or predictor.config.dataset
-    records = load_tweets(data_path)
-    threads, _ = assemble_threads(records)
+    _, threads, _ = _load_threads(data_path)
     labeled = [t for t in threads if t.label is not None]
     split = load_split(Path(args.run) / "split", labeled)
     labels, _ = predictor.predict(split.test)
@@ -181,8 +190,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     predictor = RunPredictor(args.run)
-    records = load_tweets(args.data)
-    threads, _ = assemble_threads(records)
+    _, threads, _ = _load_threads(args.data)
     labels, scores = predictor.predict(threads)
     for thread, label, score in zip(threads, labels, scores):
         sys.stdout.write(f"{thread.id}\t{label}\t{score:.6g}\n")
@@ -204,8 +212,7 @@ def _labeled_sources(threads, run_dir):
 def _cmd_analyze(args) -> int:
     if args.top_n < 1:
         raise ValidationError(f"--top-n must be at least 1, got {args.top_n}")
-    records = load_tweets(args.data)
-    threads, _ = assemble_threads(records)
+    _, threads, _ = _load_threads(args.data)
     labeled = _labeled_sources(threads, args.run)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ValidationError, read_utf8
-from .gradengine.optim import OPTIMIZER_KINDS
 
 MODEL_KINDS = ("lstm", "bigcn", "logreg", "svm", "rf")
 FEATURE_MODES = ("handcrafted", "tfidf", "both")
@@ -34,7 +33,6 @@ class RunConfig:
     # Ensemble seeds: one training run per seed, majority-voted.
     seeds: tuple[int, ...] = (1,)
     # Gradient training
-    optimizer: str = "adam"
     lr: float = 0.01
     weight_decay: float = 0.0
     epsilon: float = 1e-8
@@ -70,9 +68,6 @@ class RunConfig:
     classic_lr: float = 0.1
     classic_iters: int = 500
     svm_iters: int = 2000
-    # Analysis
-    top_n: int = 20
-    exclude_keywords: tuple[str, ...] = ("covid", "corona virus")
 
     def __post_init__(self):
         for name in _RANGES:
@@ -99,12 +94,12 @@ def _one_of(*options):
 
 
 # Setting -> (accepts value, what it must be). Settings without a range
-# (paths, switches, the split seed, exclude_keywords) are absent.
+# (paths, switches, the split seed) are absent.
 _RANGES = {
     **dict.fromkeys(("batch_size", "max_epochs", "patience", "embed_dim", "hidden_dim",
                      "perceptron_dim", "max_len", "tfidf_top_k", "bigcn_hidden_dim",
-                     "bigcn_out_dim", "smote_k", "rf_trees", "classic_iters", "svm_iters",
-                     "top_n"), (lambda v: v >= 1, "at least 1")),
+                     "bigcn_out_dim", "smote_k", "rf_trees", "classic_iters", "svm_iters"),
+                    (lambda v: v >= 1, "at least 1")),
     **dict.fromkeys(("lr", "epsilon", "classic_lr"),
                     (lambda v: math.isfinite(v) and v > 0, "finite and positive")),
     **dict.fromkeys(("weight_decay", "logreg_l2", "svm_l2"),
@@ -112,7 +107,6 @@ _RANGES = {
     **dict.fromkeys(("dropout", "drop_edge_rate"), (lambda v: 0.0 <= v < 1.0, "in [0, 1)")),
     "model": _one_of(*MODEL_KINDS),
     "features": _one_of(*FEATURE_MODES),
-    "optimizer": _one_of(*OPTIMIZER_KINDS),
     "rf_feature_subsample": _one_of("sqrt", "all"),
     "ratios": (lambda v: len(v) == 3 and all(r > 0 for r in v) and abs(sum(v) - 1.0) <= 1e-9,
                "three positive fractions that sum to 1"),
@@ -161,8 +155,6 @@ def _parse_value(name: str, raw: str):
         return tuple(parts)
     if name == "seeds":
         return tuple(int(p) for p in raw.split(","))
-    if name == "exclude_keywords":
-        return tuple(p.strip() for p in raw.split(",") if p.strip())
     if name == "rf_max_depth":
         return None if raw.lower() in ("none", "") else int(raw)
     if kind == "bool":

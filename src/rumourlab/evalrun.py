@@ -266,7 +266,7 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
             raise
 
     records = stage("ingest", lambda: load_tweets(config.dataset))
-    threads, _ = stage("assemble", lambda: assemble_threads(records))
+    threads, _ = stage("assemble", lambda: assemble_threads(records, config.dataset))
     labeled = [t for t in threads if t.label is not None]
     split = stage("split", lambda: split_dataset(labeled, config.ratios, config.split_seed))
     features = stage("featurize", lambda: _fit_features(config, split.train))

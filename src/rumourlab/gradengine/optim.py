@@ -1,4 +1,4 @@
-"""Adam and AdamW parameter updates with bias correction."""
+"""Adam parameter updates with bias correction and decoupled weight decay."""
 
 from __future__ import annotations
 
@@ -9,18 +9,15 @@ import numpy as np
 from ..errors import ValidationError
 from .tensor import Tensor
 
-OPTIMIZER_KINDS = ("adam", "adamw")
-
 
 @dataclass
 class OptimizerState:
     """First/second moments per parameter plus hyperparameters.
 
-    AdamW applies the decoupled decay theta <- theta - lr * wd * theta
-    before the Adam update; plain Adam ignores weight_decay.
+    A positive weight_decay applies the decoupled decay (AdamW)
+    theta <- theta - lr * wd * theta before the Adam update.
     """
 
-    kind: str
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -31,8 +28,6 @@ class OptimizerState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ValidationError(f"unknown optimizer kind {self.kind!r}")
         if self.lr <= 0:
             raise ValidationError("learning rate must be positive")
 
@@ -58,7 +53,7 @@ def optimizer_step(
         if name not in state.m:
             state.m[name] = np.zeros_like(param.values)
             state.v[name] = np.zeros_like(param.values)
-        if state.kind == "adamw" and state.weight_decay > 0.0:
+        if state.weight_decay > 0.0:
             param.values -= state.lr * state.weight_decay * param.values
         m = state.m[name]
         v = state.v[name]

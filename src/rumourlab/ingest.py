@@ -264,15 +264,25 @@ def _resolve_root(record: TweetRecord, by_id: dict[str, TweetRecord]) -> Optiona
 
 
 def assemble_threads(
-    records: Sequence[TweetRecord],
+    records: Sequence[TweetRecord], source: Optional[str] = None,
 ) -> tuple[list[Thread], AssemblyDiagnostics]:
     """Group records into threads rooted at source tweets.
 
     Replies that point at another reply are re-parented to that reply's
     source, so every assembled thread is one level deep. Replies whose
     chain never reaches a known source are dropped and counted in the
-    returned diagnostics. Replies sort by (created_at, id).
+    returned diagnostics. Replies sort by (created_at, id). Errors start
+    with `<source>: ` when the file the records came from is given.
     """
+    try:
+        return _assemble(records)
+    except ValidationError as exc:
+        if source is None:
+            raise
+        raise ValidationError(f"{source}: {exc}") from None
+
+
+def _assemble(records: Sequence[TweetRecord]) -> tuple[list[Thread], AssemblyDiagnostics]:
     by_id = {record.id: record for record in records}
     replies_by_root: dict[str, list[TweetRecord]] = {}
     orphans = 0

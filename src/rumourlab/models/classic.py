@@ -119,7 +119,7 @@ def _gradient_fit(
     y01 = np.array([1.0 if c == RUMOUR else 0.0 for c in labels])[:, None]
     ypm = 2.0 * y01 - 1.0
     if kind == "logreg":
-        state = OptimizerState(kind="adam", lr=config.classic_lr)
+        state = OptimizerState(lr=config.classic_lr)
         iters = config.classic_iters
     else:
         iters = config.svm_iters

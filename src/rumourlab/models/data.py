@@ -14,13 +14,13 @@ from ..textproc import normalize, tokenize
 def thread_tokens(thread: Thread) -> list[str]:
     """Tokens of the source text followed by each reply in time order."""
     text = " ".join(tweet.text for tweet in thread.tweets())
-    return list(tokenize(normalize(text)))
+    return tokenize(normalize(text))
 
 
 def tweet_docs(threads: Sequence[Thread]) -> list[list[str]]:
     """One token document per tweet (sources and replies alike)."""
     return [
-        list(tokenize(normalize(tweet.text)))
+        tokenize(normalize(tweet.text))
         for thread in threads
         for tweet in thread.tweets()
     ]

@@ -74,10 +74,8 @@ def fit(model, train_data, dev_data, config: RunConfig, seed: int) -> FitResult:
         raise ValidationError("train and dev sets must both be non-empty")
     rng = np.random.default_rng(seed)
     params = model.init_params(rng)
-    state = OptimizerState(
-        kind=config.optimizer, lr=config.lr,
-        weight_decay=config.weight_decay, epsilon=config.epsilon,
-    )
+    state = OptimizerState(lr=config.lr, weight_decay=config.weight_decay,
+                           epsilon=config.epsilon)
     history: list[EpochRecord] = []
     best_loss = np.inf
     best_params = _snapshot(params)

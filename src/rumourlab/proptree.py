@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_utf8
 from .featurize import SparseVector, TfidfModel, transform_tfidf
 from .gradengine.sparse import SparseMatrix
 from .ingest import LABELS, Thread
@@ -117,41 +117,46 @@ def serialize_tree(tree: PropTree) -> str:
     return "\n".join(lines)
 
 
-def parse_tree(block: str) -> PropTree:
-    """Inverse of serialize_tree, up to float printing precision."""
+def parse_tree(block: str, first_line: int = 1) -> PropTree:
+    """Inverse of serialize_tree, up to float printing precision. Errors
+    start with `line N: `, counting the block's first line as `first_line`."""
     lines = block.strip("\n").split("\n")
-    if not lines or not lines[0].strip():
-        raise ParseError("empty tree block")
-    header = lines[0].split("\t")
-    if len(header) != 2:
-        raise ParseError("line 1: tree header must be thread_id<TAB>label")
-    thread_id, label_text = header
-    label = None if label_text == "None" else label_text
-    nodes = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(f"line {line_no}: node line must have three tab-separated fields")
-        parent_text, index_text, pairs_text = parts
-        try:
-            index = int(index_text)
-            parent = None if parent_text == "None" else int(parent_text)
-        except ValueError:
-            raise ParseError(f"line {line_no}: bad parent or index field") from None
-        entries = []
-        for pair in pairs_text.split():
-            left, sep, right = pair.partition(":")
+    line_no = first_line
+    try:
+        if not lines[0].strip():
+            raise ParseError("empty tree block")
+        header = lines[0].split("\t")
+        if len(header) != 2:
+            raise ParseError("tree header must be thread_id<TAB>label")
+        thread_id, label_text = header
+        nodes = []
+        for line_no, line in enumerate(lines[1:], start=first_line + 1):
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError("node line must have three tab-separated fields")
+            parent_text, index_text, pairs_text = parts
             try:
-                if not sep:
-                    raise ValueError
-                entries.append((int(left), float(right)))
+                index = int(index_text)
+                parent = None if parent_text == "None" else int(parent_text)
             except ValueError:
-                raise ParseError(
-                    f"line {line_no}: bad index:value pair {pair!r}"
-                ) from None
-        nodes.append(PropNode(index=index, parent=parent,
-                              features=SparseVector(entries=tuple(entries))))
-    return PropTree(thread_id=thread_id, label=label, nodes=tuple(nodes))
+                raise ParseError("bad parent or index field") from None
+            entries = []
+            for pair in pairs_text.split():
+                left, sep, right = pair.partition(":")
+                try:
+                    if not sep:
+                        raise ValueError
+                    entries.append((int(left), float(right)))
+                except ValueError:
+                    raise ParseError(f"bad index:value pair {pair!r}") from None
+            nodes.append(PropNode(index=index, parent=parent,
+                                  features=SparseVector(entries=tuple(entries))))
+        # Checks over the whole tree name its header line.
+        line_no = first_line
+        label = None if label_text == "None" else label_text
+        return PropTree(thread_id=thread_id, label=label, nodes=tuple(nodes))
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"line {line_no}: {exc}") from None
 
 
 def write_tree_corpus(trees: Sequence[PropTree], path) -> None:
@@ -162,18 +167,21 @@ def write_tree_corpus(trees: Sequence[PropTree], path) -> None:
 
 
 def read_tree_corpus(path) -> list[PropTree]:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    lines = text.splitlines()
-    if not lines or lines[0] != f"# {TREE_FORMAT_VERSION}":
-        raise ParseError(f"{path}: missing '# {TREE_FORMAT_VERSION}' header")
+    """The trees of a corpus file; errors start with `<path> line N: `,
+    counting lines in the file."""
+    lines = [line.removesuffix("\r") for line in read_utf8(path).split("\n")]
+    if lines[0] != f"# {TREE_FORMAT_VERSION}":
+        raise ParseError(f"{path} line 1: missing '# {TREE_FORMAT_VERSION}' header")
     trees = []
     block: list[str] = []
-    for line in lines[1:] + [""]:
+    for line_no, line in enumerate(lines[1:] + [""], start=2):
         if line.strip():
             block.append(line)
         elif block:
-            trees.append(parse_tree("\n".join(block)))
+            try:
+                trees.append(parse_tree("\n".join(block), line_no - len(block)))
+            except (ParseError, ValidationError) as exc:
+                raise type(exc)(f"{path} {exc}") from None
             block = []
     return trees
 

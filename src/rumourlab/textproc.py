@@ -16,7 +16,6 @@ import string
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -86,34 +85,14 @@ def normalize(text: str) -> str:
     return " ".join(text.translate(_emoji_table()).split())
 
 
-@dataclass(frozen=True)
-class TokenStream(Sequence):
-    """Tokens plus their (start, end) character spans in the source text."""
-
-    tokens: tuple[str, ...]
-    spans: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __getitem__(self, index):
-        return self.tokens[index]
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-
 def _is_special_token(chunk: str) -> bool:
     return chunk in EMOTICONS or chunk == URL_TOKEN or _SPECIAL_RE.fullmatch(chunk) is not None
 
 
-def tokenize(text: str) -> TokenStream:
-    """Split normalized text into tokens, preserving case and spans."""
+def tokenize(text: str) -> list[str]:
+    """Split normalized text into tokens, preserving case."""
     tokens: list[str] = []
-    spans: list[tuple[int, int]] = []
-    for match in _CHUNK_RE.finditer(text):
-        chunk = match.group()
-        offset = match.start()
+    for chunk in _CHUNK_RE.findall(text):
         end = len(chunk)
         peeled: list[int] = []
         while end > 0:
@@ -124,11 +103,8 @@ def tokenize(text: str) -> TokenStream:
             peeled.append(end)
         if end > 0:
             tokens.append(chunk[:end])
-            spans.append((offset, offset + end))
-        for pos in reversed(peeled):
-            tokens.append(chunk[pos:pos + 1])
-            spans.append((offset + pos, offset + pos + 1))
-    return TokenStream(tokens=tuple(tokens), spans=tuple(spans))
+        tokens.extend(chunk[pos] for pos in reversed(peeled))
+    return tokens
 
 
 def is_word_token(token: str) -> bool:

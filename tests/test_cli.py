@@ -140,6 +140,24 @@ class TestIngestAndStats:
         assert main([command, "--data", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path} line 2: {message}\n"
 
+    @pytest.mark.parametrize("command", ["ingest", "stats"])
+    @pytest.mark.parametrize("replies,message", [
+        ([{"id": "a", "parent_id": "b"}, {"id": "b", "parent_id": "a"}],
+         "cyclic parent links: a -> b -> a"),
+        ([{"id": "r", "created_at": "2019-01-01T00:00:00+00:00"}],
+         "reply r predates source {source}"),
+    ], ids=["cycle", "predates"])
+    def test_assembly_error_names_file(self, planted_file, tmp_path, capsys,
+                                       command, replies, message):
+        source = json.loads(planted_file.read_text(encoding="utf-8").splitlines()[0])
+        path = tmp_path / "bad.jsonl"
+        lines = [source] + [{**source, "parent_id": source["id"], "label": None, **reply}
+                            for reply in replies]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        assert main([command, "--data", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: {message.format(source=source['id'])}\n"
+
     def test_stats_summary(self, planted_file, capsys):
         assert main(["stats", "--data", str(planted_file)]) == 0
         out = capsys.readouterr().out
@@ -208,6 +226,22 @@ class TestTrainPredictEvaluate:
         assert main([command, "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
         assert f"{run_dir}: incomplete run (no report.txt)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("setting", ["optimizer = adam", "top_n = 20",
+                                         "exclude_keywords = covid,corona virus"])
+    def test_retired_config_key_exits_one(self, trained_run, unlabeled_file, tmp_path,
+                                          capsys, command, setting):
+        # Runs written before these keys left RunConfig must be retrained.
+        run_dir = tmp_path / trained_run.name
+        shutil.copytree(trained_run, run_dir)
+        path = run_dir / "config.txt"
+        lines = sorted(path.read_text(encoding="utf-8").splitlines() + [setting])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        key = setting.split(" =")[0]
+        assert main([command, "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path} line {lines.index(setting) + 1}: unknown config key {key!r}\n"
+
     @pytest.mark.parametrize("name,damage,line_no", [
         # The forest is cut after its first tree; line 2 holds n_trees.
         ("forest_seed1.txt", lambda lines: lines[:lines.index("tree 1")], 2),
@@ -244,7 +278,6 @@ class TestTrainPredictEvaluate:
         ("rf", "rf_trees = 0"),
         ("logreg", "smote_k = 0"),
         ("lstm", "lr = nan"),
-        ("lstm", "optimizer = sgdx"),
         ("lstm", "epsilon = 0"),
         ("bigcn", "weight_decay = -1"),
         # Each setting is checked whichever model runs.
@@ -275,15 +308,17 @@ class TestTrainPredictEvaluate:
         ("--set", "classic_iters = 0", "--set 'classic_iters = 0': classic_iters must be at least 1"),
         ("--set", "classic_lr = 0",
          "--set 'classic_lr = 0': classic_lr must be finite and positive"),
+        ("--model", "mlp", "--model 'mlp': model must be one of lstm, bigcn, logreg, svm, rf"),
     ], ids=["config-no-equals", "config-bad-value", "config-unknown-key", "set-no-equals",
-            "set-bad-value", "config-range", "set-classic-iters", "set-classic-lr"])
+            "set-bad-value", "config-range", "set-classic-iters", "set-classic-lr",
+            "flag-model"])
     def test_config_error_names_its_source(self, planted_file, tmp_path, capsys,
                                            source, text, message):
         config = tmp_path / "c.cfg"
         config.write_text(text, encoding="utf-8")
         out = tmp_path / "runs"
         argv = ["train", "--data", str(planted_file), "--out-dir", str(out)]
-        argv += ["--config", str(config)] if source == "--config" else ["--set", text]
+        argv += [source, str(config) if source == "--config" else text]
         assert main(argv) == 1
         assert f"error: {message.format(config=config)}\n" == capsys.readouterr().err
         assert not out.exists()

@@ -1,8 +1,14 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rumourlab.config import RunConfig, parse_config_text
-from rumourlab.errors import ValidationError
+from rumourlab.config import RunConfig, load_config, parse_config_text
+from rumourlab.errors import ParseError, ValidationError
 from rumourlab.evalrun import (
     RunPredictor,
     compute_report,
@@ -152,6 +158,20 @@ class TestReportText:
             assert f"{key} = " in text
 
 
+def _fuzz_config_line():
+    """Config lines: known, retired and made-up keys with good and bad values."""
+    keys = st.sampled_from(sorted(f.name for f in dataclasses.fields(RunConfig))
+                           + ["optimizer", "top_n", "exclude_keywords", "", "x y"])
+    values = st.one_of(
+        st.sampled_from(["1", "0", "-1", "0.5", "nan", "inf", "1e999", "none", "true",
+                         "adam", "lstm", "1,2", "1,1", "0.7,0.15,0.15", "", "9" * 5000]),
+        st.text(max_size=8))
+    return st.one_of(
+        st.builds(lambda key, value, sep: f"{key}{sep}{value}", keys, values,
+                  st.sampled_from([" = ", "=", " ", " = # "])),
+        st.text(max_size=12))
+
+
 class TestRunConfig:
     def test_digest_stable_and_sensitive(self):
         base = RunConfig(dataset="x.jsonl")
@@ -185,6 +205,33 @@ class TestRunConfig:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValidationError):
             parse_config_text("model = transformer\n")
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("Keys and defaults:", 1)[1].split("\n\n", 2)[1]
+        listed = re.findall(r"`([a-z0-9_]+)[=`]", section)
+        assert sorted(listed) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_fuzz_config_line(), max_size=5),
+           bad_byte=st.one_of(st.none(), st.integers(min_value=0, max_value=60)))
+    def test_fuzzed_config_raises_only_documented_errors(self, tmp_path, lines, bad_byte):
+        text = "\n".join(lines)
+        try:
+            parse_config_text(text)
+        except ValidationError as exc:
+            assert str(exc).startswith("config line ")
+        data = text.encode("utf-8")
+        if bad_byte is not None:
+            cut = min(bad_byte, len(data))
+            data = data[:cut] + b"\xff" + data[cut:]
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(data)
+        try:
+            load_config(path)
+        except (ValidationError, ParseError) as exc:
+            assert str(exc).startswith(f"{path} line ")
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +302,20 @@ class TestRunExperiment:
         file_lines = (result.run_dir / "predictions.txt").read_text().splitlines()
         assert [l.split("\t")[1] for l in file_lines] == labels
         assert [l.split("\t")[2] for l in file_lines] == [f"{s:.6g}" for s in scores]
+
+    def test_bigcn_raw_count_features(self, planted_file, tmp_path):
+        config = self._config(planted_file, tmp_path, model="bigcn", tree_raw_counts=True,
+                              tfidf_top_k=100, bigcn_hidden_dim=4, bigcn_out_dim=4,
+                              max_epochs=1)
+        result = run_experiment(config)
+        predictor = RunPredictor(result.run_dir)
+        trees = predictor.model.prepare(result.split.test).trees
+        values = [value for tree in trees for node in tree.nodes
+                  for _, value in node.features.entries]
+        assert values and all(value >= 1 and value == int(value) for value in values)
+        labels, scores = predictor.predict(result.split.test)
+        assert len(labels) == len(scores) == len(result.split.test)
+        assert set(labels) <= {"rumour", "nonrumour"}
 
     def test_v1_checkpoints_still_load(self, planted_file, tmp_path):
         config = self._config(planted_file, tmp_path, model="lstm", seeds=(1, 2),

@@ -194,26 +194,26 @@ class TestLosses:
 class TestOptimizer:
     def test_zero_gradients_leave_adam_parameters(self):
         p = parameter(np.array([1.0, -2.0]), "p")
-        state = OptimizerState(kind="adam", lr=0.1)
+        state = OptimizerState(lr=0.1)
         optimizer_step(state, {"p": p}, {"p": np.zeros(2)})
         assert p.values.tolist() == [1.0, -2.0]
         assert state.t == 1
 
     def test_adamw_decoupled_decay(self):
         p = parameter(np.array([1.0, -2.0]), "p")
-        state = OptimizerState(kind="adamw", lr=0.1, weight_decay=0.01)
+        state = OptimizerState(lr=0.1, weight_decay=0.01)
         optimizer_step(state, {"p": p}, {"p": np.zeros(2)})
         assert p.values == pytest.approx(np.array([0.999, -1.998]), abs=1e-15)
 
     def test_non_finite_gradient_names_parameter(self):
         p = parameter(np.ones(2), "offender")
-        state = OptimizerState(kind="adam", lr=0.1)
+        state = OptimizerState(lr=0.1)
         with pytest.raises(ValidationError, match="offender"):
             optimizer_step(state, {"offender": p}, {"offender": np.array([1.0, np.nan])})
 
     def test_shape_mismatch_rejected(self):
         p = parameter(np.ones(2), "p")
-        state = OptimizerState(kind="adam", lr=0.1)
+        state = OptimizerState(lr=0.1)
         with pytest.raises(ValidationError, match="shape"):
             optimizer_step(state, {"p": p}, {"p": np.ones(3)})
 
@@ -223,20 +223,16 @@ class TestOptimizer:
 
         def run():
             p = parameter(np.ones(4), "p")
-            state = OptimizerState(kind="adamw", lr=0.05, weight_decay=0.1)
+            state = OptimizerState(lr=0.05, weight_decay=0.1)
             for _ in range(10):
                 optimizer_step(state, {"p": p}, grads)
             return p.values
 
         assert np.array_equal(run(), run())
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            OptimizerState(kind="sgd", lr=0.1)
-
     def test_adam_matches_reference_formula(self):
         p = parameter(np.array([1.0]), "p")
-        state = OptimizerState(kind="adam", lr=0.1, beta1=0.9, beta2=0.999,
+        state = OptimizerState(lr=0.1, beta1=0.9, beta2=0.999,
                                epsilon=1e-8)
         grad = np.array([0.5])
         optimizer_step(state, {"p": p}, {"p": grad})

@@ -280,14 +280,14 @@ RANGE_CASES = [
     ("rf_trees", 0), ("smote_k", 0), ("classic_iters", 0), ("svm_iters", 0),
     ("lr", 0.0), ("lr", float("nan")), ("logreg_l2", -1e-3), ("svm_l2", -1.0),
     ("rf_max_depth", -1), ("rf_feature_subsample", "half"),
-    ("model", "mlp"), ("features", "words"), ("optimizer", "sgd"),
+    ("model", "mlp"), ("features", "words"), ("epsilon", 0.0),
     ("ratios", (0.5, 0.5)), ("ratios", (0.5, 0.5, 0.5)), ("ratios", (-0.2, 0.6, 0.6)),
     ("seeds", ()), ("seeds", (-1,)), ("seeds", (1, 1)),
-    ("weight_decay", float("inf")), ("epsilon", 0.0), ("batch_size", 0),
+    ("weight_decay", float("inf")), ("batch_size", 0),
     ("max_epochs", 0), ("patience", 0), ("dropout", 1.0), ("dropout", -0.1),
     ("drop_edge_rate", 1.0), ("vocab_cap", 3), ("embed_dim", 0), ("hidden_dim", 0),
     ("perceptron_dim", 0), ("max_len", 0), ("tfidf_top_k", 0), ("bigcn_hidden_dim", 0),
-    ("bigcn_out_dim", 0), ("classic_lr", float("inf")), ("top_n", 0),
+    ("bigcn_out_dim", 0), ("classic_lr", float("inf")),
 ]
 
 

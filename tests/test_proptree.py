@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rumourlab.errors import ParseError, ValidationError
@@ -145,6 +147,73 @@ class TestCorpusFile:
         path.write_text("t\trumour\nNone\t1\t\n")
         with pytest.raises(ParseError, match="header"):
             read_tree_corpus(path)
+
+
+    @pytest.mark.parametrize("damage,line_no,message", [
+        (lambda lines: lines[:5] + ["1\t2\t0:x"] + lines[6:], 6, "bad index:value pair '0:x'"),
+        (lambda lines: lines[:5] + ["1 2"] + lines[6:], 6,
+         "node line must have three tab-separated fields"),
+        (lambda lines: lines[:4] + ["t2\tmaybe"] + lines[5:], 5,
+         "tree t2: unknown label 'maybe'"),
+        (lambda lines: lines[:6] + ["1\t3\t"], 5,
+         "tree t2: node indices not contiguous at 3"),
+        (lambda lines: ["# rumourlab-tree v0"] + lines[1:], 1,
+         "missing '# rumourlab-tree v1' header"),
+        (lambda lines: lines[:5] + ["1\t2\t0:1\udcff"] + lines[6:], 6, "invalid UTF-8"),
+    ], ids=["pair", "fields", "label", "contiguous", "header", "byte"])
+    def test_error_names_file_line(self, tmp_path, damage, line_no, message):
+        lines = ["# rumourlab-tree v1", "t1\trumour", "None\t1\t0:1", "",
+                 "t2\tnonrumour", "None\t1\t", "1\t2\t1:2.5"]
+        path = tmp_path / "trees.txt"
+        path.write_text("\n".join(damage(lines)) + "\n", encoding="utf-8",
+                        errors="surrogateescape")
+        with pytest.raises((ParseError, ValidationError)) as info:
+            read_tree_corpus(path)
+        assert str(info.value) == f"{path} line {line_no}: {message}"
+
+
+def _fuzz_tree_line():
+    """Tree-corpus lines: headers, node lines with good and bad fields, noise."""
+    pair = st.one_of(
+        st.builds(lambda i, v: f"{i}:{v}", st.integers(-2, 4),
+                  st.sampled_from(["1", "0.5", "-2", "nan", "inf", "1e999", "x", ""])),
+        st.text(max_size=4))
+    return st.one_of(
+        st.sampled_from(["", "# rumourlab-tree v1", " "]),
+        st.builds(lambda tid, label: f"{tid}\t{label}", st.text(max_size=3),
+                  st.sampled_from(["rumour", "nonrumour", "None", "maybe", ""])),
+        st.builds(lambda parent, index, pairs: f"{parent}\t{index}\t{' '.join(pairs)}",
+                  st.sampled_from(["None", "0", "1", "2", "-1", "x", "9" * 5000]),
+                  st.sampled_from(["1", "2", "3", "0", "x"]), st.lists(pair, max_size=3)),
+        st.text(max_size=10))
+
+
+class TestFuzzedTreeCorpus:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_fuzz_tree_line(), max_size=8), header=st.booleans(),
+           newline=st.sampled_from(["\n", "\r\n"]),
+           bad_byte=st.one_of(st.none(), st.integers(min_value=0, max_value=80)))
+    def test_parse_and_read_raise_only_documented_errors(self, tmp_path, lines, header,
+                                                          newline, bad_byte):
+        if header:
+            lines = ["# rumourlab-tree v1"] + lines
+        text = newline.join(lines)
+        try:
+            parse_tree(text)
+        except (ParseError, ValidationError) as exc:
+            assert str(exc).startswith("line ")
+        data = text.encode("utf-8")
+        if bad_byte is not None:
+            cut = min(bad_byte, len(data))
+            data = data[:cut] + b"\xff" + data[cut:]
+        path = tmp_path / "fuzz.txt"
+        path.write_bytes(data)
+        try:
+            read_tree_corpus(path)
+        except (ParseError, ValidationError) as exc:
+            match = re.match(rf"{re.escape(str(path))} line (\d+): ", str(exc))
+            assert match and 1 <= int(match.group(1)) <= data.count(b"\n") + 1
 
 
 def tree_of_size(thread_id, n, tfidf, label="rumour"):
