@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .ingest import LABELS, TweetRecord
-from .textproc import count_attributes, is_word_token, normalize, stopword_list, tokenize
+from .textproc import count_attributes, data_rows, is_word_token, normalize, stopword_list, tokenize
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -71,10 +71,7 @@ HISTOGRAM_EDGES: dict[str, tuple[float, ...]] = {
 def load_emotion_lexicon(path=None) -> dict[str, str]:
     path = Path(path) if path else _DATA_DIR / "emotion_lexicon.tsv"
     lexicon: dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line or line.startswith("#"):
-            continue
-        word, emotion = line.split("\t")
+    for word, emotion in data_rows(path):
         if emotion not in EMOTIONS:
             raise ValidationError(f"lexicon word {word!r} has unknown emotion {emotion!r}")
         lexicon[word.lower()] = emotion
@@ -85,10 +82,7 @@ def load_emotion_lexicon(path=None) -> dict[str, str]:
 def load_valence_lexicon(path=None) -> dict[str, float]:
     path = Path(path) if path else _DATA_DIR / "valence_lexicon.tsv"
     lexicon: dict[str, float] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line or line.startswith("#"):
-            continue
-        word, value = line.split("\t")
+    for word, value in data_rows(path):
         valence = float(value)
         if not -4.0 <= valence <= 4.0:
             raise ValidationError(f"valence for {word!r} outside [-4, 4]")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import ValidationError, read_utf8
+from .errors import ValidationError, read_utf8, split_lines
 
 MODEL_KINDS = ("lstm", "bigcn", "logreg", "svm", "rf")
 FEATURE_MODES = ("handcrafted", "tfidf", "both")
@@ -94,7 +94,7 @@ def _one_of(*options):
 
 
 # Setting -> (accepts value, what it must be). Settings without a range
-# (paths, switches, the split seed) are absent.
+# (switches, the split seed, out_dir) are absent.
 _RANGES = {
     **dict.fromkeys(("batch_size", "max_epochs", "patience", "embed_dim", "hidden_dim",
                      "perceptron_dim", "max_len", "tfidf_top_k", "bigcn_hidden_dim",
@@ -116,6 +116,9 @@ _RANGES = {
     "vocab_cap": (lambda v: v >= 4, "at least 4"),
     # Depth 0 is a single majority leaf.
     "rf_max_depth": (lambda v: v is None or v >= 0, "none or non-negative"),
+    # config.txt must read the path back, and it strips values and cuts them at '#'.
+    "dataset": (lambda v: v == v.strip() and not any(c in v for c in "#\n\r"),
+                "a path without '#', a line break or outer spaces"),
 }
 
 
@@ -192,7 +195,7 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None,
                       source: str = "config") -> RunConfig:
     """Apply config text to `base`; errors name `source` and the line."""
     updates = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(split_lines(text), start=1):
         _parse_line(line, f"{source} line {line_no}", updates)
     return replace(base or RunConfig(), **updates)
 

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, read_utf8
+from .errors import ParseError, ValidationError, read_utf8, split_lines
 from .ingest import TweetRecord
 
 PAD_ID = 0
@@ -248,7 +248,7 @@ def save_terms(vocab: Vocabulary, path) -> None:
 
 
 def load_terms(path) -> Vocabulary:
-    lines = read_utf8(path).splitlines()
+    lines = split_lines(read_utf8(path))
     if tuple(lines[:3]) != RESERVED:
         raise ValidationError(f"{path} line 1: vocabulary file lacks the reserved-id header")
     return Vocabulary(terms=tuple(lines[3:]))
@@ -267,11 +267,15 @@ def save_vocabulary(model: TfidfModel, vocab_path, idf_path) -> None:
 
 def load_vocabulary(vocab_path, idf_path) -> TfidfModel:
     vocab = load_terms(vocab_path)
-    lines = read_utf8(idf_path).splitlines()
+    lines = split_lines(read_utf8(idf_path))
     # Only the first line is the header: later lines may be hashtag terms.
     key, _, count = lines[0].partition(" = ") if lines else ("", "", "")
-    if key != "# doc_count" or not count.isdecimal():
-        raise ParseError(f"{idf_path} line 1: expected the '# doc_count = N' header")
+    try:
+        if key != "# doc_count" or not count.isdecimal():
+            raise ValueError(count)
+        doc_count = int(count)  # over 4,300 digits raise ValueError
+    except ValueError:
+        raise ParseError(f"{idf_path} line 1: expected the '# doc_count = N' header") from None
     idf = np.zeros(vocab.content_size)
     for line_no, line in enumerate(lines[1:], start=2):
         try:
@@ -283,4 +287,4 @@ def load_vocabulary(vocab_path, idf_path) -> TfidfModel:
         if position is None:
             raise ParseError(f"{idf_path} line {line_no}: idf term {term!r} not in vocabulary")
         idf[position] = weight
-    return TfidfModel(vocab=vocab, idf=idf, doc_count=int(count))
+    return TfidfModel(vocab=vocab, idf=idf, doc_count=doc_count)

@@ -16,7 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import ParseError, ValidationError, read_utf8
+from .errors import ParseError, ValidationError, read_utf8, split_lines
 
 RUMOUR = "rumour"
 NONRUMOUR = "nonrumour"
@@ -180,6 +180,11 @@ def _record_from_line(raw: bytes) -> Optional[TweetRecord]:
         value = fields.get(name)
         if value is not None and type(value) is not str:
             raise ValidationError(f"{name} must be a string or null")
+    # Run files hold ids one per line and beside tabs.
+    for name in ("id", "parent_id"):
+        value = fields.get(name) or ""
+        if "\t" in value or "\n" in value or "\r" in value:
+            raise ValidationError(f"{name} must not hold a tab or line break")
     return TweetRecord(
         fields["id"], fields["text"], _parse_timestamp(fields["created_at"]),
         UserMeta(*_user_values(fields)), fields["retweet_count"],
@@ -200,8 +205,8 @@ def load_tweets(path) -> list[TweetRecord]:
     records: list[TweetRecord] = []
     seen: set[str] = set()
     with path.open("rb") as handle:
-        # Lines end at \n, \r or \r\n, as in text mode; each is decoded on
-        # its own so that a bad byte is reported on the line that holds it.
+        # Lines end at \n, \r or \r\n, as in errors.split_lines; each is decoded
+        # on its own so that a bad byte is reported on the line that holds it.
         lines = (piece for chunk in handle for piece in chunk.splitlines())
         for line_no, raw in enumerate(lines, start=1):
             try:
@@ -362,15 +367,8 @@ def split_dataset(
         for name, n in zip(SPLIT_PARTS, counts):
             parts[name].extend(group[offset:offset + n])
             offset += n
-    for name in SPLIT_PARTS:
-        parts[name].sort(key=lambda t: t.id)
-    return DatasetSplit(
-        train=tuple(parts["train"]),
-        dev=tuple(parts["dev"]),
-        test=tuple(parts["test"]),
-        seed=seed,
-        ratios=ratios,
-    )
+    return DatasetSplit(**{name: tuple(sorted(part, key=lambda t: t.id))
+                           for name, part in parts.items()}, seed=seed, ratios=ratios)
 
 
 def save_split(split: DatasetSplit, directory) -> None:
@@ -389,42 +387,43 @@ def save_split(split: DatasetSplit, directory) -> None:
         (directory / f"{name}.ids").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _header_value(line: str, key: str) -> str:
+    """The value of a `# <key> = <value>` manifest header line."""
+    name, _, value = line.partition(" = ")
+    if name != f"# {key}":
+        raise ValueError(line)
+    return value
+
+
 def load_split(directory, threads: Sequence[Thread]) -> DatasetSplit:
-    """Rebuild a DatasetSplit from a manifest directory and the thread pool."""
+    """Rebuild a DatasetSplit from a manifest directory and the thread pool;
+    each part holds version, seed, ratios and part lines, then ids verbatim."""
     directory = Path(directory)
     by_id = {thread.id: thread for thread in threads}
-    parts: dict[str, list[Thread]] = {}
-    seed = 0
-    ratios = (0.0, 0.0, 0.0)
+    parts: dict[str, tuple[Thread, ...]] = {}
     for name in SPLIT_PARTS:
         path = directory / f"{name}.ids"
-        if not path.exists():
+        if not path.is_file():
             raise FileNotFoundError(f"split manifest part missing: {path}")
-        ids: list[str] = []
-        for line_no, line in enumerate(read_utf8(path).splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                try:
-                    if "seed =" in line:
-                        seed = int(line.split("=", 1)[1])
-                    elif "ratios =" in line:
-                        ratios = tuple(float(x) for x in line.split("=", 1)[1].split(","))
-                except ValueError:
-                    raise ParseError(f"{path} line {line_no}: bad header {line!r}") from None
-                continue
-            ids.append(line)
-        missing = [i for i in ids if i not in by_id]
-        if missing:
-            raise ValidationError(
-                f"split part {name!r} references unknown thread ids: {missing[:5]}"
-            )
-        parts[name] = [by_id[i] for i in ids]
-    return DatasetSplit(
-        train=tuple(parts["train"]),
-        dev=tuple(parts["dev"]),
-        test=tuple(parts["test"]),
-        seed=seed,
-        ratios=ratios,
-    )
+        lines = split_lines(read_utf8(path))
+        header = (lines + [""] * 4)[:4]
+        line_no = 1
+        try:
+            if header[0] != f"# {SPLIT_FORMAT_VERSION}":
+                raise ValueError
+            line_no = 2
+            seed = int(_header_value(header[1], "seed"))
+            line_no = 3
+            ratios = tuple(float(r) for r in _header_value(header[2], "ratios").split(","))
+            if len(ratios) != 3:
+                raise ValueError
+            line_no = 4
+            if _header_value(header[3], "part") != name:
+                raise ValueError
+        except ValueError:
+            raise ParseError(f"{path} line {line_no}: bad header {header[line_no - 1]!r}") from None
+        for line_no, thread_id in enumerate(lines[4:], start=5):
+            if thread_id not in by_id:
+                raise ValidationError(f"{path} line {line_no}: unknown thread id {thread_id!r}")
+        parts[name] = tuple(by_id[i] for i in lines[4:])
+    return DatasetSplit(**parts, seed=seed, ratios=ratios)

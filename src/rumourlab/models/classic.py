@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..config import RunConfig
-from ..errors import ParseError, ValidationError
+from ..errors import ParseError, ValidationError, split_lines
 from ..featurize import (
     HANDCRAFTED_WIDTH,
     Standardizer,
@@ -327,7 +327,7 @@ def forest_from_text(text: str, source: str = "forest") -> ClassicModel:
     first tree, an empty tree, a tree count other than n_trees, a missing
     header value, a negative feature_dim, or a split whose feature or children fall outside the
     forest raises ParseError naming `source` and the line."""
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines or lines[0] != "# rumourlab-forest v1":
         raise ValidationError(f"{source}: not a rumourlab-forest v1 file")
     header: dict[str, tuple[int, int]] = {}  # key -> (value, line number)

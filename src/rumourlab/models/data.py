@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..featurize import TfidfModel, Vocabulary, extract_handcrafted, transform_tfidf
+from ..featurize import HANDCRAFTED_WIDTH, TfidfModel, Vocabulary, extract_handcrafted, transform_tfidf
 from ..ingest import RUMOUR, Thread
 from ..textproc import normalize, tokenize
 
@@ -52,7 +52,8 @@ def lstm_inputs(
 
 def handcrafted_matrix(threads: Sequence[Thread]) -> np.ndarray:
     """The eight source-tweet features per thread."""
-    return np.stack([extract_handcrafted(t.source) for t in threads])
+    rows = [extract_handcrafted(t.source) for t in threads]
+    return np.stack(rows) if rows else np.zeros((0, HANDCRAFTED_WIDTH))
 
 
 def tfidf_matrix(model: TfidfModel, threads: Sequence[Thread]) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, read_utf8
+from .errors import ParseError, ValidationError, read_utf8, split_lines
 from .featurize import SparseVector, TfidfModel, transform_tfidf
 from .gradengine.sparse import SparseMatrix
 from .ingest import LABELS, Thread
@@ -120,10 +120,10 @@ def serialize_tree(tree: PropTree) -> str:
 def parse_tree(block: str, first_line: int = 1) -> PropTree:
     """Inverse of serialize_tree, up to float printing precision. Errors
     start with `line N: `, counting the block's first line as `first_line`."""
-    lines = block.strip("\n").split("\n")
+    lines = split_lines(block.strip("\r\n"))
     line_no = first_line
     try:
-        if not lines[0].strip():
+        if not lines or not lines[0].strip():
             raise ParseError("empty tree block")
         header = lines[0].split("\t")
         if len(header) != 2:
@@ -169,8 +169,8 @@ def write_tree_corpus(trees: Sequence[PropTree], path) -> None:
 def read_tree_corpus(path) -> list[PropTree]:
     """The trees of a corpus file; errors start with `<path> line N: `,
     counting lines in the file."""
-    lines = [line.removesuffix("\r") for line in read_utf8(path).split("\n")]
-    if lines[0] != f"# {TREE_FORMAT_VERSION}":
+    lines = split_lines(read_utf8(path))
+    if lines[:1] != [f"# {TREE_FORMAT_VERSION}"]:
         raise ParseError(f"{path} line 1: missing '# {TREE_FORMAT_VERSION}' header")
     trees = []
     block: list[str] = []

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
+from .errors import read_utf8, split_lines
+
 _DATA_DIR = Path(__file__).parent / "data"
 
 MENTION_TOKEN = "@USER"
@@ -47,24 +49,23 @@ EMOTICONS = frozenset([
 ])
 
 
+def data_rows(path) -> list[list[str]]:
+    """The tab-separated fields of each line of a bundled data file, past
+    its blank lines and `#` comments."""
+    return [line.split("\t") for line in split_lines(read_utf8(path))
+            if line.strip() and not line.startswith("#")]
+
+
 @lru_cache(maxsize=1)
 def stopword_list() -> frozenset[str]:
     """The bundled list of 179 common English stopwords, lowercase."""
-    lines = _DATA_DIR.joinpath("stopwords.txt").read_text(encoding="utf-8").splitlines()
-    return frozenset(line.strip() for line in lines
-                     if line.strip() and not line.startswith("#"))
+    return frozenset(word for (word,) in data_rows(_DATA_DIR / "stopwords.txt"))
 
 
 @lru_cache(maxsize=1)
 def emoji_aliases() -> dict[str, str]:
     """Bundled emoji table: single code point -> alias (without colons)."""
-    table: dict[str, str] = {}
-    for line in _DATA_DIR.joinpath("emoji_aliases.tsv").read_text(encoding="utf-8").splitlines():
-        if not line or line.startswith("#"):
-            continue
-        char, alias = line.split("\t")
-        table[char] = alias
-    return table
+    return dict(data_rows(_DATA_DIR / "emoji_aliases.tsv"))
 
 
 @lru_cache(maxsize=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -129,7 +130,9 @@ class TestIngestAndStats:
         ({"id": None}, "id must be a string"),
         ({"created_at": "2020-03-01T12:05:00"},
          "created_at '2020-03-01T12:05:00' lacks a UTC offset"),
-    ], ids=["list-parent", "numeric-ids", "null-id", "naive-time"])
+        ({"id": "r\rs"}, "id must not hold a tab or line break"),
+        ({"parent_id": "a\tb"}, "parent_id must not hold a tab or line break"),
+    ], ids=["list-parent", "numeric-ids", "null-id", "naive-time", "cr-id", "tab-parent"])
     def test_bad_record_exits_one_naming_file_and_line(self, planted_file, tmp_path, capsys,
                                                        command, reply, message):
         source = json.loads(planted_file.read_text(encoding="utf-8").splitlines()[0])
@@ -201,6 +204,44 @@ class TestTrainPredictEvaluate:
             thread_id, label, score = line.split("\t")
             assert label in ("rumour", "nonrumour")
             float(score)
+
+    @pytest.mark.parametrize("model", ["logreg", "rf"])
+    def test_predict_on_empty_dataset_prints_nothing(self, planted_file, tmp_path, capsys,
+                                                     model):
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(planted_file), "--model", model,
+                     "--out-dir", str(out), "--set", "features = handcrafted",
+                     "--set", "classic_iters = 20", "--set", "rf_trees = 2"]) == 0
+        (run_dir,) = list(out.iterdir())
+        (tmp_path / "empty.jsonl").write_text("")
+        capsys.readouterr()
+        assert main(["predict", "--run", str(run_dir),
+                     "--data", str(tmp_path / "empty.jsonl")]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_awkward_ids_evaluate_the_whole_test_split(self, tmp_path):
+        # Every thread id starts with '#' or a space, or holds U+0085 or
+        # U+2028; evaluate must read back the test split train wrote.
+        forms = ("#{}", " {} ", "{}\u0085x", "{}\u2028x")
+        records = []
+        for record in make_planted_records(n_threads=60, seed=4):
+            form = forms[int((record.parent_id or record.id)[1:6]) % len(forms)]
+            records.append(dataclasses.replace(
+                record, id=form.format(record.id),
+                parent_id=record.parent_id and form.format(record.parent_id)))
+        save_tweets(records, tmp_path / "awkward.jsonl")
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(tmp_path / "awkward.jsonl"), "--model", "logreg",
+                     "--out-dir", str(out), "--set", "classic_iters = 20"]) == 0
+        (run_dir,) = list(out.iterdir())
+        assert main(["evaluate", "--run", str(run_dir)]) == 0
+
+        def support(name):
+            lines = (run_dir / name).read_text(encoding="utf-8").split("\n")
+            return sum(int(line.split()[-1]) for line in lines if line[:2] in ("R ", "N "))
+
+        test_ids = (run_dir / "split" / "test.ids").read_text(encoding="utf-8").split("\n")
+        assert support("eval_report.txt") == support("report.txt") == len(test_ids) - 5
 
     def test_evaluate_writes_report(self, trained_run, capsys):
         assert main(["evaluate", "--run", str(trained_run)]) == 0
@@ -309,9 +350,14 @@ class TestTrainPredictEvaluate:
         ("--set", "classic_lr = 0",
          "--set 'classic_lr = 0': classic_lr must be finite and positive"),
         ("--model", "mlp", "--model 'mlp': model must be one of lstm, bigcn, logreg, svm, rf"),
+        ("--data", "d#1.jsonl",
+         "--data 'd#1.jsonl': dataset must be a path without '#', a line break or outer spaces"),
+        # U+0085 ends no line, so the bad value is named on line 2.
+        ("--config", "dataset = a\u0085b\nmodel = mlp\n",
+         "{config} line 2: model must be one of lstm, bigcn, logreg, svm, rf"),
     ], ids=["config-no-equals", "config-bad-value", "config-unknown-key", "set-no-equals",
             "set-bad-value", "config-range", "set-classic-iters", "set-classic-lr",
-            "flag-model"])
+            "flag-model", "flag-data", "config-nel-value"])
     def test_config_error_names_its_source(self, planted_file, tmp_path, capsys,
                                            source, text, message):
         config = tmp_path / "c.cfg"

@@ -17,7 +17,6 @@ from rumourlab.evalrun import (
     report_to_text,
     run_experiment,
 )
-from rumourlab.gradengine import load_checkpoint
 from rumourlab.ingest import save_tweets
 from rumourlab.synthetic import make_planted_records
 
@@ -316,21 +315,6 @@ class TestRunExperiment:
         labels, scores = predictor.predict(result.split.test)
         assert len(labels) == len(scores) == len(result.split.test)
         assert set(labels) <= {"rumour", "nonrumour"}
-
-    def test_v1_checkpoints_still_load(self, planted_file, tmp_path):
-        config = self._config(planted_file, tmp_path, model="lstm", seeds=(1, 2),
-                              vocab_cap=200, embed_dim=4, hidden_dim=4,
-                              perceptron_dim=4, max_len=16, max_epochs=1)
-        result = run_experiment(config)
-        _, v2_scores = RunPredictor(result.run_dir).predict(result.split.test)
-        for path in result.run_dir.glob("ckpt_seed*.txt"):
-            lines = ["# rumourlab-ckpt v1"] + [
-                f"{name} {'x'.join(map(str, values.shape))} "
-                + " ".join(repr(float(v)) for v in values.reshape(-1))
-                for name, values in sorted(load_checkpoint(path).items())]
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _, v1_scores = RunPredictor(result.run_dir).predict(result.split.test)
-        assert v1_scores.tobytes() == v2_scores.tobytes()
 
     def test_stage_name_attached_to_errors(self, tmp_path):
         config = RunConfig(dataset=str(tmp_path / "missing.jsonl"),

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rumourlab.errors import ParseError, ValidationError
 from rumourlab.featurize import (
@@ -290,7 +293,9 @@ class TestPersistence:
         assert loaded.doc_count == 3
         assert np.array_equal(loaded.idf, model.idf)
 
-    @pytest.mark.parametrize("idf_text", ["", "alpha\t1.0\n", "# doc_count = x\n"])
+    @pytest.mark.parametrize("idf_text", ["", "alpha\t1.0\n", "# doc_count = x\n",
+                                          pytest.param("# doc_count = " + "9" * 5000 + "\n",
+                                                       id="long-count")])
     def test_idf_header_malformed(self, tmp_path, idf_text):
         save_terms(Vocabulary(terms=("alpha",)), tmp_path / "vocab.txt")
         (tmp_path / "idf.txt").write_text(idf_text)
@@ -308,3 +313,41 @@ class TestPersistence:
         (tmp_path / "vocab.txt").write_text("just\nterms\n")
         with pytest.raises(ValidationError):
             load_terms(tmp_path / "vocab.txt")
+
+
+@st.composite
+def _fuzz_lines(draw, headers, good):
+    """Bytes of a vocabulary or idf file: one of `headers` or none, then
+    good lines, damaged ones and noise, joined by any line end, perhaps
+    with a bad byte."""
+    line = st.one_of(st.sampled_from(good), st.text(max_size=8),
+                     st.builds(lambda term, value: f"{term}\t{value}",
+                               st.sampled_from(["alpha", "#tag", "zeta", ""]),
+                               st.sampled_from(["1.5", "nan", "1e999", "x", "", "1\t2"])))
+    lines = draw(st.sampled_from(headers + [[]])) + draw(st.lists(line, max_size=5))
+    data = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode("utf-8")
+    cut = draw(st.one_of(st.none(), st.integers(0, len(data))))
+    return data if cut is None else data[:cut] + b"\xff" + data[cut:]
+
+
+class TestFuzzedVocabulary:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(vocab=_fuzz_lines([["<pad>", "<unk>", "<sep>"], ["<pad>", "<unk>"]],
+                             ["alpha", "#tag", "a\u2028b"]),
+           idf=_fuzz_lines([["# doc_count = 3"], ["# doc_count = " + "9" * 5000],
+                            ["# doc_count = -1"], ["# doc_count = \u0663"]],
+                           ["alpha\t1.5", "#tag\t2.0", "a\u2028b\t0.5"]))
+    def test_load_raises_only_documented_errors(self, tmp_path, vocab, idf):
+        vocab_path, idf_path = tmp_path / "vocab.txt", tmp_path / "idf.txt"
+        vocab_path.write_bytes(vocab)
+        idf_path.write_bytes(idf)
+        for load in (lambda: load_terms(vocab_path),
+                     lambda: load_vocabulary(vocab_path, idf_path)):
+            try:
+                load()
+            except (ParseError, ValidationError) as exc:
+                match = re.match(r"(.*) line (\d+): ", str(exc))
+                assert match and match.group(1) in (str(vocab_path), str(idf_path))
+                data = vocab if match.group(1) == str(vocab_path) else idf
+                assert 1 <= int(match.group(2)) <= len(re.split(rb"\r\n|\r|\n", data))

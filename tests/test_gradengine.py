@@ -342,14 +342,15 @@ class TestCheckpoint:
 
     def test_malformed_line_cites_position(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("# rumourlab-ckpt v1\nw 2x2 1.0 oops 3.0 4.0\n")
+        path.write_text("# rumourlab-ckpt v2\nw 2xoops AAAAAAAAAAA=\n")
         with pytest.raises(ParseError, match="line 2"):
             load_checkpoint(path)
 
     def test_value_count_must_match_shape(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("# rumourlab-ckpt v1\nw 2x2 1.0 2.0\n")
-        with pytest.raises(ParseError):
+        payload = base64.b64encode(np.zeros(2).tobytes()).decode("ascii")
+        path.write_text(f"# rumourlab-ckpt v2\nw 2x2 {payload}\n")
+        with pytest.raises(ParseError, match="2 values for shape 2x2"):
             load_checkpoint(path)
 
     def test_byte_identical_rewrites(self, tmp_path):
@@ -368,14 +369,12 @@ class TestCheckpoint:
         assert (name, shape) == ("w", "2x2")
         assert base64.b64decode(payload) == values.astype("<f8").tobytes()
 
-    def test_v1_awkward_values_load_bit_exact(self, tmp_path):
+    def test_v1_checkpoint_is_refused_naming_file(self, tmp_path):
         path = tmp_path / "v1.txt"
-        path.write_text(f"# rumourlab-ckpt v1\nw 2x2 1e-300 -0.0 {math.pi!r} 1000000000.0\n"
-                        "b 1 0.5\n", encoding="utf-8")
-        loaded = load_checkpoint(path)
-        expected = np.array([[1e-300, -0.0], [math.pi, 1e9]])
-        assert loaded["w"].tobytes() == expected.tobytes()
-        assert loaded["b"].tolist() == [0.5]
+        path.write_text("# rumourlab-ckpt v1\nw 2 0.5 1.5\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: not a rumourlab-ckpt v2 checkpoint"
 
     @pytest.mark.parametrize("line,message", [
         (b"w 2 \xff\xfe", "invalid UTF-8"),

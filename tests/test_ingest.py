@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rumourlab.errors import ValidationError
+from rumourlab.errors import ParseError, ValidationError
 from rumourlab.ingest import (
     DatasetSplit,
     Thread,
@@ -108,9 +108,14 @@ class TestLoadTweets:
         ({"verified": 0}, "verified must be true or false"),
         ({"text": None}, "text must be a string"),
         ({"created_at": "0001-01-01T00:00:00+01:00"}, "created_at .* is out of range"),
+        ({"id": "b\rc"}, "id must not hold a tab or line break"),
+        ({"id": "b\tc"}, "id must not hold a tab or line break"),
+        ({"id": "b\n"}, "id must not hold a tab or line break"),
+        ({"parent_id": "a\r\n"}, "parent_id must not hold a tab or line break"),
+        ({"parent_id": "\ta"}, "parent_id must not hold a tab or line break"),
     ], ids=["numeric-id", "null-id", "empty-id", "numeric-parent", "list-parent",
             "numeric-label", "bool-count", "negative-count", "int-verified", "null-text",
-            "overflowing-time"])
+            "overflowing-time", "cr-id", "tab-id", "lf-id", "crlf-parent", "tab-parent"])
     def test_wrong_field_type_cites_file_and_line(self, tmp_path, changes, message):
         path = tmp_path / "data.jsonl"
         reply = {**GOOD, "id": "b", "parent_id": "a", **changes}
@@ -264,6 +269,35 @@ class TestAssembleThreads:
             assemble_threads([source, early])
 
 
+# Ids that ingest accepts: non-empty, with no tab, \n or \r; a leading
+# '#', outer spaces, U+0085 and U+2028 included.
+_AWKWARD_ID = st.builds(
+    lambda head, body, tail: head + body + tail,
+    st.sampled_from(["", "#", "# seed = 1", " ", "\u0085", "\u2028"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+            min_size=1, max_size=6),
+    st.sampled_from(["", " ", "\u2028", "\x0c"]))
+
+_MANIFEST_IDS = ["a", "#a", " a", "a\u2028b"]
+
+
+@st.composite
+def _fuzz_manifest_part(draw, part):
+    """Bytes of a manifest part: header lines good and bad, ids known and
+    unknown, noise, any line end and perhaps a bad byte."""
+    header = ["# rumourlab-split v1", "# seed = 13", "# ratios = 0.7,0.15,0.15",
+              f"# part = {part}"]
+    line = st.one_of(
+        st.sampled_from(header + _MANIFEST_IDS + [
+            "", "# seed = x", "# seed = " + "9" * 5000, "# ratios = 0.5,0.5",
+            "# ratios = a,b,c", "# part = other", "#seed = 13", "b"]),
+        st.text(max_size=8))
+    lines = (header if draw(st.booleans()) else []) + draw(st.lists(line, max_size=6))
+    data = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode("utf-8")
+    cut = draw(st.one_of(st.none(), st.integers(0, len(data))))
+    return data if cut is None else data[:cut] + b"\xff" + data[cut:]
+
+
 class TestSplitDataset:
     def _threads(self, n_rumour, n_nonrumour):
         return (
@@ -323,6 +357,54 @@ class TestSplitDataset:
             split_dataset(threads, (0.5, 0.2, 0.2), seed=1)
         with pytest.raises(ValidationError):
             split_dataset(threads, (1.0, -0.5, 0.5), seed=1)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ids=st.lists(_AWKWARD_ID, min_size=3, max_size=8, unique=True))
+    def test_manifest_round_trips_every_accepted_id(self, tmp_path, ids):
+        threads = [make_thread(thread_id) for thread_id in ids]
+        save_tweets([thread.source for thread in threads], tmp_path / "ids.jsonl")
+        assert [record.id for record in load_tweets(tmp_path / "ids.jsonl")] == ids
+        split = DatasetSplit(train=tuple(threads[2:]), dev=(threads[1],), test=(threads[0],),
+                             seed=4, ratios=(0.5, 0.25, 0.25))
+        save_split(split, tmp_path / "split")
+        loaded = load_split(tmp_path / "split", threads)
+        assert loaded == split
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(parts=st.tuples(*(_fuzz_manifest_part(part) for part in ("train", "dev", "test"))))
+    def test_fuzzed_manifest_raises_only_documented_errors(self, tmp_path, parts):
+        directory = tmp_path / "split"
+        directory.mkdir(exist_ok=True)
+        for part, data in zip(("train", "dev", "test"), parts):
+            (directory / f"{part}.ids").write_bytes(data)
+        threads = [make_thread(thread_id) for thread_id in _MANIFEST_IDS]
+        try:
+            load_split(directory, threads)
+        except (ParseError, ValidationError) as exc:
+            match = re.match(rf"{re.escape(str(directory))}/(\w+)\.ids line (\d+): ", str(exc))
+            assert match, str(exc)
+            data = parts[("train", "dev", "test").index(match.group(1))]
+            # A header line the file lacks is named as the line after its last.
+            assert 1 <= int(match.group(2)) <= len(re.split(rb"\r\n|\r|\n", data)) + 1
+
+    @pytest.mark.parametrize("line_no,line", [
+        (1, "# rumourlab-split v2"), (2, "13"), (2, "# seed = x"), (2, "# sed = 13"),
+        (3, "0.5,0.25,0.25"), (3, "# ratios = 0.5,0.5"), (4, "# part = dev"), (4, None),
+    ], ids=["version", "bare-seed", "bad-seed", "seed-key", "bare-ratios", "two-ratios",
+            "other-part", "missing"])
+    def test_damaged_header_names_its_line(self, tmp_path, line_no, line):
+        threads = self._threads(6, 6)
+        save_split(split_dataset(threads, (0.5, 0.25, 0.25), seed=13), tmp_path)
+        path = tmp_path / "train.ids"
+        lines = path.read_text(encoding="utf-8").split("\n")[:4]
+        lines[line_no - 1:] = [line] if line is not None else []
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = f"{path} line {line_no}: bad header {line or ''!r}"
+        with pytest.raises(ParseError) as info:
+            load_split(tmp_path, threads)
+        assert str(info.value) == message
 
     def test_manifest_round_trip(self, tmp_path):
         threads = self._threads(6, 6)

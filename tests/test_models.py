@@ -288,6 +288,8 @@ RANGE_CASES = [
     ("drop_edge_rate", 1.0), ("vocab_cap", 3), ("embed_dim", 0), ("hidden_dim", 0),
     ("perceptron_dim", 0), ("max_len", 0), ("tfidf_top_k", 0), ("bigcn_hidden_dim", 0),
     ("bigcn_out_dim", 0), ("classic_lr", float("inf")),
+    ("dataset", "d#1.jsonl"), ("dataset", "a\nb.jsonl"), ("dataset", "a\rb.jsonl"),
+    ("dataset", " d.jsonl"),
 ]
 
 
