@@ -134,6 +134,12 @@ def majority_vote(runs: Sequence[Sequence[str]]) -> list[str]:
     return voted
 
 
+def _vote(outputs: Sequence[tuple[list[str], np.ndarray]]) -> tuple[list[str], np.ndarray]:
+    """Majority label and mean score per example over per-seed (labels, scores)."""
+    scores = np.stack([np.asarray(run_scores, dtype=float) for _, run_scores in outputs])
+    return majority_vote([labels for labels, _ in outputs]), scores.mean(axis=0)
+
+
 def report_to_text(report: Report) -> str:
     lines = [
         f"# {REPORT_FORMAT_VERSION}",
@@ -283,8 +289,7 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     note(f"run dir {run_dir}: train={len(split.train)} dev={len(split.dev)} "
          f"test={len(split.test)}")
     train_y = [t.label for t in split.train]
-    seed_predictions: list[list[str]] = []
-    seed_scores: list[np.ndarray] = []
+    outputs = []
     for seed in config.seeds:
         if model is not None:
             result = stage(f"fit seed {seed}", lambda: fit(model, train, dev, config, seed))
@@ -303,16 +308,14 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
             labels, scores = predict_classic(classic, test)
             summary = f"dev accuracy {dev_accuracy:.3f}"
         (run_dir / f"history_seed{seed}.txt").write_text(history, encoding="utf-8")
-        seed_predictions.append(labels)
-        seed_scores.append(np.asarray(scores, dtype=float))
+        outputs.append((labels, scores))
         note(f"seed {seed}: {summary}")
 
-    voted = majority_vote(seed_predictions)
+    voted, mean_scores = _vote(outputs)
     report = compute_report(voted, [t.label for t in split.test], model=config.model,
                             config_digest=config.digest(), seeds=config.seeds)
     (run_dir / "report.txt").write_text(report_to_text(report), encoding="utf-8")
     (run_dir / "metrics.txt").write_text(metrics_to_text(report), encoding="utf-8")
-    mean_scores = np.mean(np.stack(seed_scores), axis=0)
     lines = [
         f"{thread.id}\t{label}\t{score:.6g}"
         for thread, label, score in zip(split.test, voted, mean_scores)
@@ -365,8 +368,7 @@ class RunPredictor:
         if self.model is None:
             return _load_classic(self.config.model, self.run_dir, seed)
         arrays = load_checkpoint(self.run_dir / f"ckpt_seed{seed}.txt")
-        return {name: Tensor(values, requires_grad=True, name=name)
-                for name, values in arrays.items()}
+        return {name: Tensor(values) for name, values in arrays.items()}
 
     def predict(self, threads: Sequence[Thread]) -> tuple[list[str], np.ndarray]:
         data = _prepare(self.config, self.model, self.features, threads)
@@ -375,6 +377,4 @@ class RunPredictor:
         else:
             outputs = [predict_threads(self.model, payload, data)
                        for payload in self.seed_params]
-        voted = majority_vote([labels for labels, _ in outputs])
-        scores = [np.asarray(run_scores, dtype=float) for _, run_scores in outputs]
-        return voted, np.mean(np.stack(scores), axis=0)
+        return _vote(outputs)

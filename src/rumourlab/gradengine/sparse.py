@@ -28,10 +28,6 @@ class SparseMatrix:
         ):
             raise ValidationError("sparse matrix entry outside declared shape")
 
-    @property
-    def nnz(self) -> int:
-        return len(self.vals)
-
     def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
         if dense.shape[0] != self.shape[1]:
             raise ValidationError(

@@ -397,9 +397,12 @@ def _header_value(line: str, key: str) -> str:
 
 def load_split(directory, threads: Sequence[Thread]) -> DatasetSplit:
     """Rebuild a DatasetSplit from a manifest directory and the thread pool;
-    each part holds version, seed, ratios and part lines, then ids verbatim."""
+    each part holds version, seed, ratios and part lines, then ids verbatim.
+    Every part repeats the first part's seed and ratios lines, and no id
+    is listed twice."""
     directory = Path(directory)
     by_id = {thread.id: thread for thread in threads}
+    listed: dict[str, tuple[Path, int]] = {}
     parts: dict[str, tuple[Thread, ...]] = {}
     for name in SPLIT_PARTS:
         path = directory / f"{name}.ids"
@@ -422,8 +425,19 @@ def load_split(directory, threads: Sequence[Thread]) -> DatasetSplit:
                 raise ValueError
         except ValueError:
             raise ParseError(f"{path} line {line_no}: bad header {header[line_no - 1]!r}") from None
+        if not parts:
+            first_path, first_header = path, header
+        for line_no in (2, 3):
+            if header[line_no - 1] != first_header[line_no - 1]:
+                raise ValidationError(f"{path} line {line_no}: {header[line_no - 1]!r} "
+                                      f"differs from {first_path} line {line_no}")
         for line_no, thread_id in enumerate(lines[4:], start=5):
             if thread_id not in by_id:
                 raise ValidationError(f"{path} line {line_no}: unknown thread id {thread_id!r}")
+            if thread_id in listed:
+                seen_path, seen_line = listed[thread_id]
+                raise ValidationError(f"{path} line {line_no}: thread id {thread_id!r} "
+                                      f"already listed in {seen_path} line {seen_line}")
+            listed[thread_id] = (path, line_no)
         parts[name] = tuple(by_id[i] for i in lines[4:])
     return DatasetSplit(**parts, seed=seed, ratios=ratios)

@@ -292,7 +292,7 @@ def predict_classic(model: ClassicModel, features: np.ndarray) -> tuple[list[str
             )
         z = model.standardizer.transform(x) @ model.weights + model.bias
         if model.kind == "logreg":
-            scores = 1.0 / (1.0 + np.exp(-z))
+            scores = sigmoid(Tensor(z)).values
             labels = [RUMOUR if s >= 0.5 else NONRUMOUR for s in scores]
         else:
             scores = z

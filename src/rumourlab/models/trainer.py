@@ -46,19 +46,24 @@ def _batch_indices(n: int, batch_size: int,
     return [index[at:at + batch_size] for at in range(0, n, batch_size)]
 
 
+def _score(model, params: dict[str, Tensor], data, batch_size: int):
+    """Eval-mode loss, labels and scores per batch of `data`. The model
+    sees constant views of the parameters, so the engine keeps no graph."""
+    constants = {name: Tensor(p.values) for name, p in params.items()}
+    for index in _batch_indices(len(data), batch_size):
+        batch = model.slice(data, index)
+        yield batch, model.loss_and_predictions(constants, batch, train=False)
+
+
 def _evaluate(model, params, data, batch_size: int) -> tuple[float, float]:
     """Weighted-mean loss and accuracy over a dataset, in eval mode."""
     total_loss = 0.0
     correct = 0
-    n = len(data)
-    for index in _batch_indices(n, batch_size):
-        batch = model.slice(data, index)
-        loss, labels, _ = model.loss_and_predictions(params, batch, train=False)
-        total_loss += loss.item() * len(index)
-        truth = batch.targets
+    for batch, (loss, labels, _) in _score(model, params, data, batch_size):
+        total_loss += loss.item() * len(batch)
         predicted = np.array([1 if label == RUMOUR else 0 for label in labels])
-        correct += int((predicted == truth).sum())
-    return total_loss / n, correct / n
+        correct += int((predicted == batch.targets).sum())
+    return total_loss / len(data), correct / len(data)
 
 
 def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -121,10 +126,7 @@ def predict_threads(model, params: dict[str, Tensor], data,
     gradient model."""
     labels: list[str] = []
     scores: list[float] = []
-    for index in _batch_indices(len(data), batch_size):
-        batch = model.slice(data, index)
-        _, batch_labels, batch_scores = model.loss_and_predictions(
-            params, batch, train=False)
+    for _, (_, batch_labels, batch_scores) in _score(model, params, data, batch_size):
         labels.extend(batch_labels)
         scores.extend(batch_scores)
     return labels, np.array(scores)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import RunConfig
 from .evalrun import compute_report
-from .featurize import fit_tfidf, smote_oversample, transform_tfidf
+from .featurize import build_vocabulary, fit_tfidf, smote_oversample, transform_tfidf
 from .gradengine import (
     SparseMatrix,
     Tensor,
@@ -35,8 +35,7 @@ from .gradengine import (
 from .ingest import NONRUMOUR, RUMOUR
 from .models import BiGcnModel, LstmModel
 from .models.data import thread_docs, tweet_docs
-from .featurize import build_vocabulary
-from .proptree import drop_edge, to_graph_batch
+from .proptree import build_tree, drop_edge, to_graph_batch
 from .analyze import score_sentiment
 from .synthetic import make_planted_threads
 
@@ -104,17 +103,18 @@ def check_primitive_gradients(seed: int = 7) -> float:
     return worst
 
 
-def _toy_threads(n=8, seed=3):
-    return make_planted_threads(n_threads=n, rumour_rate=0.5, seed=seed, max_replies=2)
-
-
-def check_lstm_gradients(seed: int = 11) -> float:
-    threads = _toy_threads()
-    vocab = build_vocabulary(thread_docs(threads), cap=60)
-    model = LstmModel(RunConfig(vocab_cap=100, embed_dim=5, hidden_dim=6,
-                                perceptron_dim=4, max_len=12), vocab)
-    rng = np.random.default_rng(seed)
-    params = model.init_params(rng)
+def check_model_gradients(kind: str, seed: int) -> float:
+    """Finite-difference check of a full LSTM or Bi-GCN loss on toy threads."""
+    threads = make_planted_threads(n_threads=8, rumour_rate=0.5, seed=3, max_replies=2)
+    if kind == "lstm":
+        model = LstmModel(RunConfig(vocab_cap=100, embed_dim=5, hidden_dim=6,
+                                    perceptron_dim=4, max_len=12),
+                          build_vocabulary(thread_docs(threads), cap=60))
+    else:
+        model = BiGcnModel(RunConfig(bigcn_hidden_dim=5, bigcn_out_dim=4,
+                                     drop_edge_rate=0.0),
+                           fit_tfidf(tweet_docs(threads), top_k=40))
+    params = model.init_params(np.random.default_rng(seed))
     data = model.prepare(threads)
 
     def loss_fn(p):
@@ -123,26 +123,7 @@ def check_lstm_gradients(seed: int = 11) -> float:
 
     error = grad_check(loss_fn, params, eps=1e-5, max_coords_per_param=4, seed=seed)
     if error >= GRAD_TOLERANCE:
-        raise AssertionError(f"lstm gradient error {error:.2e}")
-    return error
-
-
-def check_bigcn_gradients(seed: int = 13) -> float:
-    threads = _toy_threads()
-    tfidf = fit_tfidf(tweet_docs(threads), top_k=40)
-    model = BiGcnModel(RunConfig(bigcn_hidden_dim=5, bigcn_out_dim=4,
-                                 drop_edge_rate=0.0), tfidf)
-    rng = np.random.default_rng(seed)
-    params = model.init_params(rng)
-    data = model.prepare(threads)
-
-    def loss_fn(p):
-        loss, _, _ = model.loss_and_predictions(p, data, train=False)
-        return loss
-
-    error = grad_check(loss_fn, params, eps=1e-5, max_coords_per_param=4, seed=seed)
-    if error >= GRAD_TOLERANCE:
-        raise AssertionError(f"bigcn gradient error {error:.2e}")
+        raise AssertionError(f"{kind} gradient error {error:.2e}")
     return error
 
 
@@ -220,8 +201,6 @@ def check_smote_convexity(seed: int = 19) -> None:
 def check_dropedge_stats(seed: int = 23) -> None:
     threads = make_planted_threads(n_threads=40, seed=seed, max_replies=3)
     tfidf = fit_tfidf(tweet_docs(threads), top_k=30)
-    from .proptree import build_tree
-
     trees = [build_tree(t, tfidf) for t in threads]
     batch = to_graph_batch(trees, tfidf.vocab.content_size)
     if len(batch.td_edges) == 0:
@@ -250,8 +229,8 @@ def check_sentiment_bounds(seed: int = 29) -> None:
 def run_selftest(emit=print) -> int:
     suites = [
         ("primitive gradients", check_primitive_gradients),
-        ("lstm gradients", check_lstm_gradients),
-        ("bigcn gradients", check_bigcn_gradients),
+        ("lstm gradients", lambda: check_model_gradients("lstm", seed=11)),
+        ("bigcn gradients", lambda: check_model_gradients("bigcn", seed=13)),
         ("tfidf oracle", check_tfidf_oracle),
         ("metrics oracle", check_metrics_oracle),
         ("smote convexity", check_smote_convexity),

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rumourlab
 from rumourlab.cli import main
 from rumourlab.ingest import save_tweets
 from rumourlab.synthetic import make_planted_records
@@ -194,6 +199,38 @@ class TestTrainPredictEvaluate:
         (run_b,) = list((tmp_path / "b").iterdir())
         assert (run_a / "ckpt_seed1.txt").read_bytes() == \
             (run_b / "ckpt_seed1.txt").read_bytes()
+
+    def test_run_files_do_not_depend_on_blas_threads(self, tmp_path, monkeypatch):
+        """The same training at one and two BLAS threads writes the same
+        bytes. The TF-IDF logreg on a bench corpus is wide enough for
+        OpenBLAS to split its products across threads."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import corpus
+
+        shape = corpus.CorpusShape(
+            labeled_threads=240, unlabeled_threads=1, rumour_rate=0.2, reply_cap=60,
+            reply_tail=1.5, reply_scale=4.0, chain_prob=0.3, months=6)
+        data = tmp_path / "labeled.jsonl"
+        corpus.generate(shape, 4, data, tmp_path / "unlabeled.jsonl")
+        source = str(Path(rumourlab.__file__).resolve().parent.parent)
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "rumourlab.cli", "train", "--data", str(data),
+                 "--model", "logreg", "--out-dir", str(out), "--set", "features = both",
+                 "--set", "tfidf_top_k = 4000", "--set", "smote = true",
+                 "--set", "seeds = 1", "--set", "classic_iters = 5"],
+                env=env, check=True, capture_output=True)
+            (run_dir,) = out.iterdir()
+            runs.append({p.relative_to(run_dir): p.read_bytes()
+                         for p in sorted(run_dir.rglob("*")) if p.is_file()})
+        assert Path("ckpt_seed1.txt") in runs[0]
+        differing = sorted(str(name) for name in runs[0].keys() | runs[1].keys()
+                           if runs[0].get(name) != runs[1].get(name))
+        assert differing == []
 
     def test_predict_one_line_per_thread(self, trained_run, unlabeled_file, capsys):
         assert main(["predict", "--run", str(trained_run),

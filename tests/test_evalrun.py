@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rumourlab import evalrun
 from rumourlab.config import RunConfig, load_config, parse_config_text
 from rumourlab.errors import ParseError, ValidationError
 from rumourlab.evalrun import (
@@ -18,6 +19,7 @@ from rumourlab.evalrun import (
     run_experiment,
 )
 from rumourlab.ingest import save_tweets
+from rumourlab.models import BiGcnModel, LstmModel
 from rumourlab.synthetic import make_planted_records
 
 
@@ -331,3 +333,53 @@ class TestRunExperiment:
                            out_dir=str(tmp_path / "runs"))
         with pytest.raises(UnicodeDecodeError, match="invalid start byte"):
             run_experiment(config)
+
+
+class TestEvaluationOnConstants:
+    """Eval-mode passes score constant views of the parameters, so the
+    engine builds no backward graph for them."""
+
+    SIZES = {
+        "lstm": dict(vocab_cap=200, embed_dim=4, hidden_dim=4, perceptron_dim=4,
+                     max_len=16),
+        "bigcn": dict(tfidf_top_k=100, bigcn_hidden_dim=4, bigcn_out_dim=4),
+    }
+
+    @pytest.mark.parametrize("model", ["lstm", "bigcn"])
+    def test_eval_calls_receive_untracked_parameters(self, planted_file, tmp_path,
+                                                     monkeypatch, model):
+        calls = []  # (caller stack, train, requires_grad of each parameter)
+        callers = []
+
+        def within(name, fn):
+            def wrapped(*args, **kwargs):
+                callers.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    callers.pop()
+            return wrapped
+
+        for cls in (LstmModel, BiGcnModel):
+            def recorded(self, params, batch, train, rng=None,
+                         _original=cls.loss_and_predictions):
+                calls.append((tuple(callers), train,
+                              {p.requires_grad for p in params.values()}))
+                return _original(self, params, batch, train=train, rng=rng)
+            monkeypatch.setattr(cls, "loss_and_predictions", recorded)
+        monkeypatch.setattr(evalrun, "fit", within("fit", evalrun.fit))
+        monkeypatch.setattr(evalrun, "predict_threads",
+                            within("predict_threads", evalrun.predict_threads))
+        monkeypatch.setattr(RunPredictor, "predict", within("predict", RunPredictor.predict))
+
+        config = RunConfig(dataset=str(planted_file), model=model,
+                           out_dir=str(tmp_path / "runs"), seeds=(1, 2), max_epochs=2,
+                           **self.SIZES[model])
+        result = run_experiment(config)
+        RunPredictor(result.run_dir).predict(result.split.test)
+
+        eval_callers = {stack for stack, train, _ in calls if not train}
+        assert eval_callers == {("fit",), ("predict_threads",),
+                                ("predict", "predict_threads")}
+        for stack, train, tracked in calls:
+            assert tracked == {train}, (stack, train)

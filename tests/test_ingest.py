@@ -406,6 +406,30 @@ class TestSplitDataset:
             load_split(tmp_path, threads)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("part,edit,line_no,message", [
+        ("train", "repeat", None, "thread id {id!r} already listed in {train} line 5"),
+        ("test", "repeat", None, "thread id {id!r} already listed in {train} line 5"),
+        ("dev", 1, 2, "'# seed = 99' differs from {train} line 2"),
+        ("test", 2, 3, "'# ratios = 0.6,0.2,0.2' differs from {train} line 3"),
+    ], ids=["twice-in-train", "train-and-test", "dev-seed", "test-ratios"])
+    def test_inconsistent_manifest_names_its_line(self, tmp_path, part, edit, line_no,
+                                                   message):
+        threads = self._threads(6, 6)
+        split = split_dataset(threads, (0.5, 0.25, 0.25), seed=13)
+        save_split(split, tmp_path)
+        path = tmp_path / f"{part}.ids"
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        if edit == "repeat":
+            lines.append(split.train[0].id)
+            line_no = len(lines)
+        else:
+            lines[edit] = ["# seed = 99", "# ratios = 0.6,0.2,0.2"][edit - 1]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = message.format(id=split.train[0].id, train=tmp_path / "train.ids")
+        with pytest.raises(ValidationError) as info:
+            load_split(tmp_path, threads)
+        assert str(info.value) == f"{path} line {line_no}: {expected}"
+
     def test_manifest_round_trip(self, tmp_path):
         threads = self._threads(6, 6)
         split = split_dataset(threads, (0.5, 0.25, 0.25), seed=9)

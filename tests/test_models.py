@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from rumourlab import config as config_module
 from rumourlab.config import RunConfig
 from rumourlab.errors import ParseError, ValidationError
-from rumourlab.featurize import build_vocabulary, fit_tfidf
+from rumourlab.featurize import Standardizer, build_vocabulary, fit_tfidf
 from rumourlab.gradengine import Tensor, parameter
 from rumourlab.models import (
     BiGcnModel,
+    ClassicModel,
     LstmModel,
     fit,
     forest_from_text,
@@ -317,6 +318,14 @@ class TestTrainClassic:
                             standardizer=model.standardizer)
         _, scores = predict_classic(model, x)
         assert np.allclose(scores, 0.5)
+
+    def test_logreg_extreme_margin_scores_without_overflow(self):
+        # A margin of -2000 once overflowed exp(-z) (a RuntimeWarning).
+        model = ClassicModel(kind="logreg", weights=np.array([2.0]), bias=0.0,
+                             standardizer=Standardizer(mean=np.zeros(1), std=np.ones(1)))
+        labels, scores = predict_classic(model, np.array([[-1000.0], [0.0], [1000.0]]))
+        assert labels == ["nonrumour", "rumour", "rumour"]
+        assert scores.tolist() == [0.0, 0.5, 1.0]
 
     def test_svm_converges_on_margin_data(self):
         # Ten points at fixed distance from the separating plane.
