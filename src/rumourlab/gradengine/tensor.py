@@ -158,9 +158,14 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.values, 0.0), (x,), _back)
 
 
+def _sigmoid_values(v: np.ndarray) -> np.ndarray:
+    """The logistic function; exp only ever sees -|v|, so it cannot overflow."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    v = x.values
-    values = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    values = _sigmoid_values(x.values)
 
     def _back(grad):
         _accumulate(x, grad * values * (1.0 - values))
@@ -173,6 +178,60 @@ def tanh(x: Tensor) -> Tensor:
     def _back(grad):
         _accumulate(x, grad * (1.0 - values * values))
     return _node(values, (x,), _back)
+
+
+def lstm_sequence(inputs: Tensor, w_h: Tensor, mask: np.ndarray) -> Tensor:
+    """Final hidden state (batch, H) of a masked LSTM recurrence, as one node.
+
+    inputs holds every step's input projection plus bias, one row per
+    (example, step) in row-major order, gate columns in the order i, f, o,
+    c; w_h is (H, 4H). A masked step carries both states unchanged.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    keep = 1.0 - mask
+    batch, steps = mask.shape
+    size = w_h.shape[0]
+    if w_h.shape != (size, 4 * size) or inputs.shape != (batch * steps, 4 * size):
+        raise ValidationError(f"lstm_sequence: inputs {inputs.shape}, w_h {w_h.shape} "
+                              f"and mask {mask.shape} incompatible")
+    xs = inputs.values.reshape(batch, steps, 4 * size)
+    # hs[t] and cs[t] are the states entering step t (hs[steps] is the
+    # output); acts[t] holds its gate activations, tanh_c[t] tanh(new cell).
+    hs, cs = np.zeros((2, steps + 1, batch, size))
+    acts = np.empty((steps, batch, 4 * size))
+    tanh_c = np.empty((steps, batch, size))
+    for t in range(steps):
+        pre = xs[:, t] + hs[t] @ w_h.values
+        acts[t, :, :3 * size] = _sigmoid_values(pre[:, :3 * size])
+        np.tanh(pre[:, 3 * size:], out=acts[t, :, 3 * size:])
+        i, f, o, g = acts[t].reshape(batch, 4, size).transpose(1, 0, 2)
+        new_c = f * cs[t] + i * g
+        np.tanh(new_c, out=tanh_c[t])
+        m, k = mask[:, t:t + 1], keep[:, t:t + 1]
+        cs[t + 1] = new_c * m + cs[t] * k
+        hs[t + 1] = (o * tanh_c[t]) * m + hs[t] * k
+
+    def _back(grad):
+        # Gate slopes of every step at once: a(1 - a) for sigmoid, 1 - a² for tanh.
+        slopes = acts * (1.0 - acts)
+        slopes[..., 3 * size:] = 1.0 - acts[..., 3 * size:] * acts[..., 3 * size:]
+        d_pre = np.empty_like(acts)
+        dh, dc = grad, np.zeros((batch, size))
+        for t in reversed(range(steps)):
+            m, k = mask[:, t:t + 1], keep[:, t:t + 1]
+            i, f, o, g = acts[t].reshape(batch, 4, size).transpose(1, 0, 2)
+            dh_new = dh * m
+            dc_new = dc * m + dh_new * o * (1.0 - tanh_c[t] * tanh_c[t])
+            np.concatenate([dc_new * g, dc_new * cs[t], dh_new * tanh_c[t], dc_new * i],
+                           axis=1, out=d_pre[t])
+            d_pre[t] *= slopes[t]
+            dc = dc_new * f + dc * k
+            dh = d_pre[t] @ w_h.values.T + dh * k
+        if inputs.requires_grad:
+            _accumulate(inputs, d_pre.transpose(1, 0, 2).reshape(inputs.shape))
+        if w_h.requires_grad:
+            _accumulate(w_h, hs[:-1].reshape(-1, size).T @ d_pre.reshape(-1, 4 * size))
+    return _node(hs[steps], (inputs, w_h), _back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -271,7 +330,7 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
-    """Children-first ordering, iterative to cope with deep LSTM graphs."""
+    """Children-first ordering, iterative so deep graphs cannot hit the recursion limit."""
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]

@@ -1,7 +1,9 @@
 """Sequence classifier: embedding, one masked LSTM layer, a relu
 perceptron layer, and a sigmoid rumour-probability output.
 
-Masked timesteps propagate both the hidden and cell state unchanged, so
+Every step's input projection is one product (Appleyard et al.,
+arXiv:1604.01946) and the recurrence is one lstm_sequence node. Masked
+timesteps propagate both the hidden and cell state unchanged, so
 appending padding to an example never alters its output.
 """
 
@@ -18,13 +20,14 @@ from ..featurize import Vocabulary
 from ..gradengine import (
     Tensor,
     bce_loss,
+    concat,
     gather_rows,
+    lstm_sequence,
     mask_mul,
     matmul,
     parameter,
     relu,
     sigmoid,
-    tanh,
 )
 from ..ingest import NONRUMOUR, RUMOUR, Thread
 from .data import labels01, lstm_inputs
@@ -97,23 +100,12 @@ class LstmModel:
             raise ValidationError(
                 f"token id {ids.max()} out of range for vocabulary of {vocab_rows}"
             )
-        batch, steps = ids.shape
-        hidden = Tensor(np.zeros((batch, self.config.hidden_dim)))
-        cell = Tensor(np.zeros((batch, self.config.hidden_dim)))
         # Steps past every row's prefix leave the state untouched; skip them.
-        last_active = int(mask.sum(axis=1).max()) if batch else 0
-        for t in range(last_active):
-            x = gather_rows(params["embed"], ids[:, t])
-            gates = {}
-            for gate in GATES:
-                pre = matmul(x, params[f"w_x{gate}"]) \
-                    + matmul(hidden, params[f"w_h{gate}"]) + params[f"b_{gate}"]
-                gates[gate] = tanh(pre) if gate == "c" else sigmoid(pre)
-            new_cell = gates["f"] * cell + gates["i"] * gates["c"]
-            new_hidden = gates["o"] * tanh(new_cell)
-            step_mask = mask[:, t:t + 1]
-            cell = mask_mul(new_cell, step_mask) + mask_mul(cell, 1.0 - step_mask)
-            hidden = mask_mul(new_hidden, step_mask) + mask_mul(hidden, 1.0 - step_mask)
+        steps = int(mask.sum(axis=1).max()) if len(ids) else 0
+        x = gather_rows(params["embed"], ids[:, :steps].reshape(-1))
+        w_x, w_h, bias = (concat([params[f"{name}{gate}"] for gate in GATES], axis=1)
+                          for name in ("w_x", "w_h", "b_"))
+        hidden = lstm_sequence(matmul(x, w_x) + bias, w_h, mask[:, :steps])
         z = relu(matmul(hidden, params["w_perc"]) + params["b_perc"])
         if train and self.config.dropout > 0.0:
             keep = 1.0 - self.config.dropout

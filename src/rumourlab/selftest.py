@@ -19,6 +19,7 @@ from .gradengine import (
     gather_rows,
     grad_check,
     hinge_loss,
+    lstm_sequence,
     mask_mul,
     matmul,
     mean_all,
@@ -68,6 +69,11 @@ def _primitive_cases(rng):
     emb_weight = rng.normal(size=(4, 3))
     proj = m.values[:, :1].copy()
     ce_weights = np.array([1.0, 2.0, 0.5, 1.5])
+    # Four steps, two hidden units; rows: full, ending after step 1, empty, gapped.
+    gate_inputs = parameter(rng.normal(size=(16, 8)), "gate_inputs")
+    w_h = parameter(rng.normal(size=(2, 8)), "w_h")
+    seq_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 0], [1, 0, 1, 1]], dtype=float)
+    seq_weight = rng.normal(size=(4, 2))
     cases = {
         "add": ({"a": a, "b": b}, lambda p: sum_all(p["a"] + p["b"])),
         "mul": ({"a": a, "b": b}, lambda p: sum_all(p["a"] * p["b"])),
@@ -82,6 +88,8 @@ def _primitive_cases(rng):
         "segment_mean": ({"a": a}, lambda p: sum_all(segment_mean(p["a"], segments, 2) * seg_weight)),
         "embedding": ({"table": table}, lambda p: sum_all(gather_rows(p["table"], ids) * emb_weight)),
         "mask_mul": ({"a": a}, lambda p: sum_all(mask_mul(p["a"], mask))),
+        "lstm_sequence": ({"gate_inputs": gate_inputs, "w_h": w_h}, lambda p: sum_all(
+            lstm_sequence(p["gate_inputs"], p["w_h"], seq_mask) * seq_weight)),
         "mean": ({"a": a}, lambda p: mean_all(p["a"] * p["a"])),
         "bce": ({"a": a}, lambda p: bce_loss(sigmoid(matmul(p["a"], Tensor(proj))), targets01)),
         "weighted_ce": ({"a": a}, lambda p: weighted_ce_loss(

@@ -2,16 +2,20 @@
 through the four analysis kinds and a TF-IDF train, predict and evaluate
 through the command line, so the generator keeps producing input the
 program accepts. Traced LSTM, Bi-GCN and SVM runs check that the tracer
-still sees the pipeline's functions and every engine primitive, and that
-each split is prepared once."""
+still sees the pipeline's functions and every engine primitive the
+models hold, and that each split is prepared once."""
 
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import rumourlab
 from rumourlab import evalrun
 from rumourlab.cli import main
 from rumourlab.config import RunConfig
+from rumourlab.gradengine import losses, tensor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -109,8 +113,17 @@ def test_traced_bigcn_run_sees_graph_batching(generated, tmp_path):
 
 def test_traced_runs_see_every_engine_primitive(generated, tmp_path):
     """gradengine.op_calls counts the primitives by name, so each must
-    still be called through the module attribute the tracer patches."""
+    stay an engine attribute the tracer can patch, and every model module
+    must call the ones it holds through that attribute."""
     import tracer as tracing
+
+    held = set()
+    for info in pkgutil.walk_packages(rumourlab.__path__, "rumourlab."):
+        if info.name.startswith("rumourlab.gradengine") or info.name == "rumourlab.selftest":
+            continue
+        module = importlib.import_module(info.name)
+        held |= {name for name in tracing.PRIMITIVES if hasattr(module, name)}
+    assert all(hasattr(tensor, name) or hasattr(losses, name) for name in tracing.PRIMITIVES)
 
     _, labeled, _ = generated
     common = dict(dataset=str(labeled), out_dir=str(tmp_path / "runs"), max_epochs=1)
@@ -123,7 +136,7 @@ def test_traced_runs_see_every_engine_primitive(generated, tmp_path):
         RunConfig(model="svm", features="tfidf", class_weights=False, svm_iters=3, **common),
     )
     names = {span[0] for span in tracer.spans}
-    assert {f"gradengine.{name}" for name in tracing.PRIMITIVES} <= names
+    assert {f"gradengine.{name}" for name in held} <= names
     # The note hooks read train_classic's kind and fit's train data by
     # position; a signature change would rename or blank these counters.
     assert tracer.counts["classic.train_svm_s"] > 0

@@ -200,18 +200,28 @@ class TestTrainPredictEvaluate:
         assert (run_a / "ckpt_seed1.txt").read_bytes() == \
             (run_b / "ckpt_seed1.txt").read_bytes()
 
-    def test_run_files_do_not_depend_on_blas_threads(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("shape, settings", [
+        pytest.param(dict(labeled_threads=240, rumour_rate=0.2, reply_cap=60, reply_tail=1.5,
+                          reply_scale=4.0, chain_prob=0.3, months=6),
+                     ["model = logreg", "features = both", "tfidf_top_k = 4000",
+                      "smote = true", "seeds = 1", "classic_iters = 5"], id="logreg"),
+        pytest.param(dict(labeled_threads=56, rumour_rate=0.5, reply_cap=300, reply_tail=1.2,
+                          reply_scale=20.0, chain_prob=0.4, months=6, vocab_types=100_000,
+                          zipf_exponent=0.8),
+                     ["model = lstm", "seeds = 1", "max_epochs = 1"], id="lstm"),
+    ])
+    def test_run_files_do_not_depend_on_blas_threads(self, tmp_path, monkeypatch, shape,
+                                                     settings):
         """The same training at one and two BLAS threads writes the same
-        bytes. The TF-IDF logreg on a bench corpus is wide enough for
-        OpenBLAS to split its products across threads."""
+        bytes. On bench-shaped corpora the TF-IDF logreg's products and the
+        LSTM's input projection over every step are large enough for
+        OpenBLAS to split them across threads."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import corpus
 
-        shape = corpus.CorpusShape(
-            labeled_threads=240, unlabeled_threads=1, rumour_rate=0.2, reply_cap=60,
-            reply_tail=1.5, reply_scale=4.0, chain_prob=0.3, months=6)
         data = tmp_path / "labeled.jsonl"
-        corpus.generate(shape, 4, data, tmp_path / "unlabeled.jsonl")
+        corpus.generate(corpus.CorpusShape(unlabeled_threads=1, **shape), 4, data,
+                        tmp_path / "unlabeled.jsonl")
         source = str(Path(rumourlab.__file__).resolve().parent.parent)
         runs = []
         for threads in ("1", "2"):
@@ -220,9 +230,7 @@ class TestTrainPredictEvaluate:
             out = tmp_path / f"threads{threads}"
             subprocess.run(
                 [sys.executable, "-m", "rumourlab.cli", "train", "--data", str(data),
-                 "--model", "logreg", "--out-dir", str(out), "--set", "features = both",
-                 "--set", "tfidf_top_k = 4000", "--set", "smote = true",
-                 "--set", "seeds = 1", "--set", "classic_iters = 5"],
+                 "--out-dir", str(out)] + [arg for line in settings for arg in ("--set", line)],
                 env=env, check=True, capture_output=True)
             (run_dir,) = out.iterdir()
             runs.append({p.relative_to(run_dir): p.read_bytes()

@@ -7,7 +7,20 @@ from rumourlab import config as config_module
 from rumourlab.config import RunConfig
 from rumourlab.errors import ParseError, ValidationError
 from rumourlab.featurize import Standardizer, build_vocabulary, fit_tfidf
-from rumourlab.gradengine import Tensor, parameter
+from rumourlab.gradengine import (
+    Tensor,
+    backward,
+    collect_grads,
+    gather_rows,
+    mask_mul,
+    matmul,
+    parameter,
+    relu,
+    sigmoid,
+    sum_all,
+    tanh,
+    zero_grads,
+)
 from rumourlab.models import (
     BiGcnModel,
     ClassicModel,
@@ -20,6 +33,7 @@ from rumourlab.models import (
     train_classic,
 )
 from rumourlab.models.data import thread_docs, tweet_docs
+from rumourlab.models.lstm import GATES
 from rumourlab.proptree import to_graph_batch
 from rumourlab.synthetic import make_planted_threads
 
@@ -94,6 +108,91 @@ class TestLstm:
                                     perceptron_dim=3, max_len=8), vocab)
         with pytest.raises(ValidationError, match="vocab_cap"):
             model.init_params(np.random.default_rng(0))
+
+
+def per_step_forward(model, params, ids, mask):
+    """The LSTM as a graph of engine primitives, about 30 nodes per step:
+    the reference the one-node recurrence is checked against."""
+    batch = len(ids)
+    hidden = Tensor(np.zeros((batch, model.config.hidden_dim)))
+    cell = Tensor(np.zeros((batch, model.config.hidden_dim)))
+    for t in range(int(mask.sum(axis=1).max()) if batch else 0):
+        x = gather_rows(params["embed"], ids[:, t])
+        gates = {}
+        for gate in GATES:
+            pre = matmul(x, params[f"w_x{gate}"]) \
+                + matmul(hidden, params[f"w_h{gate}"]) + params[f"b_{gate}"]
+            gates[gate] = tanh(pre) if gate == "c" else sigmoid(pre)
+        new_cell = gates["f"] * cell + gates["i"] * gates["c"]
+        new_hidden = gates["o"] * tanh(new_cell)
+        step_mask = mask[:, t:t + 1]
+        cell = mask_mul(new_cell, step_mask) + mask_mul(cell, 1.0 - step_mask)
+        hidden = mask_mul(new_hidden, step_mask) + mask_mul(hidden, 1.0 - step_mask)
+    z = relu(matmul(hidden, params["w_perc"]) + params["b_perc"])
+    return sigmoid(matmul(z, params["w_out"]) + params["b_out"])
+
+
+@pytest.fixture(scope="module")
+def default_lstm(toy_threads):
+    """Default sizes, every parameter moved off its initial value."""
+    vocab = build_vocabulary(thread_docs(toy_threads), cap=80)
+    model = LstmModel(RunConfig(), vocab)
+    rng = np.random.default_rng(5)
+    params = model.init_params(rng)
+    for p in params.values():
+        p.values += rng.normal(scale=0.1, size=p.shape)
+    return model, params
+
+
+def _batch(model, lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, model.vocab.size, size=(len(lengths), model.config.max_len))
+    mask = (np.arange(model.config.max_len) < np.array(lengths)[:, None]).astype(float)
+    return ids, mask
+
+
+def _probs_and_grads(forward, params, weights):
+    zero_grads(params.values())
+    probs = forward()
+    backward(sum_all(probs * Tensor(weights)))
+    return probs.values, collect_grads(params)
+
+
+class TestLstmMatchesPerStepGraph:
+    @pytest.mark.parametrize("lengths", [
+        [128, 1, 0, 77, 5, 128, 30, 64],
+        [40, 3, 0, 17],
+        [0, 0, 0],
+    ], ids=["ragged", "prefix-shorter-than-max-len", "no-active-step"])
+    def test_probabilities_and_gradients_agree(self, default_lstm, lengths):
+        model, params = default_lstm
+        ids, mask = _batch(model, lengths)
+        weights = np.random.default_rng(1).normal(size=(len(lengths), 1))
+        probs, grads = _probs_and_grads(
+            lambda: model.forward(params, ids, mask), params, weights)
+        want_probs, want_grads = _probs_and_grads(
+            lambda: per_step_forward(model, params, ids, mask), params, weights)
+        assert np.abs(probs - want_probs).max() <= 1e-10 * np.abs(want_probs).max()
+        assert grads.keys() == want_grads.keys() == params.keys()
+        for name, want in want_grads.items():
+            assert np.abs(grads[name] - want).max() <= 1e-10 * np.abs(want).max(), name
+
+    def test_no_active_step_gives_bias_constant(self, default_lstm):
+        model, params = default_lstm
+        ids, mask = _batch(model, [0, 0, 0])
+        z = np.maximum(params["b_perc"].values, 0.0) @ params["w_out"].values \
+            + params["b_out"].values
+        out = model.forward(params, ids, mask).values
+        np.testing.assert_allclose(out, np.repeat(1.0 / (1.0 + np.exp(-z)), 3, axis=0),
+                                   rtol=1e-12)
+
+    def test_constant_parameters_track_nothing(self, default_lstm):
+        model, params = default_lstm
+        ids, mask = _batch(model, [128, 1, 0, 40])
+        constants = {name: Tensor(p.values) for name, p in params.items()}
+        out = model.forward(constants, ids, mask)
+        assert not out.requires_grad and out._parents == ()
+        assert np.array_equal(out.values, model.forward(params, ids, mask).values)
 
 
 @pytest.fixture(scope="module")
