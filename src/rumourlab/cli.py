@@ -3,8 +3,8 @@
 Subcommands: ingest, stats, build-trees, train, evaluate, predict,
 analyze, selftest. Progress and summaries go to stderr; `predict` writes
 its tab-separated label stream to stdout; everything else lands in
-files. Exit codes: 0 success, 1 validation/usage error, 2 internal
-error.
+files. Exit codes: 0 success, 1 validation/usage error or a path that
+cannot be read or written, 2 internal error.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from .errors import ParseError, ValidationError
 from .evalrun import RunPredictor, compute_report, report_to_text, run_experiment
 from .featurize import fit_tfidf, save_vocabulary
 from .ingest import assemble_threads, load_split, load_tweets, save_split, split_dataset
+from .models import BiGcnModel
 from .models.data import tweet_docs
-from .proptree import build_tree, write_tree_corpus
+from .proptree import write_tree_corpus
 
 
 class UsageError(Exception):
@@ -151,12 +152,7 @@ def _cmd_build_trees(args) -> int:
     tfidf = fit_tfidf(tweet_docs(split.train), config.tfidf_top_k)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    trees = [
-        build_tree(t, tfidf, keep_reply_links=config.keep_reply_links,
-                   raw_counts=config.tree_raw_counts)
-        for t in threads
-    ]
-    write_tree_corpus(trees, out)
+    write_tree_corpus(BiGcnModel(config, tfidf).prepare(threads).trees, out)
     save_vocabulary(tfidf, out.with_suffix(".vocab.txt"), out.with_suffix(".idf.txt"))
     _progress(f"wrote {len(threads)} trees to {out}")
     return 0
@@ -266,7 +262,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (ValidationError, ParseError, FileNotFoundError) as exc:
+    except (ValidationError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure

@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError, read_utf8, split_lines
+from .gradengine.sparse import SparseMatrix
 from .ingest import TweetRecord
 
 PAD_ID = 0
@@ -83,14 +84,16 @@ class SparseVector:
                 raise ValidationError(f"non-finite value at index {index}")
             last = index
 
-    def to_dense(self, size: int) -> np.ndarray:
-        dense = np.zeros(size)
-        for index, value in self.entries:
-            dense[index] = value
-        return dense
 
-    def norm(self) -> float:
-        return math.sqrt(sum(value * value for _, value in self.entries))
+def stack_rows(vectors: Sequence[SparseVector], width: int) -> SparseMatrix:
+    """One `len(vectors)` x `width` matrix whose row r lists the entries
+    of vectors[r] in their order."""
+    entries = [entry for vector in vectors for entry in vector.entries]
+    counts = [len(vector.entries) for vector in vectors]
+    return SparseMatrix(shape=(len(vectors), width),
+                        rows=np.repeat(np.arange(len(vectors)), counts),
+                        cols=np.array([index for index, _ in entries], dtype=int),
+                        vals=np.array([value for _, value in entries], dtype=float))
 
 
 @dataclass(frozen=True)

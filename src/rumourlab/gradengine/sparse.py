@@ -1,7 +1,7 @@
 """Minimal immutable sparse matrix in coordinate form.
 
-Used for normalized adjacency operators; kept deliberately small since
-graph batches at desk scale hold a few thousand nonzeros.
+Holds normalized adjacency operators and stacked TF-IDF rows; kept
+small, since batches at desk scale hold thousands of nonzeros.
 """
 
 from __future__ import annotations

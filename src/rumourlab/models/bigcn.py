@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..config import RunConfig
-from ..errors import ValidationError
 from ..featurize import TfidfModel
 from ..gradengine import (
     Tensor,
@@ -89,16 +88,10 @@ class BiGcnModel:
                 train: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
         """Per-graph class probabilities, columns (rumour, nonrumour)."""
         cfg = self.config
-        if batch.features.shape[1] != self.input_dim:
-            raise ValidationError(
-                f"batch features have {batch.features.shape[1]} columns, "
-                f"model expects {self.input_dim}"
-            )
-        features = Tensor(batch.features)
         root_of_node = batch.root_index[batch.graph_membership]
         pooled = []
         for direction in DIRECTIONS:
-            h1 = relu(spmm(batch.adjacency, matmul(features, params[f"{direction}_w1"])))
+            h1 = relu(spmm(batch.adjacency, spmm(batch.features, params[f"{direction}_w1"])))
             if train and cfg.dropout > 0.0:
                 keep = 1.0 - cfg.dropout
                 h1 = mask_mul(h1, (rng.random(h1.shape) < keep) / keep)

@@ -105,6 +105,7 @@ def _gradient_fit(
     x: np.ndarray,
     labels: list[str],
     config: RunConfig,
+    row_weights: Optional[np.ndarray],
 ) -> tuple[np.ndarray, float]:
     """Shared full-batch loop for logreg (BCE) and svm (hinge + L2)."""
     n, dim = x.shape
@@ -112,10 +113,7 @@ def _gradient_fit(
     b = parameter(np.zeros((1, 1)), "b")
     params = {"w": w, "b": b}
     xt = Tensor(x)
-    sample_weights = None
-    if config.class_weights:
-        per_class = compute_class_weights(labels, classes=(NONRUMOUR, RUMOUR))
-        sample_weights = np.array([per_class[c] for c in labels])[:, None]
+    sample_weights = None if row_weights is None else row_weights[:, None]
     y01 = np.array([1.0 if c == RUMOUR else 0.0 for c in labels])[:, None]
     ypm = 2.0 * y01 - 1.0
     if kind == "logreg":
@@ -251,17 +249,19 @@ def train_classic(
     x_std = standardizer.transform(x)
     if config.smote:
         x_std, labels = smote_balance(x_std, labels, config.smote_k, seed)
+    row_weights = None
+    if config.class_weights:
+        per_class = compute_class_weights(labels, classes=(NONRUMOUR, RUMOUR))
+        row_weights = np.array([per_class[c] for c in labels])
     if kind in ("logreg", "svm"):
-        weights, bias = _gradient_fit(kind, x_std, labels, config)
+        weights, bias = _gradient_fit(kind, x_std, labels, config, row_weights)
         return ClassicModel(kind=kind, weights=weights, bias=bias,
                             standardizer=standardizer)
     # Forest: raw feature values; invert any SMOTE rows back to raw scale.
     x_raw = standardizer.inverse(x_std)
     y = np.array([1 if c == RUMOUR else 0 for c in labels])
-    sample_weights = np.ones(len(labels))
-    if config.class_weights:
-        per_class = compute_class_weights(labels, classes=(NONRUMOUR, RUMOUR))
-        sample_weights = np.array([per_class[c] for c in labels])
+    if row_weights is None:
+        row_weights = np.ones(len(labels))
     n_features = x_raw.shape[1]
     if config.rf_feature_subsample == "sqrt":
         n_candidates = max(1, math.isqrt(n_features))
@@ -272,7 +272,7 @@ def train_classic(
     for _ in range(config.rf_trees):
         rows = rng.integers(0, len(x_raw), size=len(x_raw))
         forest.append(_grow_tree(
-            x_raw[rows], y[rows], sample_weights[rows], rng,
+            x_raw[rows], y[rows], row_weights[rows], rng,
             config.rf_max_depth, n_candidates,
         ))
     return ClassicModel(kind="rf", forest=forest, forest_dim=n_features)

@@ -6,7 +6,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..featurize import HANDCRAFTED_WIDTH, TfidfModel, Vocabulary, extract_handcrafted, transform_tfidf
+from ..featurize import (HANDCRAFTED_WIDTH, TfidfModel, Vocabulary, extract_handcrafted,
+                         stack_rows, transform_tfidf)
 from ..ingest import RUMOUR, Thread
 from ..textproc import normalize, tokenize
 
@@ -58,8 +59,5 @@ def handcrafted_matrix(threads: Sequence[Thread]) -> np.ndarray:
 
 def tfidf_matrix(model: TfidfModel, threads: Sequence[Thread]) -> np.ndarray:
     """Dense unit-norm TF-IDF rows over whole-thread documents."""
-    size = model.vocab.content_size
-    rows = [
-        transform_tfidf(model, doc).to_dense(size) for doc in thread_docs(threads)
-    ]
-    return np.stack(rows) if rows else np.zeros((0, size))
+    rows = [transform_tfidf(model, doc) for doc in thread_docs(threads)]
+    return stack_rows(rows, model.vocab.content_size).to_dense()

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError, read_utf8, split_lines
-from .featurize import SparseVector, TfidfModel, transform_tfidf
+from .featurize import SparseVector, TfidfModel, stack_rows, transform_tfidf
 from .gradengine.sparse import SparseMatrix
 from .ingest import LABELS, Thread
 from .textproc import normalize, tokenize
@@ -188,11 +188,11 @@ def read_tree_corpus(path) -> list[PropTree]:
 
 @dataclass(frozen=True)
 class GraphBatch:
-    """Stacked trees: dense node features, the normalized adjacency
+    """Stacked trees: sparse node features, the normalized adjacency
     operator both directions share, per-node graph membership, and each
     graph's root row."""
 
-    features: np.ndarray
+    features: SparseMatrix
     adjacency: SparseMatrix
     graph_membership: np.ndarray
     root_index: np.ndarray
@@ -235,11 +235,6 @@ def to_graph_batch(trees: Sequence[PropTree], vocab_size: int) -> GraphBatch:
                     f"tree {tree.thread_id}: feature index {largest} "
                     f">= vocab size {vocab_size}"
                 )
-    entries = [entry for node in nodes for entry in node.features.entries]
-    counts = [len(node.features.entries) for node in nodes]
-    columns = np.array([index for index, _ in entries], dtype=int)
-    features = np.zeros((len(nodes), vocab_size))
-    features[np.repeat(np.arange(len(nodes)), counts), columns] = [v for _, v in entries]
     sizes = np.array([tree.size for tree in trees])
     roots = np.cumsum(sizes) - sizes
     membership = np.repeat(np.arange(len(trees)), sizes)
@@ -248,7 +243,7 @@ def to_graph_batch(trees: Sequence[PropTree], vocab_size: int) -> GraphBatch:
     child = np.flatnonzero(parent)
     td_edges = np.stack([roots[membership[child]] + parent[child] - 1, child], axis=1)
     return GraphBatch(
-        features=features,
+        features=stack_rows([node.features for node in nodes], vocab_size),
         adjacency=_normalized_adjacency(len(nodes), td_edges),
         graph_membership=membership,
         root_index=roots,

@@ -6,11 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rumourlab
 from rumourlab.cli import main
-from rumourlab.ingest import save_tweets
+from rumourlab.config import load_config
+from rumourlab.featurize import load_vocabulary
+from rumourlab.ingest import assemble_threads, load_tweets, save_tweets
+from rumourlab.models import BiGcnModel
+from rumourlab.proptree import read_tree_corpus
 from rumourlab.synthetic import make_planted_records
 
 
@@ -70,6 +75,25 @@ class TestDispatch:
             argv += ["--out-dir", str(tmp_path / "runs")]
         assert main(argv) == 1
         assert str(tmp_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["build-trees", "--out", "{directory}"], "directory"),
+        (["build-trees", "--out", "{blocker}/t.txt"], "blocker"),
+        (["analyze", "--kind", "attributes", "--out", "{blocker}"], "blocker"),
+        (["train", "--model", "logreg", "--out-dir", "{blocker}"], "blocker"),
+        (["ingest", "--split-out", "{blocker}"], "blocker"),
+    ], ids=["trees-to-directory", "trees-under-file", "analyze-to-file", "train-to-file",
+            "split-to-file"])
+    def test_unwritable_output_exits_one(self, planted_file, tmp_path, capsys, argv, named):
+        paths = {"directory": tmp_path / "taken", "blocker": tmp_path / "blocker"}
+        paths["directory"].mkdir()
+        paths["blocker"].write_text("x", encoding="utf-8")
+        argv = [arg.format(**paths) for arg in argv] + ["--data", str(planted_file)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(paths[named]) in err
+        # Nothing was written: no run directory, no tree or table file.
+        assert sorted(tmp_path.rglob("*")) == sorted(paths.values())
 
     def test_selftest_passes_and_prints_per_suite(self, capsys):
         assert main(["selftest"]) == 0
@@ -182,6 +206,38 @@ class TestBuildTrees:
         assert text.startswith("# rumourlab-tree v1")
         assert out.with_suffix(".vocab.txt").exists()
         assert out.with_suffix(".idf.txt").exists()
+
+    def test_trees_are_the_ones_the_model_prepares(self, tmp_path, monkeypatch):
+        """With keep_reply_links the corpus file keeps the reply chains:
+        it holds the trees a Bi-GCN with the same config and the written
+        vocabulary prepares, up to the 12-digit value printing."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import corpus
+
+        data = tmp_path / "labeled.jsonl"
+        corpus.generate(corpus.CorpusShape(
+            labeled_threads=24, unlabeled_threads=1, rumour_rate=0.5, reply_cap=12,
+            reply_tail=1.2, reply_scale=4.0, chain_prob=0.5, months=3),
+            5, data, tmp_path / "unlabeled.jsonl")
+        config_path = tmp_path / "trees.cfg"
+        config_path.write_text("keep_reply_links = true\n", encoding="utf-8")
+        out = tmp_path / "trees.txt"
+        assert main(["build-trees", "--data", str(data), "--out", str(out),
+                     "--config", str(config_path)]) == 0
+        tfidf = load_vocabulary(out.with_suffix(".vocab.txt"), out.with_suffix(".idf.txt"))
+        threads, _ = assemble_threads(load_tweets(data), data)
+        expected = BiGcnModel(load_config(config_path), tfidf).prepare(threads).trees
+        assert any(node.parent not in (None, 1) for tree in expected for node in tree.nodes)
+        written = read_tree_corpus(out)
+        assert len(written) == len(expected)
+        for got, want in zip(written, expected):
+            assert (got.thread_id, got.label) == (want.thread_id, want.label)
+            assert [(n.index, n.parent) for n in got.nodes] == \
+                [(n.index, n.parent) for n in want.nodes]
+            for a, b in zip(got.nodes, want.nodes):
+                assert [i for i, _ in a.features.entries] == [i for i, _ in b.features.entries]
+                assert np.allclose([v for _, v in a.features.entries],
+                                   [v for _, v in b.features.entries], rtol=1e-11, atol=0)
 
 
 class TestTrainPredictEvaluate:

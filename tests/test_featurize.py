@@ -19,6 +19,7 @@ from rumourlab.featurize import (
     save_terms,
     save_vocabulary,
     smote_oversample,
+    stack_rows,
     transform_tfidf,
 )
 
@@ -135,12 +136,32 @@ class TestTransformTfidf:
             doc = list(rng.choice(pool, size=rng.integers(1, 8)))
             vector = transform_tfidf(model, doc)
             if vector.entries:
-                assert vector.norm() == pytest.approx(1.0, abs=1e-9)
+                norm = math.sqrt(sum(value * value for _, value in vector.entries))
+                assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_raw_count_mode(self):
         model = fit_tfidf(TOY_DOCS, top_k=10)
         got = dict(transform_tfidf(model, ["apple", "apple"], use_raw_counts=True).entries)
         assert got == {model.vocab.content_index("apple"): 2.0}
+
+
+class TestStackRows:
+    def test_rows_keep_their_entries_in_order(self):
+        model = fit_tfidf(TOY_DOCS, top_k=10)
+        docs = [["cherry", "apple"], [], ["unseen"], ["banana", "date", "apple"]]
+        vectors = [transform_tfidf(model, doc) for doc in docs]
+        matrix = stack_rows(vectors, model.vocab.content_size)
+        assert matrix.shape == (4, model.vocab.content_size)
+        assert matrix.rows.tolist() == [0, 0, 3, 3, 3]
+        assert list(zip(matrix.cols.tolist(), matrix.vals.tolist())) == \
+            [entry for vector in vectors for entry in vector.entries]
+        dense = matrix.to_dense()
+        for row, vector in enumerate(vectors):
+            assert dict(vector.entries) == {i: v for i, v in enumerate(dense[row]) if v}
+
+    def test_no_rows(self):
+        matrix = stack_rows([], 5)
+        assert matrix.shape == (0, 5) and matrix.to_dense().shape == (0, 5)
 
 
 class TestHandcrafted:

@@ -259,6 +259,25 @@ class TestGradCheck:
     def test_every_primitive_under_tolerance(self):
         assert check_primitive_gradients(seed=7) < 1e-4
 
+    def test_gradient_wrong_at_one_coordinate_fails(self, monkeypatch):
+        """Every coordinate is checked: a relu whose gradient is off only at
+        flat input coordinate 8 of its 3x4 case fails, although a sample of
+        8 of the 12 coordinates at seed 7 would skip it."""
+        from rumourlab import selftest
+        from rumourlab.gradengine.tensor import _accumulate, _node
+
+        def wrong_relu(x):
+            def _back(grad):
+                g = grad * (x.values > 0.0)
+                g.reshape(-1)[8] += 1.0
+                _accumulate(x, g)
+            return _node(np.maximum(x.values, 0.0), (x,), _back)
+
+        assert 8 not in np.random.default_rng(7).choice(12, size=8, replace=False)
+        monkeypatch.setattr(selftest, "relu", wrong_relu)
+        with pytest.raises(AssertionError, match="primitive relu"):
+            check_primitive_gradients(seed=7)
+
     def test_two_layer_network(self):
         rng = np.random.default_rng(9)
         params = {

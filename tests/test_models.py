@@ -243,13 +243,12 @@ class TestBiGcn:
         thread = make_thread("solo", label="rumour", text="people say report")
         data = model.prepare([thread])
         batch = to_graph_batch(data.trees, model.input_dim)
-        features = Tensor(batch.features)
         from rumourlab.gradengine import concat, gather_rows, matmul, relu, segment_mean, spmm
 
         halves = []
         for direction in ("td", "bu"):
             root = batch.root_index[batch.graph_membership]
-            h1 = relu(spmm(batch.adjacency, matmul(features, tied[f"{direction}_w1"])))
+            h1 = relu(spmm(batch.adjacency, spmm(batch.features, tied[f"{direction}_w1"])))
             h1 = concat([h1, gather_rows(h1, root)])
             h2 = relu(spmm(batch.adjacency, matmul(h1, tied[f"{direction}_w2"])))
             h2 = concat([h2, gather_rows(h2, root)])
@@ -260,7 +259,7 @@ class TestBiGcn:
         model, params = bigcn_setup
         data = model.prepare(toy_threads[:2])
         batch = to_graph_batch(data.trees, model.input_dim + 3)
-        with pytest.raises(ValidationError, match="columns"):
+        with pytest.raises(ValidationError, match="incompatible"):
             model.forward(params, batch)
 
 

@@ -262,7 +262,8 @@ class TestGraphBatch:
         swapped = to_graph_batch([t2, t1], 10)
         assert np.allclose(forward_batch.adjacency.to_dense()[:3, :3],
                            swapped.adjacency.to_dense()[2:, 2:], atol=1e-12)
-        assert np.allclose(forward_batch.features[:3], swapped.features[2:])
+        assert np.allclose(forward_batch.features.to_dense()[:3],
+                           swapped.features.to_dense()[2:])
 
     def test_feature_index_out_of_range(self, tfidf):
         tree = tree_of_size("a", 1, tfidf)
@@ -340,8 +341,11 @@ def reference_adjacency(n_nodes, edges):
 
 
 def reference_batch(trees, vocab_size):
+    """Dense features, the stacked (rows, cols, vals) feature entries,
+    membership, roots and raw edges."""
     total = sum(tree.size for tree in trees)
     features = np.zeros((total, vocab_size))
+    entry_rows, entry_cols, entry_vals = [], [], []
     membership = np.zeros(total, dtype=int)
     roots = np.zeros(len(trees), dtype=int)
     edges = []
@@ -353,10 +357,16 @@ def reference_batch(trees, vocab_size):
             membership[row] = g
             for index, value in node.features.entries:
                 features[row, index] = value
+                entry_rows.append(row)
+                entry_cols.append(index)
+                entry_vals.append(value)
         edges.extend((offset + node.parent - 1, offset + node.index - 1)
                      for node in tree.nodes[1:])
         offset += tree.size
-    return features, membership, roots, np.array(edges, dtype=int).reshape(-1, 2)
+    entries = (np.array(entry_rows, dtype=int), np.array(entry_cols, dtype=int),
+               np.array(entry_vals, dtype=np.float64))
+    return (features, entries, membership, roots,
+            np.array(edges, dtype=int).reshape(-1, 2))
 
 
 def assert_same_operator(matrix, expected):
@@ -388,9 +398,13 @@ class TestBatchingOracle:
     @given(forests(), st.floats(0.0, 0.9, exclude_max=True), st.integers(0, 2 ** 63 - 1))
     @settings(max_examples=100, deadline=None)
     def test_matches_loop_reference(self, trees, rate, seed):
-        features, membership, roots, edges = reference_batch(trees, ORACLE_VOCAB)
+        features, entries, membership, roots, edges = reference_batch(trees, ORACLE_VOCAB)
         batch = to_graph_batch(trees, ORACLE_VOCAB)
-        assert batch.features.tobytes() == features.tobytes()
+        assert batch.features.shape == features.shape
+        assert_same_operator(batch.features, entries)
+        # Equal, not byte-equal: to_dense adds into zeros, so a -0.0 entry
+        # reads +0.0 there (TF-IDF values are always positive).
+        assert np.array_equal(batch.features.to_dense(), features)
         assert batch.graph_membership.tobytes() == membership.tobytes()
         assert batch.root_index.tobytes() == roots.tobytes()
         assert batch.td_edges.tobytes() == edges.tobytes()
@@ -410,4 +424,5 @@ class TestBatchingOracle:
             PropNode(index=1, parent=None, features=empty),
             PropNode(index=2, parent=1, features=empty)))
         batch = to_graph_batch([tree], 3)
-        assert not batch.features.any() and batch.features.shape == (2, 3)
+        assert batch.features.shape == (2, 3) and len(batch.features.vals) == 0
+        assert not batch.features.to_dense().any()
