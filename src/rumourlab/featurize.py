@@ -284,6 +284,8 @@ def load_vocabulary(vocab_path, idf_path) -> TfidfModel:
         try:
             term, value = line.split("\t")
             weight = float(value)
+            if not math.isfinite(weight):
+                raise ValueError(value)
         except ValueError:
             raise ParseError(f"{idf_path} line {line_no}: expected term<TAB>idf") from None
         position = vocab.content_index(term)

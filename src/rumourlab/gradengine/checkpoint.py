@@ -59,4 +59,6 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if len(data) // 8 != math.prod(shape):
             raise ParseError(f"{where}: {len(data) // 8} values for shape {parts[1]}")
         params[parts[0]] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.isfinite(params[parts[0]]).all():  # training never saves one
+            raise ParseError(f"{where}: non-finite value in parameter {parts[0]!r}")
     return params

@@ -41,18 +41,11 @@ from ..ingest import NONRUMOUR, RUMOUR
 
 CLASSIC_KINDS = ("logreg", "svm", "rf")
 
-# Forest node layout: feature index (-1 for leaves), threshold, child
-# offsets, and per-class sample counts in (nonrumour, rumour) order.
+# A tree is one node table, children after their parent: feature index (-1
+# for leaves), threshold, child rows, class counts (nonrumour, rumour).
 LEAF = -1
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    feature: int
-    threshold: float
-    left: int
-    right: int
-    counts: tuple[float, float]
+NODE = np.dtype([("feature", np.int64), ("threshold", np.float64), ("left", np.int64),
+                 ("right", np.int64), ("counts", np.float64, (2,))])
 
 
 @dataclass
@@ -61,7 +54,7 @@ class ClassicModel:
     weights: Optional[np.ndarray] = None
     bias: float = 0.0
     standardizer: Optional[Standardizer] = None
-    forest: list[list[TreeNode]] = field(default_factory=list)
+    forest: list[np.ndarray] = field(default_factory=list)
     forest_dim: int = 0
 
     def __post_init__(self):
@@ -188,15 +181,15 @@ def _grow_tree(
     rng: np.random.Generator,
     max_depth: Optional[int],
     n_candidates: int,
-) -> list[TreeNode]:
-    nodes: list[TreeNode] = []
+) -> np.ndarray:
+    nodes: list[list] = []  # NODE rows in the order grown
 
     def grow(rows: np.ndarray, depth: int) -> int:
         yr = y[rows]
         wr = weights[rows]
         counts = (float(wr[yr == 0].sum()), float(wr[yr == 1].sum()))
         index = len(nodes)
-        nodes.append(TreeNode(LEAF, 0.0, -1, -1, counts))
+        nodes.append([LEAF, 0.0, -1, -1, counts])
         if (max_depth is not None and depth >= max_depth) or len(rows) < 2 \
                 or counts[0] == 0.0 or counts[1] == 0.0:
             return index
@@ -208,24 +201,25 @@ def _grow_tree(
         goes_left = x[rows, feat] <= threshold
         left = grow(rows[goes_left], depth + 1)
         right = grow(rows[~goes_left], depth + 1)
-        nodes[index] = TreeNode(feat, threshold, left, right, counts)
+        nodes[index][:4] = feat, threshold, left, right
         return index
 
     grow(np.arange(len(x)), 0)
-    return nodes
+    return np.array([tuple(node) for node in nodes], dtype=NODE)
 
 
-def _tree_votes(nodes: list[TreeNode], x: np.ndarray) -> np.ndarray:
-    """Per-row class vote (0 or 1) from one tree's leaf majorities."""
-    votes = np.zeros(len(x), dtype=int)
-    for row in range(len(x)):
-        at = 0
-        while nodes[at].feature != LEAF:
-            node = nodes[at]
-            at = node.left if x[row, node.feature] <= node.threshold else node.right
-        counts = nodes[at].counts
-        votes[row] = 1 if counts[1] > counts[0] else 0
-    return votes
+def _tree_votes(tree: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-row class vote (0 or 1) from one tree's leaf majorities. Rows at a
+    split move down one level per step; children follow their parent."""
+    at, active = np.zeros(len(x), dtype=np.int64), np.arange(len(x))
+    while len(active):
+        node = tree[at[active]]
+        inner = node["feature"] != LEAF
+        active, node = active[inner], node[inner]
+        goes_left = x[active, node["feature"]] <= node["threshold"]
+        at[active] = np.where(goes_left, node["left"], node["right"])
+    counts = tree["counts"][at]
+    return (counts[:, 1] > counts[:, 0]).astype(int)
 
 
 def train_classic(
@@ -314,11 +308,9 @@ def forest_to_text(model: ClassicModel) -> str:
              f"feature_dim = {model.forest_dim}"]
     for i, tree in enumerate(model.forest):
         lines.append(f"tree {i}")
-        for node in tree:
-            lines.append(
-                f"{node.feature} {repr(node.threshold)} {node.left} {node.right} "
-                f"{repr(node.counts[0])} {repr(node.counts[1])}"
-            )
+        # Column tolist() gives Python ints and floats, whose repr is the file's.
+        for feat, thr, left, right, (c0, c1) in zip(*(tree[f].tolist() for f in NODE.names)):
+            lines.append(f"{feat} {thr!r} {left} {right} {c0!r} {c1!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -331,7 +323,7 @@ def forest_from_text(text: str, source: str = "forest") -> ClassicModel:
     if not lines or lines[0] != "# rumourlab-forest v1":
         raise ValidationError(f"{source}: not a rumourlab-forest v1 file")
     header: dict[str, tuple[int, int]] = {}  # key -> (value, line number)
-    trees: list[tuple[int, list[tuple[int, TreeNode]]]] = []  # with line numbers
+    trees: list[tuple[int, list[tuple[int, tuple]]]] = []  # with line numbers
     for line_no, line in enumerate(lines[1:], start=2):
         line = line.strip()
         key, _, value = line.partition(" = ")
@@ -342,8 +334,10 @@ def forest_from_text(text: str, source: str = "forest") -> ClassicModel:
                 trees.append((line_no, []))
             elif line and trees:
                 feat, thr, left, right, c0, c1 = line.split(" ")
-                trees[-1][1].append((line_no, TreeNode(int(feat), float(thr), int(left),
-                                                       int(right), (float(c0), float(c1)))))
+                node = (int(feat), float(thr), int(left), int(right), (float(c0), float(c1)))
+                if max(abs(node[0]), abs(node[2]), abs(node[3])) >= 2 ** 63:  # int64 fields
+                    raise ValueError(line)
+                trees[-1][1].append((line_no, node))
             elif line:
                 raise ValueError(line)
         except ValueError:
@@ -356,14 +350,15 @@ def forest_from_text(text: str, source: str = "forest") -> ClassicModel:
     if len(trees) != n_trees or not trees:
         raise ParseError(f"{source} line {n_line}: n_trees = {n_trees}, but the file "
                          f"holds {len(trees)} trees (a forest needs at least one)")
-    for tree_line, tree in trees:
-        if not tree:
+    forest = [np.array([node for _, node in nodes], dtype=NODE) for _, nodes in trees]
+    for (tree_line, nodes), tree in zip(trees, forest):
+        if not nodes:
             raise ParseError(f"{source} line {tree_line}: tree has no nodes")
-        for index, (line_no, node) in enumerate(tree):
-            if node.feature != LEAF and not (0 <= node.feature < feature_dim
-                                             and index < node.left < len(tree)
-                                             and index < node.right < len(tree)):
-                raise ParseError(f"{source} line {line_no}: split feature or child "
-                                 "index outside the forest")
-    return ClassicModel(kind="rf", forest=[[node for _, node in tree] for _, tree in trees],
-                        forest_dim=feature_dim)
+        at, feat, left, right = np.arange(len(tree)), tree["feature"], tree["left"], tree["right"]
+        inside = ((0 <= feat) & (feat < feature_dim) & (at < left) & (left < len(tree))
+                  & (at < right) & (right < len(tree)))
+        outside = np.flatnonzero((feat != LEAF) & ~inside)
+        if len(outside):
+            raise ParseError(f"{source} line {nodes[outside[0]][0]}: split feature or child "
+                             "index outside the forest")
+    return ClassicModel(kind="rf", forest=forest, forest_dim=feature_dim)

@@ -13,9 +13,8 @@ from ..textproc import normalize, tokenize
 
 
 def thread_tokens(thread: Thread) -> list[str]:
-    """Tokens of the source text followed by each reply in time order."""
-    text = " ".join(tweet.text for tweet in thread.tweets())
-    return tokenize(normalize(text))
+    """Each tweet's tokens in time order; no token spans two tweets."""
+    return [token for tweet in thread.tweets() for token in tokenize(normalize(tweet.text))]
 
 
 def tweet_docs(threads: Sequence[Thread]) -> list[list[str]]:

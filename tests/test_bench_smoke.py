@@ -1,9 +1,10 @@
 """Smoke tests for the benchmark's helpers. A small generated corpus goes
 through the four analysis kinds and a TF-IDF train, predict and evaluate
 through the command line, so the generator keeps producing input the
-program accepts. Traced LSTM, Bi-GCN and SVM runs check that the tracer
-still sees the pipeline's functions and every engine primitive the
-models hold, and that each split is prepared once."""
+program accepts. Traced LSTM, Bi-GCN, SVM and forest runs check that the
+tracer still sees the pipeline's functions, every engine primitive the
+models hold and the forest's node count, and that each split is
+prepared once."""
 
 import importlib
 import pkgutil
@@ -134,10 +135,18 @@ def test_traced_runs_see_every_engine_primitive(generated, tmp_path):
                   dropout=0.5, **common),
         # Without class weights the hinge loss takes its mean_all branch.
         RunConfig(model="svm", features="tfidf", class_weights=False, svm_iters=3, **common),
+        RunConfig(model="rf", features="tfidf", rf_trees=2, **common),
     )
     names = {span[0] for span in tracer.spans}
     assert {f"gradengine.{name}" for name in held} <= names
+    assert "classic.forest_from_text" in names
     # The note hooks read train_classic's kind and fit's train data by
     # position; a signature change would rename or blank these counters.
     assert tracer.counts["classic.train_svm_s"] > 0
     assert tracer.counts["trainer.epochs"] >= 1
+    # classic.rf_nodes takes len() of each tree: one per node line written.
+    (rf_run,) = (tmp_path / "runs").glob("rf-*")
+    node_lines = [line for path in rf_run.glob("forest_seed*.txt")
+                  for line in path.read_text(encoding="utf-8").splitlines()
+                  if len(line.split(" ")) == 6]
+    assert tracer.counts["classic.rf_nodes"] == len(node_lines) > 0

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import os
@@ -359,6 +360,23 @@ class TestTrainPredictEvaluate:
         assert f"error: {run_dir / 'idf.txt'} line 2: expected term<TAB>idf\n" == \
             capsys.readouterr().err
 
+    def test_predict_with_nan_checkpoint_exits_one(self, trained_run, unlabeled_file,
+                                                   tmp_path, capsys):
+        # Training never saves a non-finite parameter; one that got in must not score.
+        run_dir = tmp_path / trained_run.name
+        shutil.copytree(trained_run, run_dir)
+        path = run_dir / "ckpt_seed1.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        line_no = next(n for n, line in enumerate(lines, 1) if line.startswith("w "))
+        name, shape, payload = lines[line_no - 1].split(" ")
+        values = np.frombuffer(base64.b64decode(payload), dtype="<f8").copy()
+        values[0] = np.nan
+        lines[line_no - 1] = f"{name} {shape} {base64.b64encode(values.tobytes()).decode()}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["predict", "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path} line {line_no}: non-finite value in parameter 'w'\n"
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_incomplete_run_exits_one(self, trained_run, unlabeled_file, tmp_path,
                                       capsys, command):
@@ -401,8 +419,11 @@ class TestTrainPredictEvaluate:
         ("vocab.txt", lambda lines: lines[1:], 1),
         ("idf.txt", lambda lines: lines[1:], 1),
         ("idf.txt", lambda lines: lines[:2] + ["nosuchterm\t1.0"] + lines[3:], 3),
+        ("idf.txt", lambda lines: lines[:1] + [lines[1].split("\t")[0] + "\tnan"] + lines[2:],
+         2),
     ], ids=["cut", "node-before-tree", "three-fields", "child-99", "split-seed",
-            "vocab-byte", "idf-byte", "vocab-header", "idf-header", "idf-unknown-term"])
+            "vocab-byte", "idf-byte", "vocab-header", "idf-header", "idf-unknown-term",
+            "idf-nan"])
     def test_damaged_run_file_exits_one_naming_line(self, forest_run, tmp_path, capsys,
                                                     name, damage, line_no):
         run_dir = tmp_path / forest_run.name

@@ -323,7 +323,8 @@ class TestPersistence:
         with pytest.raises(ParseError, match="idf.txt line 1: expected the"):
             load_vocabulary(tmp_path / "vocab.txt", tmp_path / "idf.txt")
 
-    @pytest.mark.parametrize("term_line", ["alpha 1.0", "alpha\tmany"])
+    @pytest.mark.parametrize("term_line", ["alpha 1.0", "alpha\tmany", "alpha\tnan",
+                                           "alpha\tinf"])
     def test_idf_term_line_damaged(self, tmp_path, term_line):
         save_terms(Vocabulary(terms=("alpha",)), tmp_path / "vocab.txt")
         (tmp_path / "idf.txt").write_text(f"# doc_count = 3\n{term_line}\n")

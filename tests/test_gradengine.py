@@ -403,6 +403,10 @@ class TestCheckpoint:
         (b"w 2 AAAAAAAAAAA=", "1 values for shape 2"),
         (b"w 2 AAAAAAAAAAA= extra", "malformed parameter line"),
         (b"w -2x-2 AAAAAAAAAAA=", "malformed parameter line"),
+        (b"w 2 " + base64.b64encode(np.array([np.nan, 0.0]).astype("<f8").tobytes()),
+         "non-finite value in parameter 'w'"),
+        (b"w 2 " + base64.b64encode(np.array([0.0, -np.inf]).astype("<f8").tobytes()),
+         "non-finite value in parameter 'w'"),
     ])
     def test_damaged_v2_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.txt"

@@ -32,6 +32,7 @@ from rumourlab.models import (
     predict_threads,
     train_classic,
 )
+from rumourlab.models.classic import _tree_votes
 from rumourlab.models.data import thread_docs, tweet_docs
 from rumourlab.models.lstm import GATES
 from rumourlab.proptree import to_graph_batch
@@ -536,8 +537,11 @@ class TestForestPersistence:
         ("n_trees = 1\nfeature_dim = 2\ntree 0\n-1 x -1 -1 1.0 0.0\n", "forest line 5: malformed"),
         ("n_trees = 1\nfeature_dim = -1\ntree 0\n-1 0.0 -1 -1 1.0 0.0\n",
          "forest line 3: feature_dim = -1 is negative"),
+        # Node tables hold 64-bit indices.
+        ("n_trees = 1\nfeature_dim = 2\ntree 0\n-1 0.0 99999999999999999999 -1 1.0 0.0\n",
+         "forest line 5: malformed"),
     ], ids=["no-feature-dim", "child-loops-back", "feature-outside", "empty-tree", "bad-float",
-            "negative-feature-dim"])
+            "negative-feature-dim", "index-beyond-64-bits"])
     def test_damaged_forest_names_line(self, body, message):
         with pytest.raises(ParseError, match=message):
             forest_from_text("# rumourlab-forest v1\n" + body)
@@ -569,6 +573,63 @@ class TestForestPersistence:
         # Whatever loads also predicts.
         _, scores = predict_classic(model, np.zeros((3, model.forest_dim)))
         assert scores.shape == (3,)
+
+
+def reference_votes(tree, x):
+    """One row at a time down the node table: the walk the table votes
+    must match."""
+    votes = np.zeros(len(x), dtype=int)
+    for row in range(len(x)):
+        at = 0
+        while tree["feature"][at] != -1:
+            feat = tree["feature"][at]
+            at = tree["left"][at] if x[row, feat] <= tree["threshold"][at] else tree["right"][at]
+        votes[row] = 1 if tree["counts"][at][1] > tree["counts"][at][0] else 0
+    return votes
+
+
+class TestForestTables:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(60, 5))
+        y = ["rumour" if a + b > 0 else "nonrumour" for a, b in zip(x[:, 0], x[:, 1] ** 2 - 1)]
+        return train_classic("rf", x, y, _classic(rf_trees=6, rf_max_depth=None), 2)
+
+    def test_tables_hold_one_row_per_node(self, trained):
+        for tree in trained.forest:
+            assert tree.dtype.names == ("feature", "threshold", "left", "right", "counts")
+            inner = tree["feature"] != -1
+            assert len(tree) > 1 and inner.any()
+            assert (tree["left"][inner] > np.flatnonzero(inner)).all()
+
+    def test_trained_votes_match_row_walk(self, trained):
+        x = np.vstack([np.random.default_rng(9).normal(size=(40, 5)), np.zeros((1, 5))])
+        for tree in trained.forest:
+            # Rows that sit on a split's threshold must go left.
+            inner = np.flatnonzero(tree["feature"] != -1)
+            edge = np.zeros((len(inner), x.shape[1]))
+            edge[np.arange(len(inner)), tree["feature"][inner]] = tree["threshold"][inner]
+            x = np.vstack([x, edge])
+        for tree in trained.forest:
+            assert np.array_equal(_tree_votes(tree, x), reference_votes(tree, x))
+
+    def test_parsed_votes_match_row_walk_with_nan(self):
+        text = FOREST_TEXT.replace("0 0.5 1 2", "0 nan 1 2").replace("n_trees = 2", "n_trees = 3")
+        text += ("tree 2\n1 0.25 1 4 1.0 2.0\n0 -0.5 2 3 1.0 1.0\n-1 0.0 -1 -1 1.0 0.0\n"
+                 "-1 0.0 -1 -1 0.0 1.0\n-1 0.0 -1 -1 nan 1.0\n")
+        model = forest_from_text(text)
+        x = np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, np.nan], [-1.0, 0.2], [1.0, 1.0],
+                      [np.nan, np.nan], [-0.5, 0.25], [0.5, 0.25], [-0.5, -1.0]])
+        for tree in model.forest:
+            assert np.array_equal(_tree_votes(tree, x), reference_votes(tree, x))
+        _, scores = predict_classic(model, x)
+        assert np.array_equal(scores, np.mean([reference_votes(t, x) for t in model.forest], 0))
+
+    def test_trained_text_round_trips_byte_for_byte(self, trained):
+        text = forest_to_text(trained)
+        assert "np." not in text
+        assert forest_to_text(forest_from_text(text)) == text
 
 
 class TestBiGcnPredictMatchesArgmax(object):

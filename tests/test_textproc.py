@@ -177,6 +177,27 @@ class TestTokenize:
         assert "".join(tokens) == "".join(normalized.split())
 
 
+# Pieces of tweet texts that could glue to a neighbour's: URLs, mentions,
+# hashtags, emoticons, emoji with their joiners, trailing punctuation, and
+# separators that Python counts as whitespace but no line rule does.
+_TWEET_PIECES = st.sampled_from([
+    "http://x.io/a", "https://t.co/", "http://", "www.ex.com", "www.", "@bob", "@", "#tag",
+    "#", ":-)", ":)", "D:", ":", "\U0001F637", "\u2764\ufe0f", "\U0001F468\u200d\U0001F469",
+    "\ufe0f", "\u200d", "word", "Word", "x", "!", "?", ".", "...", ",", "'", "\u2026", " ",
+    "\u0085", "\u2028", "\u001c",
+])
+tweet_text_strategy = st.lists(_TWEET_PIECES, max_size=6).map("".join)
+
+
+@given(st.lists(tweet_text_strategy, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_joined_text_tokens_are_each_texts_tokens(texts):
+    # A thread's tokens are its tweets' tokens in order, so the joined
+    # thread text need never be tokenized.
+    joined = tokenize(normalize(" ".join(texts)))
+    assert joined == [token for text in texts for token in tokenize(normalize(text))]
+
+
 class TestCountAttributes:
     def test_mixed_example(self):
         counts = count_attributes("Check http://a.b #x #y @z \U0001F637")
