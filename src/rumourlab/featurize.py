@@ -194,6 +194,12 @@ class Standardizer:
         return matrix * self.std + self.mean
 
 
+def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between rows, one row at a time so that no
+    m x m x d difference tensor is made."""
+    return np.stack([np.linalg.norm(p - points, axis=1) for p in points])
+
+
 def smote_oversample(
     minority: Sequence[np.ndarray], k: int, n_new: int, seed: int
 ) -> list[np.ndarray]:
@@ -211,7 +217,7 @@ def smote_oversample(
     if n_new < 0:
         raise ValidationError("n_new must be non-negative")
     # Neighbour lists are precomputed; ties resolve by point index.
-    distances = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    distances = _pairwise_distances(points)
     np.fill_diagonal(distances, np.inf)
     neighbours = np.argsort(distances, axis=1, kind="stable")[:, :k]
     rng = np.random.default_rng(seed)

@@ -10,6 +10,7 @@ from rumourlab.errors import ParseError, ValidationError
 from rumourlab.featurize import (
     Standardizer,
     Vocabulary,
+    _pairwise_distances,
     build_vocabulary,
     compute_class_weights,
     extract_handcrafted,
@@ -227,6 +228,22 @@ class TestSmote:
                 if found:
                     break
             assert found
+
+    @pytest.mark.parametrize("m,d,scale,zeros", [
+        (2, 1, 1.0, 0.0), (9, 3, 1.0, 0.0), (20, 50, 1e-3, 0.5), (12, 40, 1e6, 0.0),
+        (30, 800, 1.0, 0.95), (25, 2000, 0.1, 0.7),
+    ])
+    def test_distances_match_difference_tensor(self, m, d, scale, zeros):
+        # The m x m x d difference tensor is the oracle, byte for byte;
+        # lattice values and a duplicate point give tied distances.
+        rng = np.random.default_rng(m * d)
+        points = rng.integers(-2, 3, size=(m, d)) * scale
+        points[:, ::2] += rng.normal(size=(m, (d + 1) // 2)) * scale
+        points[rng.random((m, d)) < zeros] = 0.0
+        points[-1] = points[0]
+        expected = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+        assert _pairwise_distances(points).tobytes() == expected.tobytes()
+        assert expected[0, -1] == 0.0 and expected[0, 1] == expected[-1, 1]
 
     def test_preconditions(self):
         with pytest.raises(ValidationError):

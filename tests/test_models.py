@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from rumourlab.models import (
     BiGcnModel,
     ClassicModel,
     LstmModel,
+    classic,
     fit,
     forest_from_text,
     forest_to_text,
@@ -32,7 +35,7 @@ from rumourlab.models import (
     predict_threads,
     train_classic,
 )
-from rumourlab.models.classic import _tree_votes
+from rumourlab.models.classic import _gini_best_split, _grow_tree, _tree_votes
 from rumourlab.models.data import thread_docs, tweet_docs
 from rumourlab.models.lstm import GATES
 from rumourlab.proptree import to_graph_batch
@@ -630,6 +633,154 @@ class TestForestTables:
         text = forest_to_text(trained)
         assert "np." not in text
         assert forest_to_text(forest_from_text(text)) == text
+
+
+def reference_best_split(x, y, weights, features):
+    """One candidate feature at a time, each with its own sort and
+    cumsums: the search the 2-D pass must match."""
+    best = None
+    total_w = weights.sum()
+    for feat in features:
+        order = np.argsort(x[:, feat], kind="stable")
+        values = x[order, feat]
+        w = weights[order]
+        cum_w = np.cumsum(w)
+        cum_pos = np.cumsum(w * y[order])
+        boundary = np.nonzero(values[1:] > values[:-1])[0]
+        if len(boundary) == 0:
+            continue
+        left_w = cum_w[boundary]
+        left_pos = cum_pos[boundary]
+        right_w = total_w - left_w
+        right_pos = cum_pos[-1] - left_pos
+        p_left = left_pos / left_w
+        p_right = right_pos / right_w
+        gini_left = 1.0 - p_left ** 2 - (1.0 - p_left) ** 2
+        gini_right = 1.0 - p_right ** 2 - (1.0 - p_right) ** 2
+        scores = (left_w * gini_left + right_w * gini_right) / total_w
+        at = int(np.argmin(scores))
+        score = float(scores[at])
+        if best is None or score < best[0] - 1e-12:
+            threshold = 0.5 * (values[boundary[at]] + values[boundary[at] + 1])
+            best = (score, int(feat), float(threshold))
+    return best
+
+
+def _reference_split(x, rows, y, weights, features):
+    return reference_best_split(x[rows], y, weights, features)
+
+
+def _split_case(seed, n, d, levels):
+    """A matrix with few distinct values (ties, constant columns, columns
+    that are monotone copies of others), bootstrap rows with repeats,
+    weights that differ by 1e-13 steps, and ascending candidates."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, d)) * rng.choice([0.5, 1.0, 3.0], size=d)
+    x[:, rng.random(d) < 0.2] = 1.5
+    copies = rng.random(d) < 0.3
+    x[:, copies] = 2.0 * x[:, rng.integers(0, d, copies.sum())] + 1.0
+    y = rng.integers(0, 2, size=n)
+    weights = rng.choice([0.7, 1.0, 2.5], size=n) + rng.integers(0, 3, size=n) * 1e-13
+    rows = rng.integers(0, n, size=n)
+    features = np.sort(rng.choice(d, size=rng.integers(1, d + 1), replace=False))
+    return x, rows, y[rows], weights[rows], features
+
+
+class TestGiniSplit:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 25), d=st.integers(1, 14),
+           levels=st.integers(1, 4), block=st.sampled_from([1, 7, 40, classic.SPLIT_BLOCK]))
+    def test_matches_per_feature_loop(self, seed, n, d, levels, block):
+        x, rows, y, weights, features = _split_case(seed, n, d, levels)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classic, "SPLIT_BLOCK", block)
+            fast = _gini_best_split(x, rows, y, weights, features)
+        assert fast == reference_best_split(x[rows], y, weights, features)
+
+    def test_constant_node_has_no_split(self):
+        x = np.tile([1.0, -2.0, 0.0], (6, 1))
+        rows = np.array([0, 0, 3, 5, 2, 2])
+        y, weights = np.array([0, 1, 0, 1, 1, 0]), np.linspace(0.5, 2.0, 6)
+        assert _gini_best_split(x, rows, y, weights, np.arange(3)) is None
+        assert reference_best_split(x[rows], y, weights, np.arange(3)) is None
+
+    def test_near_equal_minima_keep_the_earlier_feature(self):
+        # Seeded cases whose column minima lie within 1e-12 of each other,
+        # so the tie rule decides which feature wins, across block
+        # boundaries too.
+        near = 0
+        for seed in range(300):
+            x, rows, y, weights, features = _split_case(seed, 12, 8, 3)
+            minima = [reference_best_split(x[rows], y, weights, [f]) for f in features]
+            scores = sorted(m[0] for m in minima if m is not None)
+            near += any(0.0 < b - a < 1e-12 for a, b in zip(scores, scores[1:]))
+            for block in (12, 36, classic.SPLIT_BLOCK):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(classic, "SPLIT_BLOCK", block)
+                    fast = _gini_best_split(x, rows, y, weights, features)
+                assert fast == reference_best_split(x[rows], y, weights, features)
+        assert near >= 5
+
+    @pytest.fixture(scope="class")
+    def weighted(self):
+        rng = np.random.default_rng(21)
+        x = np.round(rng.normal(size=(70, 30)), 1)
+        x[:, 5] = 0.0
+        y = ["rumour" if a > 0.6 else "nonrumour" for a in x[:, 0] + rng.normal(size=70)]
+        return x, y
+
+    @pytest.mark.parametrize("subsample", ["sqrt", "all"])
+    def test_forest_bytes_match_reference_split(self, weighted, subsample, monkeypatch):
+        x, y = weighted
+        config = RunConfig(rf_trees=4, smote=True, rf_feature_subsample=subsample)
+        fast = train_classic("rf", x, y, config, 6)
+        monkeypatch.setattr(classic, "_gini_best_split", _reference_split)
+        assert forest_to_text(train_classic("rf", x, y, config, 6)) == forest_to_text(fast)
+
+    def test_all_candidates_in_several_blocks(self, weighted, monkeypatch):
+        x, y = weighted
+        config = RunConfig(rf_trees=3, rf_feature_subsample="all")
+        monkeypatch.setattr(classic, "SPLIT_BLOCK", 500)
+        assert len(x) * x.shape[1] > 4 * classic.SPLIT_BLOCK
+        blocked = train_classic("rf", x, y, config, 8)
+        monkeypatch.setattr(classic, "_gini_best_split", _reference_split)
+        reference = train_classic("rf", x, y, config, 8)
+        text = forest_to_text(blocked)
+        assert text == forest_to_text(reference)
+        probe = np.vstack([x, np.random.default_rng(2).normal(size=(20, x.shape[1]))])
+        labels, scores = predict_classic(forest_from_text(text), probe)
+        expected_labels, expected_scores = predict_classic(reference, probe)
+        assert labels == expected_labels and np.array_equal(scores, expected_scores)
+
+
+class TestSplitMemory:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(300, 4000))
+        y = (x[:, 0] + rng.normal(size=300) > 0).astype(int)
+        return x, y, rng.integers(0, 300, size=300)
+
+    def _peak_bytes(self, wide, n_candidates, max_depth):
+        x, y, rows = wide
+        tracemalloc.start()
+        try:
+            tree = _grow_tree(x, rows, y, np.ones(len(x)), np.random.default_rng(1),
+                              max_depth, n_candidates)
+            return tracemalloc.get_traced_memory()[1], tree
+        finally:
+            tracemalloc.stop()
+
+    def test_sqrt_candidates_never_copy_full_rows(self, wide):
+        # The full-width x[rows] copy at the root alone would be x.nbytes.
+        peak, tree = self._peak_bytes(wide, 63, None)
+        assert len(tree) > 20
+        assert peak < wide[0].nbytes / 4
+
+    def test_all_candidates_stay_under_the_block_cap(self, wide):
+        peak, tree = self._peak_bytes(wide, 4000, 2)
+        assert len(tree) > 1
+        assert peak < 20 * 8 * classic.SPLIT_BLOCK
 
 
 class TestBiGcnPredictMatchesArgmax(object):
