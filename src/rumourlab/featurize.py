@@ -155,16 +155,15 @@ def extract_handcrafted(tweet: TweetRecord) -> np.ndarray:
     """The HANDCRAFTED_WIDTH numeric features, in the fixed documented
     order: retweet count, like count, account creation year, verified
     flag, followers, following, tweet count, listed count."""
-    user = tweet.user
     return np.array([
         float(tweet.retweet_count),
         float(tweet.like_count),
-        float(user.account_created_year),
-        1.0 if user.verified else 0.0,
-        float(user.followers),
-        float(user.following),
-        float(user.tweet_count),
-        float(user.listed_count),
+        float(tweet.account_created_year),
+        1.0 if tweet.verified else 0.0,
+        float(tweet.followers),
+        float(tweet.following),
+        float(tweet.tweet_count),
+        float(tweet.listed_count),
     ])
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
@@ -29,13 +29,22 @@ SPLIT_PARTS = ("train", "dev", "test")
 
 
 @dataclass(frozen=True)
-class UserMeta:
+class TweetRecord:
+    """One dataset line: the `_SCHEMA` fields in order, then parent_id and label."""
+
+    id: str
+    text: str
+    created_at: datetime
     verified: bool
     followers: int
     following: int
     tweet_count: int
     listed_count: int
     account_created_year: int
+    retweet_count: int
+    like_count: int
+    parent_id: Optional[str] = None
+    label: Optional[str] = None
 
     def __post_init__(self):
         current_year = datetime.now(timezone.utc).year
@@ -44,20 +53,6 @@ class UserMeta:
                 f"account_created_year {self.account_created_year} outside "
                 f"[{MIN_ACCOUNT_YEAR}, {current_year}]"
             )
-
-
-@dataclass(frozen=True)
-class TweetRecord:
-    id: str
-    text: str
-    created_at: datetime
-    user: UserMeta
-    retweet_count: int
-    like_count: int
-    parent_id: Optional[str] = None
-    label: Optional[str] = None
-
-    def __post_init__(self):
         if not self.id:
             raise ValidationError("tweet id must be non-empty")
         if self.parent_id is not None and self.parent_id == self.id:
@@ -76,15 +71,10 @@ class Thread:
 
     source: TweetRecord
     replies: tuple[TweetRecord, ...]
-    label: Optional[str] = None
 
     def __post_init__(self):
         if not self.source.is_source:
             raise ValidationError(f"thread source {self.source.id} has a parent")
-        if self.label != self.source.label:
-            raise ValidationError(
-                f"thread label {self.label!r} differs from source label"
-            )
         previous = self.source.created_at
         for reply in self.replies:
             if reply.created_at < self.source.created_at:
@@ -98,6 +88,10 @@ class Thread:
     @property
     def id(self) -> str:
         return self.source.id
+
+    @property
+    def label(self) -> Optional[str]:
+        return self.source.label
 
     def tweets(self) -> tuple[TweetRecord, ...]:
         return (self.source,) + self.replies
@@ -124,7 +118,7 @@ class DatasetSplit:
 
 
 # The JSON type of every required field, in file order. Types match
-# exactly, so `true` is no integer, and integers must be non-negative.
+# exactly, so `true` is no integer, and integers lie in [0, 2**63).
 _SCHEMA = {
     "id": str, "text": str, "created_at": str, "verified": bool,
     "followers": int, "following": int, "tweet_count": int, "listed_count": int,
@@ -133,9 +127,8 @@ _SCHEMA = {
 _KIND_NAMES = {str: "a string", bool: "true or false", int: "a non-negative integer"}
 # Fields that may be absent or null, else strings.
 _OPTIONAL = ("parent_id", "label")
-_USER_FIELDS = tuple(f.name for f in dataclass_fields(UserMeta))
-# UserMeta is built positionally; a keyword build costs about 1 µs more per record.
-_user_values = itemgetter(*_USER_FIELDS)
+# TweetRecord is built positionally; a keyword build costs about 1 µs more per record.
+_schema_values = itemgetter(*_SCHEMA)
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -172,9 +165,11 @@ def _record_from_line(raw: bytes) -> Optional[TweetRecord]:
         raise ValidationError("record is not a key-value object")
     for name, kind in _SCHEMA.items():
         value = fields.get(name)
-        if type(value) is not kind or kind is int and value < 0:
+        if type(value) is not kind or kind is int and not 0 <= value < 2**63:
             if name not in fields:
                 raise ValidationError(f"missing required field {name!r}")
+            if kind is int and type(value) is int and value > 0:
+                raise ValidationError(f"{name} must be a non-negative integer below 2**63")
             raise ValidationError(f"{name} must be {_KIND_NAMES[kind]}")
     for name in _OPTIONAL:
         value = fields.get(name)
@@ -185,11 +180,9 @@ def _record_from_line(raw: bytes) -> Optional[TweetRecord]:
         value = fields.get(name) or ""
         if "\t" in value or "\n" in value or "\r" in value:
             raise ValidationError(f"{name} must not hold a tab or line break")
-    return TweetRecord(
-        fields["id"], fields["text"], _parse_timestamp(fields["created_at"]),
-        UserMeta(*_user_values(fields)), fields["retweet_count"],
-        fields["like_count"], fields.get("parent_id"), fields.get("label"),
-    )
+    values = _schema_values(fields)
+    return TweetRecord(values[0], values[1], _parse_timestamp(values[2]), *values[3:],
+                       fields.get("parent_id"), fields.get("label"))
 
 
 def load_tweets(path) -> list[TweetRecord]:
@@ -238,8 +231,7 @@ def record_to_fields(record: TweetRecord) -> dict:
         value = getattr(record, name)
         if value is not None:
             fields[name] = value
-    fields.update((name, getattr(record.user, name)) for name in _USER_FIELDS)
-    fields.update(retweet_count=record.retweet_count, like_count=record.like_count)
+    fields.update((name, getattr(record, name)) for name in tuple(_SCHEMA)[3:])
     return fields
 
 
@@ -310,7 +302,7 @@ def _assemble(records: Sequence[TweetRecord]) -> tuple[list[Thread], AssemblyDia
         )
         if record.label is None:
             unlabeled += 1
-        threads.append(Thread(source=record, replies=tuple(replies), label=record.label))
+        threads.append(Thread(source=record, replies=tuple(replies)))
     return threads, AssemblyDiagnostics(orphan_replies=orphans, unlabeled_sources=unlabeled)
 
 

@@ -11,7 +11,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .ingest import NONRUMOUR, RUMOUR, Thread, TweetRecord, UserMeta, assemble_threads
+from .ingest import NONRUMOUR, RUMOUR, Thread, TweetRecord, assemble_threads
 
 MARKER = "wombatflux"
 
@@ -24,8 +24,8 @@ _WORDS = (
 ).split()
 
 
-def _user(rng: np.random.Generator) -> UserMeta:
-    return UserMeta(
+def _user(rng: np.random.Generator) -> dict:
+    return dict(
         verified=bool(rng.random() < 0.2),
         followers=int(rng.integers(0, 5000)),
         following=int(rng.integers(0, 2000)),
@@ -63,7 +63,7 @@ def make_planted_records(
             id=source_id,
             text=_text(rng, is_rumour),
             created_at=created,
-            user=_user(rng),
+            **_user(rng),
             retweet_count=int(rng.integers(0, 100)),
             like_count=int(rng.integers(0, 300)),
             label=label,
@@ -73,7 +73,7 @@ def make_planted_records(
                 id=f"{source_id}r{r}",
                 text=_text(rng, is_rumour),
                 created_at=created + timedelta(minutes=5 * (r + 1)),
-                user=_user(rng),
+                **_user(rng),
                 retweet_count=int(rng.integers(0, 20)),
                 like_count=int(rng.integers(0, 50)),
                 parent_id=source_id,

@@ -2,25 +2,18 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from rumourlab.ingest import Thread, TweetRecord, UserMeta
+from rumourlab.ingest import Thread, TweetRecord
 
 BASE_TIME = datetime(2020, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
 
 
-def make_user(**overrides) -> UserMeta:
+def make_record(id, text="hello world", minutes=0, **overrides) -> TweetRecord:
     fields = dict(verified=False, followers=10, following=5, tweet_count=100,
-                  listed_count=1, account_created_year=2015)
+                  listed_count=1, account_created_year=2015, retweet_count=0,
+                  like_count=0)
     fields.update(overrides)
-    return UserMeta(**fields)
-
-
-def make_record(id, text="hello world", minutes=0, parent_id=None, label=None,
-                retweet_count=0, like_count=0, **user_overrides) -> TweetRecord:
-    return TweetRecord(
-        id=id, text=text, created_at=BASE_TIME + timedelta(minutes=minutes),
-        user=make_user(**user_overrides), retweet_count=retweet_count,
-        like_count=like_count, parent_id=parent_id, label=label,
-    )
+    return TweetRecord(id=id, text=text,
+                       created_at=BASE_TIME + timedelta(minutes=minutes), **fields)
 
 
 def make_thread(id, label="nonrumour", text="hello world", n_replies=0,
@@ -30,7 +23,7 @@ def make_thread(id, label="nonrumour", text="hello world", n_replies=0,
         make_record(f"{id}r{i}", text=reply_text, minutes=i + 1, parent_id=id)
         for i in range(n_replies)
     )
-    return Thread(source=source, replies=replies, label=label)
+    return Thread(source=source, replies=replies)
 
 
 @pytest.fixture

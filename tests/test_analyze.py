@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,8 +191,7 @@ class TestMonthlyTopTerms:
 
         early = make_record("a", text="alpha")
         late_time = dt.datetime(2020, 4, 1, 0, 0, tzinfo=dt.timezone.utc)
-        late = type(early)(id="b", text="beta", created_at=late_time,
-                           user=early.user, retweet_count=0, like_count=0)
+        late = replace(early, id="b", text="beta", created_at=late_time)
         tables = monthly_top_terms([(early, "rumour"), (late, "rumour")], top_n=5)
         assert [t.month for t in tables] == ["2020-03", "2020-04"]
 
@@ -258,8 +258,7 @@ class TestMonthlyAverages:
 
         a = make_record("a", text="dread")
         c_time = dt.datetime(2020, 5, 10, tzinfo=dt.timezone.utc)
-        c = type(a)(id="c", text="joy", created_at=c_time, user=a.user,
-                    retweet_count=0, like_count=0)
+        c = replace(a, id="c", text="joy", created_at=c_time)
         rows = monthly_average_scores([_scored(a, "rumour"), _scored(c, "rumour")])
         months = {r.month for r in rows}
         assert months == {"2020-03", "2020-04", "2020-05"}

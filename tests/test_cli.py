@@ -173,6 +173,18 @@ class TestIngestAndStats:
         assert main([command, "--data", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path} line 2: {message}\n"
 
+    def test_oversized_count_exits_one_before_training(self, planted_file, tmp_path, capsys):
+        lines = planted_file.read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "huge.jsonl"
+        huge = {**json.loads(lines[0]), "followers": 10**400}
+        path.write_text("\n".join([lines[1], json.dumps(huge)] + lines[2:]) + "\n",
+                        encoding="utf-8")
+        assert main(["train", "--data", str(path), "--model", "logreg",
+                     "--out-dir", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == (f"error: [stage: ingest] {path} line 2: "
+                                           "followers must be a non-negative integer below 2**63\n")
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("command", ["ingest", "stats"])
     @pytest.mark.parametrize("replies,message", [
         ([{"id": "a", "parent_id": "b"}, {"id": "b", "parent_id": "a"}],

@@ -1,15 +1,19 @@
 import json
 import re
+from dataclasses import fields
 from datetime import timezone
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rumourlab.errors import ParseError, ValidationError
 from rumourlab.ingest import (
+    _SCHEMA,
     DatasetSplit,
     Thread,
+    TweetRecord,
     assemble_threads,
     load_split,
     load_tweets,
@@ -17,6 +21,7 @@ from rumourlab.ingest import (
     save_tweets,
     split_dataset,
 )
+from rumourlab.models.data import handcrafted_matrix
 
 from conftest import make_record, make_thread
 
@@ -105,6 +110,9 @@ class TestLoadTweets:
         ({"label": 0}, "label must be a string or null"),
         ({"followers": True}, "followers must be a non-negative integer"),
         ({"like_count": -1}, "like_count must be a non-negative integer"),
+        ({"followers": 2**63}, r"followers must be a non-negative integer below 2\*\*63"),
+        ({"retweet_count": 10**400},
+         r"retweet_count must be a non-negative integer below 2\*\*63"),
         ({"verified": 0}, "verified must be true or false"),
         ({"text": None}, "text must be a string"),
         ({"created_at": "0001-01-01T00:00:00+01:00"}, "created_at .* is out of range"),
@@ -114,7 +122,8 @@ class TestLoadTweets:
         ({"parent_id": "a\r\n"}, "parent_id must not hold a tab or line break"),
         ({"parent_id": "\ta"}, "parent_id must not hold a tab or line break"),
     ], ids=["numeric-id", "null-id", "empty-id", "numeric-parent", "list-parent",
-            "numeric-label", "bool-count", "negative-count", "int-verified", "null-text",
+            "numeric-label", "bool-count", "negative-count", "count-at-bound", "huge-count",
+            "int-verified", "null-text",
             "overflowing-time", "cr-id", "tab-id", "lf-id", "crlf-parent", "tab-parent"])
     def test_wrong_field_type_cites_file_and_line(self, tmp_path, changes, message):
         path = tmp_path / "data.jsonl"
@@ -132,6 +141,14 @@ class TestLoadTweets:
         with pytest.raises(ValidationError, match=f"^{prefix} line 1: invalid record"):
             load_tweets(path)
 
+    def test_largest_count_loads_and_featurizes(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps({**GOOD, "followers": 2**63 - 1}) + "\n")
+        (record,) = load_tweets(path)
+        assert record.followers == 2**63 - 1
+        threads, _ = assemble_threads([record])
+        assert handcrafted_matrix(threads)[0, 4] == float(2**63 - 1)
+
     def test_save_load_round_trip_is_identity(self, tmp_dataset, tmp_path):
         records = [
             make_record("a", text="emoji \U0001F637 and ümlauts", label="rumour"),
@@ -148,7 +165,8 @@ class TestLoadTweets:
 
 # Field values of every JSON type, so each field is sometimes right.
 _ANY_VALUE = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=True),
+    st.none(), st.booleans(), st.integers(-2, 3), st.integers(0, 2**1100),
+    st.floats(allow_nan=True),
     st.sampled_from(["", "a", "b", "rumour", "nonrumour", "2020-01-01T00:00:00Z",
                      "2020-01-01T00:05:00+00:00", "2020-01-01T00:00:00",
                      "0001-01-01T00:00:00+01:00", "2015"]),
@@ -187,9 +205,27 @@ class TestFuzzedDataset:
             assert str(exc).count(" line ") == 1
             return
         try:
-            assemble_threads(records)
+            threads, _ = assemble_threads(records)
         except ValidationError:
-            pass
+            return
+        assert np.isfinite(handcrafted_matrix(threads)).all()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from([n for n, kind in _SCHEMA.items()
+                                 if kind is int and n != "account_created_year"]),
+           value=st.integers(0, 2**1100))
+    def test_every_loaded_count_featurizes(self, tmp_path, name, value):
+        path = tmp_path / "count.jsonl"
+        path.write_text(json.dumps({**GOOD, name: value}) + "\n")
+        try:
+            records = load_tweets(path)
+        except ValidationError as exc:
+            assert value >= 2**63
+            assert str(exc) == f"{path} line 1: {name} must be a non-negative integer below 2**63"
+            return
+        threads, _ = assemble_threads(records)
+        assert np.isfinite(handcrafted_matrix(threads)).all()
 
 
 class TestRecordValidation:
@@ -204,6 +240,35 @@ class TestRecordValidation:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValidationError):
             make_record("x", label="maybe")
+
+
+class TestFlatSchema:
+    def test_record_fields_follow_the_schema(self):
+        names = [f.name for f in fields(TweetRecord)]
+        assert names[:len(_SCHEMA)] == list(_SCHEMA)
+        assert names[len(_SCHEMA):] == ["parent_id", "label"]
+
+    def test_saved_lines_keep_their_bytes(self, tmp_dataset):
+        reply = make_record("r1", text='h\u00e9llo "world"', minutes=5, parent_id="s0",
+                            label="rumour", verified=True, followers=42,
+                            retweet_count=3, like_count=7)
+        path = tmp_dataset([reply, make_record("s0")])
+        assert path.read_bytes() == (
+            b'{"id": "r1", "text": "h\xc3\xa9llo \\"world\\"", '
+            b'"created_at": "2020-03-01T12:05:00Z", "parent_id": "s0", "label": "rumour", '
+            b'"verified": true, "followers": 42, "following": 5, "tweet_count": 100, '
+            b'"listed_count": 1, "account_created_year": 2015, "retweet_count": 3, '
+            b'"like_count": 7}\n'
+            b'{"id": "s0", "text": "hello world", "created_at": "2020-03-01T12:00:00Z", '
+            b'"verified": false, "followers": 10, "following": 5, "tweet_count": 100, '
+            b'"listed_count": 1, "account_created_year": 2015, "retweet_count": 0, '
+            b'"like_count": 0}\n')
+
+    def test_thread_label_is_the_source_label(self):
+        thread = make_thread("s", label="rumour", n_replies=1)
+        assert thread.label is thread.source.label
+        with pytest.raises(TypeError):
+            Thread(source=thread.source, replies=(), label="rumour")
 
 
 class TestAssembleThreads:
@@ -347,7 +412,7 @@ class TestSplitDataset:
 
     def test_unlabeled_thread_rejected(self):
         source = make_record("u")
-        unlabeled = Thread(source=source, replies=(), label=None)
+        unlabeled = Thread(source=source, replies=())
         with pytest.raises(ValidationError, match="unlabeled"):
             split_dataset(self._threads(3, 3) + [unlabeled], (0.6, 0.2, 0.2), 1)
 

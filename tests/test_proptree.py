@@ -38,7 +38,7 @@ def thread_with_replies(n_replies, label="rumour", texts=None):
                     minutes=i + 1, parent_id="s1")
         for i in range(n_replies)
     )
-    return Thread(source=source, replies=replies, label=label)
+    return Thread(source=source, replies=replies)
 
 
 class TestBuildTree:
@@ -63,7 +63,7 @@ class TestBuildTree:
         source = make_record("s1", text="alpha", label="rumour")
         r1 = make_record("r1", minutes=1, parent_id="s1", text="beta")
         r2 = make_record("r2", minutes=2, parent_id="r1", text="gamma")
-        thread = Thread(source=source, replies=(r1, r2), label="rumour")
+        thread = Thread(source=source, replies=(r1, r2))
         flat = build_tree(thread, tfidf)
         assert [n.parent for n in flat.nodes] == [None, 1, 1]
         linked = build_tree(thread, tfidf, keep_reply_links=True)
@@ -224,7 +224,7 @@ def tree_of_size(thread_id, n, tfidf, label="rumour"):
                     parent_id=thread_id)
         for i in range(n - 1)
     )
-    return build_tree(Thread(source=source, replies=replies, label=label), tfidf)
+    return build_tree(Thread(source=source, replies=replies), tfidf)
 
 
 class TestGraphBatch:
