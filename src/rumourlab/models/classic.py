@@ -250,8 +250,8 @@ def train_classic(
         weights, bias = _gradient_fit(kind, x_std, labels, config, row_weights)
         return ClassicModel(kind=kind, weights=weights, bias=bias,
                             standardizer=standardizer)
-    # Forest: raw feature values; invert any SMOTE rows back to raw scale.
-    x_raw = standardizer.inverse(x_std)
+    # Forest: raw feature values; only SMOTE's synthetic rows need inverting.
+    x_raw = np.vstack([x, standardizer.inverse(x_std[len(x):])])
     y = np.array([1 if c == RUMOUR else 0 for c in labels])
     if row_weights is None:
         row_weights = np.ones(len(labels))

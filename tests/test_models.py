@@ -35,7 +35,7 @@ from rumourlab.models import (
     predict_threads,
     train_classic,
 )
-from rumourlab.models.classic import _gini_best_split, _grow_tree, _tree_votes
+from rumourlab.models.classic import LEAF, _gini_best_split, _grow_tree, _tree_votes
 from rumourlab.models.data import thread_docs, tweet_docs
 from rumourlab.models.lstm import GATES
 from rumourlab.proptree import to_graph_batch
@@ -411,6 +411,18 @@ class TestTrainClassic:
         labels, scores = predict_classic(model, x)
         assert labels == y
         assert ((scores > 0) & (scores < 1)).all()
+
+    def test_forest_thresholds_are_raw_midpoints(self):
+        # Wide-ranged counts, several of which come back changed from a
+        # z-score round trip; without SMOTE every row is a raw row.
+        rng = np.random.default_rng(2)
+        x = np.round(rng.lognormal(5, 3, size=(40, 8)))
+        y = ["rumour" if v else "nonrumour" for v in rng.random(40) < 0.5]
+        model = train_classic("rf", x, y, RunConfig(rf_trees=4, rf_feature_subsample="all"), 1)
+        for tree in model.forest:
+            for node in tree[tree["feature"] != LEAF]:
+                column = x[:, node["feature"]]
+                assert node["threshold"] in 0.5 * (column[:, None] + column[None, :])
 
     def test_logreg_zero_weights_score_half(self):
         x, y = self._separable()
