@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import RunConfig, load_config
-from .errors import ValidationError, read_utf8
+from .errors import ValidationError
 from .featurize import (
-    Standardizer,
     build_vocabulary,
     compute_class_weights,
     fit_tfidf,
@@ -29,7 +28,6 @@ from .featurize import (
     save_terms,
     save_vocabulary,
 )
-from .gradengine import Tensor, load_checkpoint, save_checkpoint
 from .ingest import (
     LABELS,
     NONRUMOUR,
@@ -41,18 +39,8 @@ from .ingest import (
     save_split,
     split_dataset,
 )
-from .models import (
-    BiGcnModel,
-    ClassicModel,
-    LstmModel,
-    fit,
-    forest_from_text,
-    forest_to_text,
-    predict_classic,
-    predict_threads,
-    train_classic,
-)
-from .models.data import handcrafted_matrix, thread_docs, tweet_docs, tfidf_matrix
+from .models import BiGcnModel, ClassicLearner, LstmModel
+from .models.data import thread_docs, tweet_docs
 
 REPORT_FORMAT_VERSION = "rumourlab-report v1"
 CLASS_SHORT = {RUMOUR: "R", NONRUMOUR: "N"}
@@ -170,16 +158,6 @@ def metrics_to_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _history_text(history) -> str:
-    lines = ["epoch train_loss train_accuracy dev_loss dev_accuracy"]
-    for record in history:
-        lines.append(
-            f"{record.epoch} {repr(record.train_loss)} {repr(record.train_accuracy)} "
-            f"{repr(record.dev_loss)} {repr(record.dev_accuracy)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _fit_features(config: RunConfig, train: Sequence[Thread]):
     """What a run learns from its train split before any model: the LSTM
     vocabulary, TF-IDF over tweets (Bi-GCN) or over threads (classic
@@ -210,27 +188,18 @@ def _load_features(config: RunConfig, run_dir: Path):
     return None
 
 
-def _gradient_model(config: RunConfig, features,
-                    class_weights: Optional[dict[str, float]] = None):
-    """The LSTM or Bi-GCN over the fitted features; None for classic kinds."""
+def _model(config: RunConfig, features, train: Optional[Sequence[Thread]] = None):
+    """The model of the run's kind over the fitted features, with the
+    operations prepare, train, predict, save and load (see README). With
+    class_weights set, the gradient kinds weigh classes by `train`."""
+    weights = None
+    if config.class_weights and train is not None:
+        weights = compute_class_weights([t.label for t in train], classes=LABELS)
     if config.model == "lstm":
-        return LstmModel(config, features, class_weights)
+        return LstmModel(config, features, weights)
     if config.model == "bigcn":
-        return BiGcnModel(config, features, class_weights)
-    return None
-
-
-def _prepare(config: RunConfig, model, features, threads: Sequence[Thread]):
-    """Model input for threads: prepared batches for the gradient kinds,
-    the handcrafted and/or TF-IDF matrix for the classic kinds."""
-    if model is not None:
-        return model.prepare(threads)
-    blocks = []
-    if config.features in ("handcrafted", "both"):
-        blocks.append(handcrafted_matrix(threads))
-    if config.features in ("tfidf", "both"):
-        blocks.append(tfidf_matrix(features, threads))
-    return np.hstack(blocks)
+        return BiGcnModel(config, features, weights)
+    return ClassicLearner(config, features)
 
 
 @dataclass(frozen=True)
@@ -238,12 +207,6 @@ class ExperimentResult:
     report: Report
     run_dir: Path
     split: DatasetSplit
-
-
-def _class_weight_map(config: RunConfig, threads) -> Optional[dict[str, float]]:
-    if not config.class_weights:
-        return None
-    return compute_class_weights([t.label for t in threads], classes=LABELS)
 
 
 def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
@@ -276,10 +239,9 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     labeled = [t for t in threads if t.label is not None]
     split = stage("split", lambda: split_dataset(labeled, config.ratios, config.split_seed))
     features = stage("featurize", lambda: _fit_features(config, split.train))
-    model = _gradient_model(config, features, _class_weight_map(config, split.train))
+    model = _model(config, features, split.train)
     train, dev, test = stage("featurize", lambda: [
-        _prepare(config, model, features, part)
-        for part in (split.train, split.dev, split.test)])
+        model.prepare(part) for part in (split.train, split.dev, split.test)])
 
     run_dir = Path(config.out_dir) / f"{config.model}-{config.digest()}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -288,27 +250,13 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     _save_features(config, features, run_dir)
     note(f"run dir {run_dir}: train={len(split.train)} dev={len(split.dev)} "
          f"test={len(split.test)}")
-    train_y = [t.label for t in split.train]
     outputs = []
     for seed in config.seeds:
-        if model is not None:
-            result = stage(f"fit seed {seed}", lambda: fit(model, train, dev, config, seed))
-            save_checkpoint(result.params, run_dir / f"ckpt_seed{seed}.txt")
-            history = _history_text(result.history)
-            labels, scores = predict_threads(model, result.params, test)
-            summary = f"best epoch {result.best_epoch}"
-        else:
-            classic = stage(f"fit seed {seed}", lambda: train_classic(
-                config.model, train, train_y, config, seed))
-            _save_classic(classic, run_dir, seed)
-            dev_labels, _ = predict_classic(classic, dev)
-            dev_accuracy = float(np.mean(
-                [p == t.label for p, t in zip(dev_labels, split.dev)]))
-            history = f"dev_accuracy = {repr(dev_accuracy)}\n"
-            labels, scores = predict_classic(classic, test)
-            summary = f"dev accuracy {dev_accuracy:.3f}"
+        payload, history, summary = stage(f"fit seed {seed}",
+                                          lambda: model.train(train, dev, seed))
+        model.save(payload, run_dir, seed)
         (run_dir / f"history_seed{seed}.txt").write_text(history, encoding="utf-8")
-        outputs.append((labels, scores))
+        outputs.append(model.predict(payload, test))
         note(f"seed {seed}: {summary}")
 
     voted, mean_scores = _vote(outputs)
@@ -324,30 +272,6 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     return ExperimentResult(report=report, run_dir=run_dir, split=split)
 
 
-def _save_classic(model: ClassicModel, run_dir: Path, seed: int) -> None:
-    if model.kind == "rf":
-        (run_dir / f"forest_seed{seed}.txt").write_text(
-            forest_to_text(model), encoding="utf-8")
-    else:
-        save_checkpoint({
-            "w": model.weights, "b": np.array([model.bias]),
-            "feature_mean": model.standardizer.mean,
-            "feature_std": model.standardizer.std,
-        }, run_dir / f"ckpt_seed{seed}.txt")
-
-
-def _load_classic(kind: str, run_dir: Path, seed: int) -> ClassicModel:
-    if kind == "rf":
-        path = run_dir / f"forest_seed{seed}.txt"
-        return forest_from_text(read_utf8(path), str(path))
-    params = load_checkpoint(run_dir / f"ckpt_seed{seed}.txt")
-    return ClassicModel(
-        kind=kind, weights=params["w"], bias=float(params["b"][0]),
-        standardizer=Standardizer(mean=params["feature_mean"],
-                                  std=params["feature_std"]),
-    )
-
-
 class RunPredictor:
     """Reload a finished run directory and predict on new threads by
     majority vote across its seed models (mean score reported)."""
@@ -358,23 +282,9 @@ class RunPredictor:
         # report.txt is written after every seed's artifacts.
         if not (self.run_dir / "report.txt").is_file():
             raise ValidationError(f"{self.run_dir}: incomplete run (no report.txt)")
-        self.features = _load_features(self.config, self.run_dir)
-        self.model = _gradient_model(self.config, self.features)
-        self.seed_params = [self._load_seed(seed) for seed in self.config.seeds]
-
-    def _load_seed(self, seed: int):
-        """One seed's trained payload: parameters for a gradient model, a
-        ClassicModel otherwise."""
-        if self.model is None:
-            return _load_classic(self.config.model, self.run_dir, seed)
-        arrays = load_checkpoint(self.run_dir / f"ckpt_seed{seed}.txt")
-        return {name: Tensor(values) for name, values in arrays.items()}
+        self.model = _model(self.config, _load_features(self.config, self.run_dir))
+        self.payloads = [self.model.load(self.run_dir, seed) for seed in self.config.seeds]
 
     def predict(self, threads: Sequence[Thread]) -> tuple[list[str], np.ndarray]:
-        data = _prepare(self.config, self.model, self.features, threads)
-        if self.model is None:
-            outputs = [predict_classic(payload, data) for payload in self.seed_params]
-        else:
-            outputs = [predict_threads(self.model, payload, data)
-                       for payload in self.seed_params]
-        return _vote(outputs)
+        data = self.model.prepare(threads)
+        return _vote([self.model.predict(payload, data) for payload in self.payloads])

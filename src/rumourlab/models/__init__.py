@@ -2,6 +2,7 @@
 
 from .bigcn import BiGcnModel
 from .classic import (
+    ClassicLearner,
     ClassicModel,
     forest_from_text,
     forest_to_text,
@@ -10,10 +11,11 @@ from .classic import (
     train_classic,
 )
 from .lstm import LstmModel
-from .trainer import EpochRecord, FitResult, fit, predict_threads
+from .trainer import EpochRecord, FitResult, GradientModel, fit, predict_threads
 
 __all__ = [
-    "BiGcnModel", "ClassicModel", "EpochRecord", "FitResult", "LstmModel",
+    "BiGcnModel", "ClassicLearner", "ClassicModel", "EpochRecord", "FitResult",
+    "GradientModel", "LstmModel",
     "fit", "forest_from_text", "forest_to_text", "predict_classic",
     "predict_threads", "smote_balance", "train_classic",
 ]

@@ -34,6 +34,7 @@ from ..ingest import NONRUMOUR, RUMOUR, Thread
 from ..proptree import GraphBatch, PropTree, build_tree, drop_edge, to_graph_batch
 from .data import labels01
 from .init import xavier_uniform
+from .trainer import GradientModel
 
 DIRECTIONS = ("td", "bu")
 CLASS_ORDER = (RUMOUR, NONRUMOUR)
@@ -48,9 +49,7 @@ class TreeData:
         return len(self.trees)
 
 
-class BiGcnModel:
-    kind = "bigcn"
-
+class BiGcnModel(GradientModel):
     def __init__(self, config: RunConfig, tfidf: TfidfModel,
                  class_weights: Optional[dict[str, float]] = None):
         self.config = config

@@ -5,21 +5,24 @@ Gradient-trained kinds consume z-scored features (statistics fitted on
 the training matrix and stored with the model); the forest consumes raw
 values. SMOTE, when requested, balances the class counts exactly before
 fitting, with neighbour distances measured in standardized space.
+`ClassicLearner` gives the three kinds the run operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..config import RunConfig
-from ..errors import ParseError, ValidationError, split_lines
+from ..errors import ParseError, ValidationError, read_utf8, split_lines
 from ..featurize import (
     HANDCRAFTED_WIDTH,
     Standardizer,
+    TfidfModel,
     compute_class_weights,
     smote_oversample,
 )
@@ -30,14 +33,17 @@ from ..gradengine import (
     bce_loss,
     collect_grads,
     hinge_loss,
+    load_checkpoint,
     matmul,
     optimizer_step,
     parameter,
+    save_checkpoint,
     sigmoid,
     sum_all,
     zero_grads,
 )
-from ..ingest import NONRUMOUR, RUMOUR
+from ..ingest import NONRUMOUR, RUMOUR, Thread
+from .data import handcrafted_matrix, tfidf_matrix
 
 CLASSIC_KINDS = ("logreg", "svm", "rf")
 
@@ -359,3 +365,52 @@ def forest_from_text(text: str, source: str = "forest") -> ClassicModel:
             raise ParseError(f"{source} line {nodes[outside[0]][0]}: split feature or child "
                              "index outside the forest")
     return ClassicModel(kind="rf", forest=forest, forest_dim=feature_dim)
+
+
+class ClassicLearner:
+    """The run operations of logreg, svm and rf over a run's config and
+    TF-IDF (None without a TF-IDF block); the payload is a ClassicModel."""
+
+    def __init__(self, config: RunConfig, tfidf: Optional[TfidfModel] = None):
+        self.config = config
+        self.tfidf = tfidf
+
+    def prepare(self, threads: Sequence[Thread]) -> tuple[np.ndarray, list]:
+        """The handcrafted and/or TF-IDF matrix of `threads`, and their labels."""
+        blocks = []
+        if self.config.features in ("handcrafted", "both"):
+            blocks.append(handcrafted_matrix(threads))
+        if self.config.features in ("tfidf", "both"):
+            blocks.append(tfidf_matrix(self.tfidf, threads))
+        return np.hstack(blocks), [t.label for t in threads]
+
+    def train(self, train_data, dev_data, seed: int):
+        model = train_classic(self.config.model, *train_data, self.config, seed)
+        dev_x, dev_labels = dev_data
+        predicted, _ = predict_classic(model, dev_x)
+        accuracy = float(np.mean([p == t for p, t in zip(predicted, dev_labels)]))
+        return model, f"dev_accuracy = {accuracy!r}\n", f"dev accuracy {accuracy:.3f}"
+
+    def predict(self, model: ClassicModel, data) -> tuple[list[str], np.ndarray]:
+        return predict_classic(model, data[0])
+
+    def save(self, model: ClassicModel, run_dir: Path, seed: int) -> None:
+        if self.config.model == "rf":
+            (run_dir / f"forest_seed{seed}.txt").write_text(
+                forest_to_text(model), encoding="utf-8")
+        else:
+            save_checkpoint({"w": model.weights, "b": np.array([model.bias]),
+                             "feature_mean": model.standardizer.mean,
+                             "feature_std": model.standardizer.std},
+                            run_dir / f"ckpt_seed{seed}.txt")
+
+    def load(self, run_dir: Path, seed: int) -> ClassicModel:
+        if self.config.model == "rf":
+            path = run_dir / f"forest_seed{seed}.txt"
+            return forest_from_text(read_utf8(path), str(path))
+        params = load_checkpoint(run_dir / f"ckpt_seed{seed}.txt")
+        return ClassicModel(
+            kind=self.config.model, weights=params["w"], bias=float(params["b"][0]),
+            standardizer=Standardizer(mean=params["feature_mean"],
+                                      std=params["feature_std"]),
+        )

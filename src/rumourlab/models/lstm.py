@@ -32,6 +32,7 @@ from ..gradengine import (
 from ..ingest import NONRUMOUR, RUMOUR, Thread
 from .data import labels01, lstm_inputs
 from .init import xavier_uniform
+from .trainer import GradientModel
 
 GATES = ("i", "f", "o", "c")
 
@@ -46,11 +47,9 @@ class LstmBatch:
         return len(self.ids)
 
 
-class LstmModel:
+class LstmModel(GradientModel):
     """Model wiring plus dataset preparation for the shared trainer; the
     sizes and dropout come from the run configuration."""
-
-    kind = "lstm"
 
     def __init__(self, config: RunConfig, vocab: Vocabulary,
                  class_weights: Optional[dict[str, float]] = None):

@@ -2,11 +2,13 @@
 seeded shuffling and initialization, early stopping on dev loss with
 best-parameter restore. Both entry points take the model's own prepared
 data (`model.prepare(threads)`), so a caller prepares each split once.
+`GradientModel` gives both models the run operations over this loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -18,7 +20,9 @@ from ..gradengine import (
     Tensor,
     backward,
     collect_grads,
+    load_checkpoint,
     optimizer_step,
+    save_checkpoint,
     zero_grads,
 )
 from ..ingest import RUMOUR
@@ -130,3 +134,27 @@ def predict_threads(model, params: dict[str, Tensor], data,
         labels.extend(batch_labels)
         scores.extend(batch_scores)
     return labels, np.array(scores)
+
+
+class GradientModel:
+    """The run operations of a model trained by `fit`; the payload is the
+    parameter dict, one checkpoint per seed."""
+
+    config: RunConfig
+
+    def train(self, train_data, dev_data, seed: int):
+        """(parameters, history text, summary line) for one seed."""
+        result = fit(self, train_data, dev_data, self.config, seed)
+        history = ["epoch train_loss train_accuracy dev_loss dev_accuracy"] + [
+            " ".join(map(repr, astuple(record))) for record in result.history]
+        return result.params, "\n".join(history) + "\n", f"best epoch {result.best_epoch}"
+
+    def predict(self, params: dict[str, Tensor], data) -> tuple[list[str], np.ndarray]:
+        return predict_threads(self, params, data)
+
+    def save(self, params: dict[str, Tensor], run_dir: Path, seed: int) -> None:
+        save_checkpoint(params, run_dir / f"ckpt_seed{seed}.txt")
+
+    def load(self, run_dir: Path, seed: int) -> dict[str, Tensor]:
+        arrays = load_checkpoint(run_dir / f"ckpt_seed{seed}.txt")
+        return {name: Tensor(values) for name, values in arrays.items()}

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rumourlab import evalrun
 from rumourlab.config import RunConfig, load_config, parse_config_text
 from rumourlab.errors import ParseError, ValidationError
 from rumourlab.evalrun import (
@@ -19,7 +18,7 @@ from rumourlab.evalrun import (
     run_experiment,
 )
 from rumourlab.ingest import save_tweets
-from rumourlab.models import BiGcnModel, LstmModel
+from rumourlab.models import BiGcnModel, LstmModel, trainer
 from rumourlab.synthetic import make_planted_records
 
 
@@ -367,9 +366,9 @@ class TestEvaluationOnConstants:
                               {p.requires_grad for p in params.values()}))
                 return _original(self, params, batch, train=train, rng=rng)
             monkeypatch.setattr(cls, "loss_and_predictions", recorded)
-        monkeypatch.setattr(evalrun, "fit", within("fit", evalrun.fit))
-        monkeypatch.setattr(evalrun, "predict_threads",
-                            within("predict_threads", evalrun.predict_threads))
+        monkeypatch.setattr(trainer, "fit", within("fit", trainer.fit))
+        monkeypatch.setattr(trainer, "predict_threads",
+                            within("predict_threads", trainer.predict_threads))
         monkeypatch.setattr(RunPredictor, "predict", within("predict", RunPredictor.predict))
 
         config = RunConfig(dataset=str(planted_file), model=model,
