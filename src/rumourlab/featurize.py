@@ -274,6 +274,8 @@ def save_vocabulary(model: TfidfModel, vocab_path, idf_path) -> None:
 
 
 def load_vocabulary(vocab_path, idf_path) -> TfidfModel:
+    """The TF-IDF model saved by save_vocabulary; the idf file must give
+    each vocabulary term exactly once."""
     vocab = load_terms(vocab_path)
     lines = split_lines(read_utf8(idf_path))
     # Only the first line is the header: later lines may be hashtag terms.
@@ -284,7 +286,7 @@ def load_vocabulary(vocab_path, idf_path) -> TfidfModel:
         doc_count = int(count)  # over 4,300 digits raise ValueError
     except ValueError:
         raise ParseError(f"{idf_path} line 1: expected the '# doc_count = N' header") from None
-    idf = np.zeros(vocab.content_size)
+    idf = np.full(vocab.content_size, np.nan)
     for line_no, line in enumerate(lines[1:], start=2):
         try:
             term, value = line.split("\t")
@@ -296,5 +298,11 @@ def load_vocabulary(vocab_path, idf_path) -> TfidfModel:
         position = vocab.content_index(term)
         if position is None:
             raise ParseError(f"{idf_path} line {line_no}: idf term {term!r} not in vocabulary")
+        if not np.isnan(idf[position]):
+            raise ParseError(f"{idf_path} line {line_no}: idf term {term!r} repeated")
         idf[position] = weight
+    missing = np.flatnonzero(np.isnan(idf))
+    if len(missing):
+        raise ParseError(f"{idf_path} line {len(lines)}: the file ends without an idf for "
+                         f"vocabulary term {vocab.terms[missing[0]]!r}")
     return TfidfModel(vocab=vocab, idf=idf, doc_count=doc_count)

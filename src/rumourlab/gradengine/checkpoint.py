@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import math
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -34,7 +34,11 @@ def save_checkpoint(params: Mapping[str, Union[Tensor, np.ndarray]], path) -> No
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
+def load_checkpoint(path, shapes: Optional[Mapping[str, tuple]] = None
+                    ) -> dict[str, np.ndarray]:
+    """The parameters saved at `path`. With `shapes` (name -> shape) a
+    missing, unexpected or differently shaped parameter raises ParseError
+    naming it."""
     lines = split_lines(read_utf8(path))
     if lines[:1] != [f"# {CKPT_FORMAT_VERSION}"]:
         raise ParseError(f"{path}: not a {CKPT_FORMAT_VERSION} checkpoint")
@@ -58,7 +62,16 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise ParseError(f"{where}: payload of {len(data)} bytes is not whole float64 values")
         if len(data) // 8 != math.prod(shape):
             raise ParseError(f"{where}: {len(data) // 8} values for shape {parts[1]}")
+        if shapes is not None and parts[0] not in shapes:
+            raise ParseError(f"{where}: unexpected parameter {parts[0]!r}")
+        if shapes is not None and tuple(shapes[parts[0]]) != shape:
+            expected = "x".join(str(d) for d in shapes[parts[0]])
+            raise ParseError(f"{where}: parameter {parts[0]!r} has shape {parts[1]}, "
+                             f"expected {expected}")
         params[parts[0]] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
         if not np.isfinite(params[parts[0]]).all():  # training never saves one
             raise ParseError(f"{where}: non-finite value in parameter {parts[0]!r}")
+    missing = [name for name in shapes or () if name not in params]
+    if missing:
+        raise ParseError(f"{path}: parameter {missing[0]!r} is missing")
     return params

@@ -317,10 +317,12 @@ def forest_to_text(model: ClassicModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def forest_from_text(text: str, source: str = "forest") -> ClassicModel:
+def forest_from_text(text: str, source: str = "forest",
+                     width: Optional[int] = None) -> ClassicModel:
     """Parse forest_to_text output. A malformed line, a node before the
     first tree, an empty tree, a tree count other than n_trees, a missing
-    header value, a negative feature_dim, or a split whose feature or children fall outside the
+    header value, a negative feature_dim or one other than `width` when
+    given, or a split whose feature or children fall outside the
     forest raises ParseError naming `source` and the line."""
     lines = split_lines(text)
     if not lines or lines[0] != "# rumourlab-forest v1":
@@ -350,6 +352,9 @@ def forest_from_text(text: str, source: str = "forest") -> ClassicModel:
     (n_trees, n_line), (feature_dim, dim_line) = header["n_trees"], header["feature_dim"]
     if feature_dim < 0:
         raise ParseError(f"{source} line {dim_line}: feature_dim = {feature_dim} is negative")
+    if width is not None and feature_dim != width:
+        raise ParseError(f"{source} line {dim_line}: feature_dim = {feature_dim}, but the "
+                         f"run's features are {width} wide")
     if len(trees) != n_trees or not trees:
         raise ParseError(f"{source} line {n_line}: n_trees = {n_trees}, but the file "
                          f"holds {len(trees)} trees (a forest needs at least one)")
@@ -405,10 +410,14 @@ class ClassicLearner:
                             run_dir / f"ckpt_seed{seed}.txt")
 
     def load(self, run_dir: Path, seed: int) -> ClassicModel:
+        """One seed's model, checked against the width of the run's features."""
+        width = (0 if self.config.features == "tfidf" else HANDCRAFTED_WIDTH) \
+            + (0 if self.tfidf is None else self.tfidf.vocab.content_size)
         if self.config.model == "rf":
             path = run_dir / f"forest_seed{seed}.txt"
-            return forest_from_text(read_utf8(path), str(path))
-        params = load_checkpoint(run_dir / f"ckpt_seed{seed}.txt")
+            return forest_from_text(read_utf8(path), str(path), width)
+        params = load_checkpoint(run_dir / f"ckpt_seed{seed}.txt", {
+            "w": (width,), "b": (1,), "feature_mean": (width,), "feature_std": (width,)})
         return ClassicModel(
             kind=self.config.model, weights=params["w"], bias=float(params["b"][0]),
             standardizer=Standardizer(mean=params["feature_mean"],

@@ -156,5 +156,7 @@ class GradientModel:
         save_checkpoint(params, run_dir / f"ckpt_seed{seed}.txt")
 
     def load(self, run_dir: Path, seed: int) -> dict[str, Tensor]:
-        arrays = load_checkpoint(run_dir / f"ckpt_seed{seed}.txt")
+        """One seed's parameters, each of the shape `init_params` gives."""
+        shapes = {name: p.shape for name, p in self.init_params(np.random.default_rng(0)).items()}
+        arrays = load_checkpoint(run_dir / f"ckpt_seed{seed}.txt", shapes)
         return {name: Tensor(values) for name, values in arrays.items()}

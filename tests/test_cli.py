@@ -48,6 +48,29 @@ def trained_run(planted_file, tmp_path_factory):
     return run_dir
 
 
+def _train_small(planted_file, tmp_path_factory, model, *settings):
+    out = tmp_path_factory.mktemp("runs")
+    argv = ["train", "--data", str(planted_file), "--model", model, "--out-dir", str(out)]
+    for setting in settings + ("max_epochs = 1",):
+        argv += ["--set", setting]
+    assert main(argv) == 0
+    (run_dir,) = list(out.iterdir())
+    return run_dir
+
+
+@pytest.fixture(scope="module")
+def lstm_run(planted_file, tmp_path_factory):
+    return _train_small(planted_file, tmp_path_factory, "lstm", "vocab_cap = 200",
+                        "embed_dim = 4", "hidden_dim = 4", "perceptron_dim = 4",
+                        "max_len = 16")
+
+
+@pytest.fixture(scope="module")
+def bigcn_run(planted_file, tmp_path_factory):
+    return _train_small(planted_file, tmp_path_factory, "bigcn", "tfidf_top_k = 100",
+                        "bigcn_hidden_dim = 4", "bigcn_out_dim = 4")
+
+
 @pytest.fixture(scope="module")
 def forest_run(planted_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("runs")
@@ -433,9 +456,13 @@ class TestTrainPredictEvaluate:
         ("idf.txt", lambda lines: lines[:2] + ["nosuchterm\t1.0"] + lines[3:], 3),
         ("idf.txt", lambda lines: lines[:1] + [lines[1].split("\t")[0] + "\tnan"] + lines[2:],
          2),
+        ("idf.txt", lambda lines: lines[:3] + [lines[2]] + lines[3:], 4),
+        ("idf.txt", lambda lines: lines[:20], 20),
+        # Line 3 holds feature_dim; ten times the run's width still parses.
+        ("forest_seed1.txt", lambda lines: lines[:2] + [lines[2] + "0"] + lines[3:], 3),
     ], ids=["cut", "node-before-tree", "three-fields", "child-99", "split-seed",
             "vocab-byte", "idf-byte", "vocab-header", "idf-header", "idf-unknown-term",
-            "idf-nan"])
+            "idf-nan", "idf-repeated-term", "idf-cut", "feature-dim"])
     def test_damaged_run_file_exits_one_naming_line(self, forest_run, tmp_path, capsys,
                                                     name, damage, line_no):
         run_dir = tmp_path / forest_run.name
@@ -445,6 +472,35 @@ class TestTrainPredictEvaluate:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         assert main(["evaluate", "--run", str(run_dir)]) == 1
         assert f"error: {path} line {line_no}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run,name,damage,message", [
+        ("lstm_run", "ckpt_seed1.txt", lambda lines: lines[:3],
+         "parameter 'embed' is missing"),
+        ("bigcn_run", "ckpt_seed1.txt", lambda lines: lines[:3],
+         "parameter 'td_w1' is missing"),
+        ("trained_run", "ckpt_seed1.txt", lambda lines: lines[:3],
+         "parameter 'w' is missing"),
+        ("trained_run", "ckpt_seed1.txt", lambda lines: [
+            "feature_mean 3 " + base64.b64encode(np.zeros(3).tobytes()).decode()
+            if line.startswith("feature_mean ") else line for line in lines],
+         "parameter 'feature_mean' has shape 3, expected "),
+        # A shorter vocabulary no longer fits the embedding trained on it.
+        ("lstm_run", "vocab.txt", lambda lines: lines[:40], "parameter 'embed' has shape "),
+    ], ids=["lstm-cut", "bigcn-cut", "logreg-cut", "feature-mean", "lstm-vocab"])
+    def test_damaged_seed_payload_exits_one(self, request, unlabeled_file, tmp_path, capsys,
+                                            run, name, damage, message):
+        """A checkpoint must hold the parameters of the model that the
+        run's config and vocabulary build, in their shapes."""
+        trained = request.getfixturevalue(run)
+        run_dir = tmp_path / trained.name
+        shutil.copytree(trained, run_dir)
+        path = run_dir / name
+        path.write_text("\n".join(damage(path.read_text(encoding="utf-8").splitlines()))
+                        + "\n", encoding="utf-8")
+        capsys.readouterr()  # what training the run printed
+        assert main(["predict", "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / 'ckpt_seed1.txt'}") and message in err, err
 
     @pytest.mark.parametrize("model,setting", [
         ("bigcn", "dropout = 2"),

@@ -18,7 +18,7 @@ from rumourlab.evalrun import (
     run_experiment,
 )
 from rumourlab.ingest import save_tweets
-from rumourlab.models import BiGcnModel, LstmModel, trainer
+from rumourlab.models import BiGcnModel, ClassicLearner, GradientModel, LstmModel, trainer
 from rumourlab.synthetic import make_planted_records
 
 
@@ -285,7 +285,7 @@ class TestRunExperiment:
             assert (result.run_dir / f"ckpt_seed{seed}.txt").exists()
 
     @pytest.mark.parametrize("model", ["lstm", "bigcn", "logreg", "svm", "rf"])
-    def test_predictor_round_trip(self, planted_file, tmp_path, model):
+    def test_predictor_round_trip(self, planted_file, tmp_path, monkeypatch, model):
         sizes = {
             "lstm": dict(vocab_cap=200, embed_dim=4, hidden_dim=4, perceptron_dim=4,
                          max_len=16, max_epochs=1),
@@ -295,6 +295,13 @@ class TestRunExperiment:
             "svm": dict(svm_iters=100),
             "rf": dict(rf_trees=3, features="both"),
         }[model]
+        trained = {}  # seed -> (model, payload) as train returned them
+        for cls in (GradientModel, ClassicLearner):
+            def recorded(self, train, dev, seed, _original=cls.train):
+                outcome = _original(self, train, dev, seed)
+                trained[seed] = (self, outcome[0])
+                return outcome
+            monkeypatch.setattr(cls, "train", recorded)
         config = self._config(planted_file, tmp_path, model=model, seeds=(1, 2), **sizes)
         result = run_experiment(config)
         predictor = RunPredictor(result.run_dir)
@@ -302,6 +309,14 @@ class TestRunExperiment:
         file_lines = (result.run_dir / "predictions.txt").read_text().splitlines()
         assert [l.split("\t")[1] for l in file_lines] == labels
         assert [l.split("\t")[2] for l in file_lines] == [f"{s:.6g}" for s in scores]
+        assert sorted(trained) == [1, 2]
+        for seed, (trained_model, payload) in trained.items():
+            data = trained_model.prepare(result.split.test)
+            fresh_labels, fresh_scores = trained_model.predict(payload, data)
+            loaded_labels, loaded_scores = trained_model.predict(
+                trained_model.load(result.run_dir, seed), data)
+            assert loaded_labels == fresh_labels
+            assert np.asarray(loaded_scores).tobytes() == np.asarray(fresh_scores).tobytes()
 
     def test_bigcn_raw_count_features(self, planted_file, tmp_path):
         config = self._config(planted_file, tmp_path, model="bigcn", tree_raw_counts=True,

@@ -1,5 +1,6 @@
 import base64
 import math
+import re
 
 import numpy as np
 import pytest
@@ -414,6 +415,21 @@ class TestCheckpoint:
         path.write_bytes(b"# rumourlab-ckpt v2\nok 2 " + good + b"\n" + line + b"\n")
         with pytest.raises(ParseError, match=f"bad.txt line 3: {message}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("shapes,message", [
+        ({"ok": (2,), "w": (2,)}, None),
+        ({"ok": (2,), "w": (1, 2)}, "bad.txt line 3: parameter 'w' has shape 2, expected 1x2"),
+        ({"ok": (2,)}, "bad.txt line 3: unexpected parameter 'w'"),
+        ({"ok": (2,), "w": (2,), "v": (3,)}, "bad.txt: parameter 'v' is missing"),
+    ])
+    def test_expected_shapes_are_checked(self, tmp_path, shapes, message):
+        path = tmp_path / "bad.txt"
+        save_checkpoint({"ok": np.zeros(2), "w": np.ones(2)}, path)
+        if message is None:
+            assert set(load_checkpoint(path, shapes)) == {"ok", "w"}
+        else:
+            with pytest.raises(ParseError, match=re.escape(message)):
+                load_checkpoint(path, shapes)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
