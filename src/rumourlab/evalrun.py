@@ -193,6 +193,7 @@ def _model(config: RunConfig, features, train: Optional[Sequence[Thread]] = None
     operations prepare, train, predict, save and load (see README). With
     class_weights set, the gradient kinds weigh classes by `train`."""
     weights = None
+    # Also for classic kinds, so a one-class train split fails before any file is written.
     if config.class_weights and train is not None:
         weights = compute_class_weights([t.label for t in train], classes=LABELS)
     if config.model == "lstm":
