@@ -158,49 +158,38 @@ def metrics_to_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fit_features(config: RunConfig, train: Sequence[Thread]):
-    """What a run learns from its train split before any model: the LSTM
-    vocabulary, TF-IDF over tweets (Bi-GCN) or over threads (classic
-    kinds with a TF-IDF block), or None."""
-    if config.model == "lstm":
-        # Reserve three ids (pad/unk/sep) inside the configured cap.
-        return build_vocabulary(thread_docs(train), config.vocab_cap - 3)
-    if config.model == "bigcn":
-        return fit_tfidf(tweet_docs(train), config.tfidf_top_k)
-    if config.features in ("tfidf", "both"):
-        return fit_tfidf(thread_docs(train), config.tfidf_top_k)
-    return None
-
-
-def _save_features(config: RunConfig, features, run_dir: Path) -> None:
-    if config.model == "lstm":
-        save_terms(features, run_dir / "vocab.txt")
-    elif features is not None:
-        save_vocabulary(features, run_dir / "vocab.txt", run_dir / "idf.txt")
-
-
-def _load_features(config: RunConfig, run_dir: Path):
-    """The inverse of _fit_features, read back from a run directory."""
-    if config.model == "lstm":
-        return load_terms(run_dir / "vocab.txt")
-    if config.model == "bigcn" or config.features in ("tfidf", "both"):
-        return load_vocabulary(run_dir / "vocab.txt", run_dir / "idf.txt")
-    return None
-
-
-def _model(config: RunConfig, features, train: Optional[Sequence[Thread]] = None):
-    """The model of the run's kind over the fitted features, with the
-    operations prepare, train, predict, save and load (see README). With
-    class_weights set, the gradient kinds weigh classes by `train`."""
+def run_model(config: RunConfig, train: Optional[Sequence[Thread]] = None,
+              run_dir: Optional[Path] = None):
+    """The model of the run's kind, with the operations prepare, train,
+    predict, save and load (see README), over its features fitted on
+    `train` or read from `run_dir`: the LSTM vocabulary, TF-IDF over
+    tweets (Bi-GCN) or over threads (classic kinds with a TF-IDF block).
+    With class_weights set, the gradient kinds weigh classes by `train`."""
     weights = None
     # Also for classic kinds, so a one-class train split fails before any file is written.
     if config.class_weights and train is not None:
         weights = compute_class_weights([t.label for t in train], classes=LABELS)
     if config.model == "lstm":
-        return LstmModel(config, features, weights)
+        # Reserve three ids (pad/unk/sep) inside the configured cap.
+        vocab = (load_terms(run_dir / "vocab.txt") if train is None
+                 else build_vocabulary(thread_docs(train), config.vocab_cap - 3))
+        return LstmModel(config, vocab, weights)
+    tfidf = None
+    if config.model == "bigcn" or config.features != "handcrafted":
+        docs = tweet_docs if config.model == "bigcn" else thread_docs
+        tfidf = (load_vocabulary(run_dir / "vocab.txt", run_dir / "idf.txt") if train is None
+                 else fit_tfidf(docs(train), config.tfidf_top_k))
     if config.model == "bigcn":
-        return BiGcnModel(config, features, weights)
-    return ClassicLearner(config, features)
+        return BiGcnModel(config, tfidf, weights)
+    return ClassicLearner(config, tfidf)
+
+
+def _save_features(model, run_dir: Path) -> None:
+    """The files `run_model` reads the model's features back from."""
+    if isinstance(model, LstmModel):
+        save_terms(model.vocab, run_dir / "vocab.txt")
+    elif model.tfidf is not None:
+        save_vocabulary(model.tfidf, run_dir / "vocab.txt", run_dir / "idf.txt")
 
 
 @dataclass(frozen=True)
@@ -239,8 +228,7 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     threads, _ = stage("assemble", lambda: assemble_threads(records, config.dataset))
     labeled = [t for t in threads if t.label is not None]
     split = stage("split", lambda: split_dataset(labeled, config.ratios, config.split_seed))
-    features = stage("featurize", lambda: _fit_features(config, split.train))
-    model = _model(config, features, split.train)
+    model = stage("featurize", lambda: run_model(config, split.train))
     train, dev, test = stage("featurize", lambda: [
         model.prepare(part) for part in (split.train, split.dev, split.test)])
 
@@ -248,7 +236,7 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.txt").write_text(config.canonical_text(), encoding="utf-8")
     save_split(split, run_dir / "split")
-    _save_features(config, features, run_dir)
+    _save_features(model, run_dir)
     note(f"run dir {run_dir}: train={len(split.train)} dev={len(split.dev)} "
          f"test={len(split.test)}")
     outputs = []
@@ -283,7 +271,7 @@ class RunPredictor:
         # report.txt is written after every seed's artifacts.
         if not (self.run_dir / "report.txt").is_file():
             raise ValidationError(f"{self.run_dir}: incomplete run (no report.txt)")
-        self.model = _model(self.config, _load_features(self.config, self.run_dir))
+        self.model = run_model(self.config, run_dir=self.run_dir)
         self.payloads = [self.model.load(self.run_dir, seed) for seed in self.config.seeds]
 
     def predict(self, threads: Sequence[Thread]) -> tuple[list[str], np.ndarray]:

@@ -9,8 +9,8 @@ from collections import Counter
 import numpy as np
 
 from .config import RunConfig
-from .evalrun import compute_report
-from .featurize import build_vocabulary, fit_tfidf, smote_oversample, transform_tfidf
+from .evalrun import compute_report, run_model
+from .featurize import fit_tfidf, smote_oversample, transform_tfidf
 from .gradengine import (
     SparseMatrix,
     Tensor,
@@ -34,8 +34,7 @@ from .gradengine import (
     weighted_ce_loss,
 )
 from .ingest import NONRUMOUR, RUMOUR
-from .models import BiGcnModel, LstmModel
-from .models.data import thread_docs, tweet_docs
+from .models.data import tweet_docs
 from .proptree import build_tree, drop_edge, to_graph_batch
 from .analyze import score_sentiment
 from .synthetic import make_planted_threads
@@ -116,14 +115,10 @@ def check_primitive_gradients(seed: int = 7) -> float:
 def check_model_gradients(kind: str, seed: int) -> float:
     """Finite-difference check of a full LSTM or Bi-GCN loss on toy threads."""
     threads = make_planted_threads(n_threads=8, rumour_rate=0.5, seed=3, max_replies=2)
-    if kind == "lstm":
-        model = LstmModel(RunConfig(vocab_cap=100, embed_dim=5, hidden_dim=6,
-                                    perceptron_dim=4, max_len=12),
-                          build_vocabulary(thread_docs(threads), cap=60))
-    else:
-        model = BiGcnModel(RunConfig(bigcn_hidden_dim=5, bigcn_out_dim=4,
-                                     drop_edge_rate=0.0),
-                           fit_tfidf(tweet_docs(threads), top_k=40))
+    model = run_model(RunConfig(model=kind, class_weights=False, vocab_cap=63, tfidf_top_k=40,
+                                embed_dim=5, hidden_dim=6, perceptron_dim=4, max_len=12,
+                                bigcn_hidden_dim=5, bigcn_out_dim=4, drop_edge_rate=0.0),
+                      threads)
     params = model.init_params(np.random.default_rng(seed))
     data = model.prepare(threads)
 
