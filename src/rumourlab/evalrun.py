@@ -166,8 +166,7 @@ def run_model(config: RunConfig, train: Optional[Sequence[Thread]] = None,
     tweets (Bi-GCN) or over threads (classic kinds with a TF-IDF block).
     With class_weights set, the gradient kinds weigh classes by `train`."""
     weights = None
-    # Also for classic kinds, so a one-class train split fails before any file is written.
-    if config.class_weights and train is not None:
+    if config.class_weights and train is not None and config.model in ("lstm", "bigcn"):
         weights = compute_class_weights([t.label for t in train], classes=LABELS)
     if config.model == "lstm":
         # Reserve three ids (pad/unk/sep) inside the configured cap.
@@ -205,8 +204,9 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     Ingest, split, featurize and prepare each split once, train once per
     seed, majority-vote the test predictions, and persist everything under
     the digest-named run directory. `config` checked every setting when it
-    was built, and features and model are built before the directory is,
-    so a bad config writes nothing.
+    was built, a train split without both classes is refused, and the
+    model and its features are built before the directory is, so a bad
+    config or split writes nothing.
     Raises with the failing stage named.
     """
 
@@ -228,6 +228,10 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     threads, _ = stage("assemble", lambda: assemble_threads(records, config.dataset))
     labeled = [t for t in threads if t.label is not None]
     split = stage("split", lambda: split_dataset(labeled, config.ratios, config.split_seed))
+    held = {t.label for t in split.train}
+    if missing := [label for label in LABELS if label not in held]:
+        raise ValidationError(f"[stage: split] no examples of class(es) in the train split: "
+                              f"{missing}")
     model = stage("featurize", lambda: run_model(config, split.train))
     train, dev, test = stage("featurize", lambda: [
         model.prepare(part) for part in (split.train, split.dev, split.test)])

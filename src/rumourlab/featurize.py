@@ -259,6 +259,11 @@ def load_terms(path) -> Vocabulary:
     lines = split_lines(read_utf8(path))
     if tuple(lines[:3]) != RESERVED:
         raise ValidationError(f"{path} line 1: vocabulary file lacks the reserved-id header")
+    seen: set[str] = set()
+    for line_no, term in enumerate(lines[3:], start=4):
+        if term in seen:
+            raise ParseError(f"{path} line {line_no}: vocabulary term {term!r} repeated")
+        seen.add(term)
     return Vocabulary(terms=tuple(lines[3:]))
 
 

@@ -36,9 +36,9 @@ def save_checkpoint(params: Mapping[str, Union[Tensor, np.ndarray]], path) -> No
 
 def load_checkpoint(path, shapes: Optional[Mapping[str, tuple]] = None
                     ) -> dict[str, np.ndarray]:
-    """The parameters saved at `path`. With `shapes` (name -> shape) a
-    missing, unexpected or differently shaped parameter raises ParseError
-    naming it."""
+    """The parameters saved at `path`. A repeated parameter, and with
+    `shapes` (name -> shape) a missing, unexpected or differently shaped
+    one, raises ParseError naming it."""
     lines = split_lines(read_utf8(path))
     if lines[:1] != [f"# {CKPT_FORMAT_VERSION}"]:
         raise ParseError(f"{path}: not a {CKPT_FORMAT_VERSION} checkpoint")
@@ -54,6 +54,8 @@ def load_checkpoint(path, shapes: Optional[Mapping[str, tuple]] = None
                 raise ValueError(line)
         except (IndexError, ValueError):
             raise ParseError(f"{where}: malformed parameter line") from None
+        if parts[0] in params:
+            raise ParseError(f"{where}: parameter {parts[0]!r} repeated")
         try:
             data = base64.b64decode(parts[2] if len(parts) == 3 else "", validate=True)
         except ValueError:  # binascii.Error, or a non-ASCII character

@@ -321,9 +321,9 @@ def forest_from_text(text: str, source: str = "forest",
                      width: Optional[int] = None) -> ClassicModel:
     """Parse forest_to_text output. A malformed line, a node before the
     first tree, an empty tree, a tree count other than n_trees, a missing
-    header value, a negative feature_dim or one other than `width` when
-    given, or a split whose feature or children fall outside the
-    forest raises ParseError naming `source` and the line."""
+    or repeated header value, a negative feature_dim or one other than
+    `width` when given, or a split whose feature or children fall outside
+    the forest raises ParseError naming `source` and the line."""
     lines = split_lines(text)
     if not lines or lines[0] != "# rumourlab-forest v1":
         raise ValidationError(f"{source}: not a rumourlab-forest v1 file")
@@ -332,6 +332,8 @@ def forest_from_text(text: str, source: str = "forest",
     for line_no, line in enumerate(lines[1:], start=2):
         line = line.strip()
         key, _, value = line.partition(" = ")
+        if key in header:
+            raise ParseError(f"{source} line {line_no}: {key} repeated")
         try:
             if key in ("n_trees", "feature_dim"):
                 header[key] = (int(value), line_no)

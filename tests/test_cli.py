@@ -275,6 +275,15 @@ class TestBuildTrees:
                 assert np.allclose([v for _, v in a.features.entries],
                                    [v for _, v in b.features.entries], rtol=1e-11, atol=0)
 
+    def test_feature_files_are_the_ones_a_bigcn_run_writes(self, bigcn_run, planted_file,
+                                                           tmp_path):
+        out = tmp_path / "trees.txt"
+        assert main(["build-trees", "--data", str(planted_file), "--out", str(out),
+                     "--config", str(bigcn_run / "config.txt")]) == 0
+        for suffix in ("vocab", "idf"):
+            assert out.with_suffix(f".{suffix}.txt").read_bytes() == \
+                (bigcn_run / f"{suffix}.txt").read_bytes()
+
 
 class TestTrainPredictEvaluate:
     def test_train_writes_artifacts(self, trained_run):
@@ -460,9 +469,10 @@ class TestTrainPredictEvaluate:
         ("idf.txt", lambda lines: lines[:20], 20),
         # Line 3 holds feature_dim; ten times the run's width still parses.
         ("forest_seed1.txt", lambda lines: lines[:2] + [lines[2] + "0"] + lines[3:], 3),
+        ("forest_seed1.txt", lambda lines: lines[:3] + [lines[2]] + lines[3:], 4),
     ], ids=["cut", "node-before-tree", "three-fields", "child-99", "split-seed",
             "vocab-byte", "idf-byte", "vocab-header", "idf-header", "idf-unknown-term",
-            "idf-nan", "idf-repeated-term", "idf-cut", "feature-dim"])
+            "idf-nan", "idf-repeated-term", "idf-cut", "feature-dim", "feature-dim-repeated"])
     def test_damaged_run_file_exits_one_naming_line(self, forest_run, tmp_path, capsys,
                                                     name, damage, line_no):
         run_dir = tmp_path / forest_run.name
@@ -501,6 +511,39 @@ class TestTrainPredictEvaluate:
         assert main(["predict", "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {run_dir / 'ckpt_seed1.txt'}") and message in err, err
+
+    def test_repeated_vocabulary_term_exits_one_naming_line(self, lstm_run, unlabeled_file,
+                                                             tmp_path, capsys):
+        """A term listed twice would map to its later id only, which moves
+        the ids of the terms between the two lines."""
+        run_dir = tmp_path / lstm_run.name
+        shutil.copytree(lstm_run, run_dir)
+        path = run_dir / "vocab.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[10] = lines[11]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()  # what training the run printed
+        assert main(["predict", "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path} line 12: vocabulary term {lines[11]!r} repeated\n"
+
+    @pytest.mark.parametrize("model", ["lstm", "logreg"])
+    @pytest.mark.parametrize("class_weights", ["true", "false"])
+    def test_one_class_train_split_writes_nothing(self, tmp_path, capsys, model,
+                                                  class_weights):
+        """Every kind needs both classes to learn from, whether or not it
+        weighs them."""
+        data = tmp_path / "rumours.jsonl"
+        save_tweets([r if r.label is None else dataclasses.replace(r, label="rumour")
+                     for r in make_planted_records(40, seed=1)], data)
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(data), "--model", model, "--out-dir", str(out),
+                     "--set", f"class_weights = {class_weights}"]) == 1
+        assert "no examples of class(es) in the train split: ['nonrumour']" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        # The trees train nothing, so they still build.
+        assert main(["build-trees", "--data", str(data), "--out", str(tmp_path / "t.txt")]) == 0
 
     @pytest.mark.parametrize("model,setting", [
         ("bigcn", "dropout = 2"),

@@ -408,6 +408,7 @@ class TestCheckpoint:
          "non-finite value in parameter 'w'"),
         (b"w 2 " + base64.b64encode(np.array([0.0, -np.inf]).astype("<f8").tobytes()),
          "non-finite value in parameter 'w'"),
+        (b"ok 2 " + base64.b64encode(np.zeros(2).tobytes()), "parameter 'ok' repeated"),
     ])
     def test_damaged_v2_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.txt"

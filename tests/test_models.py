@@ -555,8 +555,10 @@ class TestForestPersistence:
         # Node tables hold 64-bit indices.
         ("n_trees = 1\nfeature_dim = 2\ntree 0\n-1 0.0 99999999999999999999 -1 1.0 0.0\n",
          "forest line 5: malformed"),
+        ("n_trees = 1\nfeature_dim = 2\nfeature_dim = 2\ntree 0\n-1 0.0 -1 -1 1.0 0.0\n",
+         "forest line 4: feature_dim repeated"),
     ], ids=["no-feature-dim", "child-loops-back", "feature-outside", "empty-tree", "bad-float",
-            "negative-feature-dim", "index-beyond-64-bits"])
+            "negative-feature-dim", "index-beyond-64-bits", "repeated-feature-dim"])
     def test_damaged_forest_names_line(self, body, message):
         with pytest.raises(ParseError, match=message):
             forest_from_text("# rumourlab-forest v1\n" + body)
