@@ -13,6 +13,17 @@ import numpy as np
 from ..errors import ValidationError
 
 
+def scatter_rows(n: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum values[i] into row index[i] of an (n,) + values.shape[1:] zero
+    array with one bincount over flat bins. Each bin adds its entries in
+    entry order, starting from 0.0, as numpy's add.at does, so the bits
+    match it. (bincount gives integer zeros when it has no entries.)"""
+    width = int(np.prod(values.shape[1:]))
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=n * width)
+    return sums.astype(np.float64, copy=False).reshape((n,) + values.shape[1:])
+
+
 @dataclass(frozen=True)
 class SparseMatrix:
     shape: tuple[int, int]
@@ -24,7 +35,8 @@ class SparseMatrix:
         if not (len(self.rows) == len(self.cols) == len(self.vals)):
             raise ValidationError("sparse matrix coordinate arrays differ in length")
         if len(self.rows) and (
-            self.rows.max() >= self.shape[0] or self.cols.max() >= self.shape[1]
+            self.rows.min() < 0 or self.cols.min() < 0
+            or self.rows.max() >= self.shape[0] or self.cols.max() >= self.shape[1]
         ):
             raise ValidationError("sparse matrix entry outside declared shape")
 
@@ -33,9 +45,7 @@ class SparseMatrix:
             raise ValidationError(
                 f"sparse-dense matmul: {self.shape} does not match {dense.shape}"
             )
-        out = np.zeros((self.shape[0], dense.shape[1]))
-        np.add.at(out, self.rows, self.vals[:, None] * dense[self.cols])
-        return out
+        return scatter_rows(self.shape[0], self.rows, self.vals[:, None] * dense[self.cols])
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
@@ -44,6 +54,6 @@ class SparseMatrix:
         )
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        np.add.at(dense, (self.rows, self.cols), self.vals)
-        return dense
+        flat = scatter_rows(self.shape[0] * self.shape[1],
+                            self.rows * self.shape[1] + self.cols, self.vals)
+        return flat.reshape(self.shape)

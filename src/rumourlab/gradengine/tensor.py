@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ..errors import ValidationError
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, scatter_rows
 
 
 class Tensor:
@@ -268,11 +268,12 @@ def segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tenso
         raise ValidationError(
             f"segment_mean: {len(segment_ids)} ids for tensor of shape {x.shape}"
         )
+    if len(segment_ids) and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
+        raise ValidationError(f"segment_mean: segment id outside [0, {num_segments})")
     counts = np.bincount(segment_ids, minlength=num_segments)
     if (counts == 0).any():
         raise ValidationError("segment_mean: every segment needs at least one row")
-    sums = np.zeros((num_segments, x.shape[1]))
-    np.add.at(sums, segment_ids, x.values)
+    sums = scatter_rows(num_segments, segment_ids, x.values)
 
     def _back(grad):
         _accumulate(x, grad[segment_ids] / counts[segment_ids][:, None])
@@ -294,8 +295,8 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
         # additions in the same order as a dense scatter, without a
         # table-sized temporary per call.
         unique, inverse = np.unique(ids, return_inverse=True)
-        rows = np.zeros((len(unique),) + table.shape[1:])
-        np.add.at(rows, inverse.reshape(ids.shape), grad)
+        rows = scatter_rows(len(unique), inverse.ravel(),
+                            grad.reshape((ids.size,) + table.shape[1:]))
         if table.grad is None:
             table.grad = np.zeros_like(table.values)
         table.grad[unique] += rows

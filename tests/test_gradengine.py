@@ -1,6 +1,7 @@
 import base64
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from rumourlab.gradengine import (
     weighted_ce_loss,
     zero_grads,
 )
+from rumourlab.gradengine.sparse import scatter_rows
 from rumourlab.selftest import check_primitive_gradients
 
 
@@ -82,6 +84,11 @@ class TestForward:
             gather_rows(Tensor(np.zeros((2, 2))), np.array([5]))
         with pytest.raises(ValidationError, match="segment_mean"):
             segment_mean(Tensor(np.zeros((3, 2))), np.array([0, 0]), 1)
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2], [0, -1, 1]], ids=["too-large", "negative"])
+    def test_segment_mean_refuses_ids_outside_range(self, ids):
+        with pytest.raises(ValidationError, match=r"segment_mean: segment id outside \[0, 2\)"):
+            segment_mean(Tensor(np.zeros((3, 2))), np.array(ids), 2)
 
 
 class TestBackward:
@@ -139,7 +146,7 @@ class TestBackward:
         backward(sum_all(node))
         assert x.grad.tolist() == [[1.0]]
 
-    @pytest.mark.parametrize("ids_shape", [(16,), (4, 6)])
+    @pytest.mark.parametrize("ids_shape", [(16,), (4, 6), (0,)])
     def test_gather_rows_backward_matches_dense_scatter(self, ids_shape):
         rng = np.random.default_rng(3)
         table = parameter(rng.normal(size=(40, 5)), "table")
@@ -296,6 +303,17 @@ class TestGradCheck:
         assert grad_check(fn, params, eps=1e-5, seed=1) < 1e-4
 
 
+# Scatter-add inputs: any finite value, with signed zeros drawn often.
+_SCATTER_VALUE = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6))
+
+
+def _add_at(n, index, values, tail=None):
+    """The reference scatter-add: np.add.at into zeros."""
+    out = np.zeros((n,) + (values.shape[1:] if tail is None else tail))
+    np.add.at(out, index, values)
+    return out
+
+
 class TestSparseMatrix:
     def test_matmul_matches_dense(self):
         rng = np.random.default_rng(11)
@@ -320,6 +338,92 @@ class TestSparseMatrix:
         with pytest.raises(ValidationError):
             SparseMatrix(shape=(2, 2), rows=np.array([5]), cols=np.array([0]),
                          vals=np.array([1.0]))
+
+    @pytest.mark.parametrize("rows, cols", [([0, -1], [0, 1]), ([0, 1], [-1, 0])],
+                             ids=["row", "col"])
+    def test_negative_coordinates_rejected(self, rows, cols):
+        with pytest.raises(ValidationError, match="outside declared shape"):
+            SparseMatrix(shape=(2, 2), rows=np.array(rows), cols=np.array(cols),
+                         vals=np.array([1.0, 2.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_products_match_add_at_bytes(self, data):
+        shape = (data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5)))
+        coord = st.tuples(st.integers(0, max(shape[0] - 1, 0)),
+                          st.integers(0, max(shape[1] - 1, 0)))
+        coords = data.draw(st.lists(coord, max_size=12 if min(shape) else 0))
+        rows = np.array([r for r, _ in coords], dtype=int)
+        cols = np.array([c for _, c in coords], dtype=int)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pool = data.draw(st.lists(_SCATTER_VALUE, min_size=1, max_size=6))
+        vals = rng.choice(pool, size=len(coords))
+        dense = rng.choice(pool, size=(shape[1], data.draw(st.sampled_from([1, 3]))))
+        upstream = rng.choice(pool, size=(shape[0], dense.shape[1]))
+        sparse = SparseMatrix(shape=shape, rows=rows, cols=cols, vals=vals)
+        checks = [
+            (sparse.matmul_dense(dense),
+             _add_at(shape[0], rows, vals[:, None] * dense[cols])),
+            (sparse.transpose().matmul_dense(upstream),
+             _add_at(shape[1], cols, vals[:, None] * upstream[rows])),
+            (sparse.to_dense(), _add_at(shape[0], (rows, cols), vals, shape[1:])),
+        ]
+        for got, expected in checks:
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestScatterRows:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_add_at_bytes(self, data):
+        n = data.draw(st.integers(0, 6))
+        index = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                            max_size=16 if n else 0)), dtype=int)
+        tail = data.draw(st.sampled_from([(), (1,), (3,), (128,), (2, 3)]))
+        pool = data.draw(st.lists(_SCATTER_VALUE, min_size=1, max_size=6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.choice(pool, size=(len(index),) + tail)
+        got = scatter_rows(n, index, values)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _add_at(n, index, values).tobytes()
+        assert got.shape == (n,) + tail
+
+    @pytest.mark.parametrize("n, index, values", [
+        (3, [], np.zeros(0)),
+        (3, [], np.zeros((0, 1))),
+        (3, [], np.zeros((0, 128))),
+        (0, [], np.zeros((0, 128))),
+        (2, [1, 1, 1], np.array([-0.0, -0.0, -0.0])),
+        (2, [0, 0], np.array([[-0.0, 1.0], [-0.0, -1.0]])),
+        (4, [3, 0, 3, 3], np.array([0.1, 0.2, 0.3, 1e16])),
+    ], ids=["empty-1d", "empty-w1", "empty-w128", "empty-no-rows", "negzero-1d",
+            "negzero-2d", "repeated"])
+    def test_edge_cases_match_add_at_bytes(self, n, index, values):
+        index = np.array(index, dtype=int)
+        got = scatter_rows(n, index, values)
+        expected = _add_at(n, index, values)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_segment_mean_matches_add_at_bytes(self, data):
+        num_segments = data.draw(st.integers(1, 4))
+        extra = data.draw(st.lists(st.integers(0, num_segments - 1), max_size=8))
+        ids = np.array(data.draw(st.permutations(list(range(num_segments)) + extra)))
+        pool = data.draw(st.lists(_SCATTER_VALUE, min_size=1, max_size=6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.choice(pool, size=(len(ids), data.draw(st.sampled_from([1, 3]))))
+        counts = np.bincount(ids, minlength=num_segments)
+        expected = _add_at(num_segments, ids, x) / counts[:, None]
+        assert segment_mean(Tensor(x), ids, num_segments).values.tobytes() == expected.tobytes()
+
+    def test_source_has_no_other_scatter_add(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "rumourlab"
+        callers = [str(path.relative_to(src)) for path in sorted(src.rglob("*.py"))
+                   if re.search(r"\badd\.at\(", path.read_text(encoding="utf-8"))]
+        assert callers == []
 
 
 # Checkpoint-like lines: shapes with negative or zero dims, v1 float lists,
