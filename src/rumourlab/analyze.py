@@ -15,6 +15,7 @@ score is S / sqrt(S^2 + 15).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,22 +68,22 @@ HISTOGRAM_EDGES: dict[str, tuple[float, ...]] = {
 }
 
 
-@lru_cache(maxsize=None)
-def load_emotion_lexicon(path=None) -> dict[str, str]:
-    path = Path(path) if path else _DATA_DIR / "emotion_lexicon.tsv"
+@lru_cache(maxsize=1)
+def load_emotion_lexicon() -> dict[str, str]:
+    """The bundled word -> emotion lexicon, words lowercased."""
     lexicon: dict[str, str] = {}
-    for word, emotion in data_rows(path):
+    for word, emotion in data_rows(_DATA_DIR / "emotion_lexicon.tsv"):
         if emotion not in EMOTIONS:
             raise ValidationError(f"lexicon word {word!r} has unknown emotion {emotion!r}")
         lexicon[word.lower()] = emotion
     return lexicon
 
 
-@lru_cache(maxsize=None)
-def load_valence_lexicon(path=None) -> dict[str, float]:
-    path = Path(path) if path else _DATA_DIR / "valence_lexicon.tsv"
+@lru_cache(maxsize=1)
+def load_valence_lexicon() -> dict[str, float]:
+    """The bundled word -> valence lexicon, words lowercased."""
     lexicon: dict[str, float] = {}
-    for word, value in data_rows(path):
+    for word, value in data_rows(_DATA_DIR / "valence_lexicon.tsv"):
         valence = float(value)
         if not -4.0 <= valence <= 4.0:
             raise ValidationError(f"valence for {word!r} outside [-4, 4]")
@@ -195,11 +196,7 @@ def attribute_histograms(
             raise ValidationError(f"tweet {record.id}: unknown label {label!r}")
         counts = count_attributes(record.text)
         for attribute, edges in HISTOGRAM_EDGES.items():
-            value = getattr(counts, attribute)
-            for bin_no in range(len(edges) - 1):
-                if edges[bin_no] <= value < edges[bin_no + 1]:
-                    tallies[(attribute, label)][bin_no] += 1
-                    break
+            tallies[(attribute, label)][bisect_right(edges, getattr(counts, attribute)) - 1] += 1
     return [
         AttributeHistogram(attribute=attribute, label=label,
                            edges=HISTOGRAM_EDGES[attribute],

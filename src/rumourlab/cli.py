@@ -193,15 +193,17 @@ def _cmd_predict(args) -> int:
 
 
 def _labeled_sources(threads, run_dir):
-    if all(t.label is not None for t in threads):
+    """Each thread's source with its own label, or, for an unlabeled
+    thread, the label the run predicts; in thread order."""
+    unlabeled = [t for t in threads if t.label is None]
+    if not unlabeled:
         return [(t.source, t.label) for t in threads]
     if run_dir is None:
         raise ValidationError(
             "dataset has unlabeled threads; pass --run to predict labels"
         )
-    predictor = RunPredictor(run_dir)
-    labels, _ = predictor.predict(threads)
-    return [(t.source, label) for t, label in zip(threads, labels)]
+    predicted = iter(RunPredictor(run_dir).predict(unlabeled)[0])
+    return [(t.source, t.label if t.label is not None else next(predicted)) for t in threads]
 
 
 def _cmd_analyze(args) -> int:

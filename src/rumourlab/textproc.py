@@ -4,9 +4,12 @@ counts.
 Normalization rewrites user mentions to the literal token ``@USER``, URLs
 to ``HTTPURL``, and emoji to colon-delimited aliases from the bundled
 table (unknown pictographs become ``:emoji:``), then collapses whitespace.
-It is idempotent. Tokenization operates on normalized text and keeps
-hashtags, the two special tokens, emoji aliases, and ASCII emoticons
-whole, splitting terminal punctuation off everything else.
+It is idempotent. Tokenization operates on normalized text: each
+whitespace-separated chunk stays whole, except for its trailing
+punctuation, which splits off as one-character tokens. A special token
+(hashtag, mention, ``HTTPURL``, emoji alias or ASCII emoticon) keeps the
+trailing punctuation it ends in, so ``:-)`` and ``D:`` stay whole and
+``#tag!!`` gives ``#tag``, ``!``, ``!``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ _URL_RE = re.compile(r"(?:https?://|\bwww\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#\w+")
 _ALIAS_TOKEN_RE = re.compile(r":[a-z0-9_]+:")
-_CHUNK_RE = re.compile(r"\S+")
 _SPECIAL_RE = re.compile("|".join(p.pattern for p in (_ALIAS_TOKEN_RE, _HASHTAG_RE, _MENTION_RE)))
 
 # Code-point ranges treated as emoji when absent from the alias table.
@@ -40,7 +42,7 @@ _EMOJI_RANGES = (
 )
 _EMOJI_JOINERS = {"️", "‍"}
 
-_PUNCT_CHARS = set(string.punctuation) | set("“”‘’…´`—–¡¿")
+_PUNCT = string.punctuation + "“”‘’…´—–¡¿"
 
 EMOTICONS = frozenset([
     ":)", ":-)", ":(", ":-(", ":D", ":-D", ";)", ";-)", ":P", ":-P", ":p",
@@ -93,33 +95,24 @@ def _is_special_token(chunk: str) -> bool:
 def tokenize(text: str) -> list[str]:
     """Split normalized text into tokens, preserving case."""
     tokens: list[str] = []
-    for chunk in _CHUNK_RE.findall(text):
+    for chunk in text.split():
+        # The longest prefix that is a special token or ends before the
+        # trailing punctuation; the rest are one-character tokens.
         end = len(chunk)
-        peeled: list[int] = []
-        while end > 0:
-            core = chunk[:end]
-            if core[-1] not in _PUNCT_CHARS or _is_special_token(core):
-                break
+        stem = len(chunk.rstrip(_PUNCT))
+        while end > stem and not _is_special_token(chunk[:end]):
             end -= 1
-            peeled.append(end)
-        if end > 0:
+        if end:
             tokens.append(chunk[:end])
-        tokens.extend(chunk[pos] for pos in reversed(peeled))
+        tokens.extend(chunk[end:])
     return tokens
 
 
 def is_word_token(token: str) -> bool:
     """True for plain content tokens: not mentions, URLs, hashtags,
     emoji aliases, emoticons, or bare punctuation."""
-    if token == URL_TOKEN or token in EMOTICONS:
-        return False
-    if token.startswith("#") or token.startswith("@"):
-        return False
-    if _ALIAS_TOKEN_RE.fullmatch(token):
-        return False
-    if all(char in _PUNCT_CHARS for char in token):
-        return False
-    return True
+    return not (_is_special_token(token) or token.startswith(("#", "@"))
+                or not token.strip(_PUNCT))
 
 
 @dataclass(frozen=True)
@@ -141,16 +134,10 @@ def count_attributes(text: str) -> AttributeCounts:
     mentions = len(_MENTION_RE.findall(text))
     table = _emoji_table()
     emojis = sum(text.count(char) for char in set(text) if table.get(ord(char)))
+    words = [t for t in tokenize(normalize(text)) if is_word_token(t)]
     stopwords = stopword_list()
-    words = 0
-    stops = 0
-    for token in tokenize(normalize(text)):
-        if not is_word_token(token):
-            continue
-        words += 1
-        if token.lower() in stopwords:
-            stops += 1
+    stops = sum(word.lower() in stopwords for word in words)
     return AttributeCounts(
-        words=words, urls=urls, emojis=emojis,
+        words=len(words), urls=urls, emojis=emojis,
         hashtags=hashtags, mentions=mentions, stopwords=stops,
     )

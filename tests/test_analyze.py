@@ -1,9 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rumourlab import analyze
 from rumourlab.analyze import (
     EMOTIONS,
     AttributeHistogram,
@@ -25,6 +27,24 @@ from conftest import make_record
 
 FEAR_ONLY = {"dread": "fear"}
 HAPPY_SAD = {"joyful": "happy", "mournful": "sad"}
+
+
+@pytest.mark.parametrize("loader, filename, row, message", [
+    (load_emotion_lexicon, "emotion_lexicon.tsv", "dread\tjoy",
+     "lexicon word 'dread' has unknown emotion 'joy'"),
+    (load_valence_lexicon, "valence_lexicon.tsv", "great\t4.5",
+     "valence for 'great' outside [-4, 4]"),
+])
+def test_bundled_lexicon_rows_are_checked(monkeypatch, tmp_path, loader, filename, row,
+                                          message):
+    (tmp_path / filename).write_text(f"# a damaged copy\n{row}\n", encoding="utf-8")
+    monkeypatch.setattr(analyze, "_DATA_DIR", tmp_path)
+    loader.cache_clear()
+    try:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            loader()
+    finally:
+        loader.cache_clear()
 
 
 class TestScoreEmotions:
@@ -161,6 +181,18 @@ class TestAttributeHistograms:
                       if urls.edges[i] <= 2 < urls.edges[i + 1])
         assert urls.counts[bin_no] == 1
         assert sum(urls.counts) == 1
+
+    @pytest.mark.parametrize("n_words, low, high", [
+        (0, 0, 10), (9, 0, 10), (10, 10, 20), (99, 75, 100), (100, 100, math.inf),
+    ])
+    def test_value_on_a_bin_edge_opens_that_bin(self, n_words, low, high):
+        record = make_record("a", text="word " * n_words)
+        histograms = attribute_histograms([(record, "nonrumour")])
+        (words,) = [h for h in histograms
+                    if h.attribute == "words" and h.label == "nonrumour"]
+        bin_no = words.edges.index(low)
+        assert words.edges[bin_no + 1] == high
+        assert words.counts[bin_no] == 1 == sum(words.counts)
 
     def test_bin_totals_equal_class_population(self):
         rng = np.random.default_rng(9)

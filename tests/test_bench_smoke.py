@@ -1,7 +1,8 @@
 """Smoke tests for the benchmark's helpers. A small generated corpus goes
 through the four analysis kinds and a TF-IDF train, predict and evaluate
 through the command line, so the generator keeps producing input the
-program accepts. Traced LSTM, Bi-GCN, SVM and forest runs check that the
+program accepts. Traced analyze commands check that the tracer sees the
+text layer and every analysis function it lists. Traced LSTM, Bi-GCN, SVM and forest runs check that the
 tracer still sees the pipeline's functions, every engine primitive the
 models hold and the forest's node count, and that each split is
 prepared once."""
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rumourlab
-from rumourlab import evalrun
+from rumourlab import cli, evalrun
 from rumourlab.cli import main
 from rumourlab.config import RunConfig
 from rumourlab.gradengine import losses, tensor
@@ -78,6 +79,25 @@ def test_generated_corpus_runs_through_cli(generated, tmp_path, capsys):
     assert main(["predict", "--run", str(run_dir), "--data", str(unlabeled)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == shape.unlabeled_threads
     assert main(["evaluate", "--run", str(run_dir)]) == 0
+
+
+def test_traced_analyze_sees_text_layer(generated, tmp_path):
+    import tracer as tracing
+
+    _, labeled, _ = generated
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for kind in ("attributes", "topics", "emotion", "sentiment"):
+            # Through the module, whose attributes the tracer patches.
+            assert cli.main(["analyze", "--kind", kind, "--data", str(labeled),
+                             "--out", str(tmp_path / "analysis")]) == 0
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    listed = {name for module, _, name, _ in tracing.TARGETS if module == "rumourlab.analyze"}
+    assert len(listed) == 5
+    assert {"cli.main", "textproc.normalize", "textproc.tokenize"} | listed <= names
 
 
 def test_traced_run_prepares_each_split_once(generated, tmp_path):

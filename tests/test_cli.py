@@ -631,6 +631,40 @@ class TestAnalyzeCommand:
                      "--out", str(tmp_path / "x")]) == 1
         assert "unlabeled" in capsys.readouterr().err
 
+    def test_run_only_fills_in_missing_labels(self, unlabeled_file, trained_run, tmp_path,
+                                              capsys):
+        # Every labeled thread says rumour, though about half lack the
+        # marker the run learned; the unlabeled block sits between them.
+        labeled = [
+            dataclasses.replace(record, id=f"l{record.id}",
+                                parent_id=record.parent_id and f"l{record.parent_id}",
+                                label=None if record.parent_id else "rumour")
+            for record in make_planted_records(n_threads=20, seed=7, max_replies=1)
+        ]
+        middle = [i for i, record in enumerate(labeled) if record.parent_id is None][10]
+        unlabeled = load_tweets(unlabeled_file)
+        mixed = tmp_path / "mixed.jsonl"
+        save_tweets(labeled[:middle] + unlabeled + labeled[middle:], mixed)
+        capsys.readouterr()
+        assert main(["predict", "--run", str(trained_run), "--data", str(unlabeled_file)]) == 0
+        predicted = dict(line.split("\t")[:2] for line in capsys.readouterr().out.splitlines())
+        filled = [dataclasses.replace(record, label=predicted.get(record.id))
+                  for record in unlabeled]
+        expected = tmp_path / "filled.jsonl"
+        save_tweets(labeled[:middle] + filled + labeled[middle:], expected)
+
+        for kind in ("attributes", "sentiment"):
+            assert main(["analyze", "--kind", kind, "--data", str(mixed),
+                         "--run", str(trained_run), "--out", str(tmp_path / "run")]) == 0
+            assert main(["analyze", "--kind", kind, "--data", str(expected),
+                         "--out", str(tmp_path / "own")]) == 0
+            assert (tmp_path / "run" / f"{kind}.csv").read_bytes() == \
+                (tmp_path / "own" / f"{kind}.csv").read_bytes()
+        rows = [line.split(",") for line in
+                (tmp_path / "run" / "attributes.csv").read_text(encoding="utf-8").splitlines()]
+        rumours = sum(int(row[4]) for row in rows if row[:2] == ["urls", "rumour"])
+        assert rumours == 20 + list(predicted.values()).count("rumour")
+
     def test_unlabeled_with_model_predicts(self, unlabeled_file, trained_run, tmp_path):
         out = tmp_path / "predicted"
         assert main(["analyze", "--kind", "attributes",

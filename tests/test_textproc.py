@@ -1,12 +1,18 @@
+import re
+import string
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumourlab.textproc import (
+    EMOTICONS,
     MENTION_TOKEN,
     URL_TOKEN,
+    _ALIAS_TOKEN_RE,
     _EMOJI_JOINERS,
     _EMOJI_RANGES,
+    _HASHTAG_RE,
     _MENTION_RE,
     _URL_RE,
     count_attributes,
@@ -78,6 +84,68 @@ oracle_strategy = st.lists(
     ),
     max_size=30,
 ).map("".join)
+
+
+# Reference implementations: the character-at-a-time peel loop and the
+# five-check word rule that tokenize, is_word_token and count_attributes
+# must reproduce exactly.
+_ORACLE_PUNCT = set(string.punctuation) | set("“”‘’…´`—–¡¿")
+
+
+def _oracle_is_special(chunk):
+    return (chunk in EMOTICONS or chunk == URL_TOKEN
+            or any(regex.fullmatch(chunk) for regex in (_ALIAS_TOKEN_RE, _HASHTAG_RE,
+                                                        _MENTION_RE)))
+
+
+def oracle_tokenize(text):
+    tokens = []
+    for chunk in re.findall(r"\S+", text):
+        end = len(chunk)
+        peeled = []
+        while end > 0:
+            core = chunk[:end]
+            if core[-1] not in _ORACLE_PUNCT or _oracle_is_special(core):
+                break
+            end -= 1
+            peeled.append(end)
+        if end > 0:
+            tokens.append(chunk[:end])
+        tokens.extend(chunk[pos] for pos in reversed(peeled))
+    return tokens
+
+
+def oracle_is_word_token(token):
+    if token == URL_TOKEN or token in EMOTICONS:
+        return False
+    if token.startswith("#") or token.startswith("@"):
+        return False
+    if _ALIAS_TOKEN_RE.fullmatch(token):
+        return False
+    if all(char in _ORACLE_PUNCT for char in token):
+        return False
+    return True
+
+
+def oracle_word_counts(text):
+    words = stops = 0
+    for token in oracle_tokenize(normalize(text)):
+        if oracle_is_word_token(token):
+            words += 1
+            stops += token.lower() in stopword_list()
+    return words, stops
+
+
+# Chunks whose trailing punctuation meets a special token: emoticons that
+# end in punctuation, hashtags and aliases followed by it, bare runs, and
+# separators that str.split treats as whitespace.
+_TRAILING_PIECES = st.sampled_from([
+    ":))", "#tag_!!", "HTTPURL,", "...", "D:", ":smile:!", "\u3000", "\x1c", ":)", ":-)",
+    "<3", "</3", "@USER.", "@bob!", "#", "@", ":", ")", "!", "?", "…", "“", "’", "¿", "word",
+    "x", " ",
+])
+trailing_strategy = st.lists(st.one_of(_TRAILING_PIECES, _ORACLE_ALPHABET),
+                             max_size=12).map("".join)
 
 
 class TestNormalize:
@@ -167,6 +235,25 @@ class TestTokenize:
     def test_special_tokens_ending_in_punctuation(self, text, expected):
         assert tokenize(text) == expected
 
+    @given(st.one_of(text_strategy, oracle_strategy, trailing_strategy))
+    @settings(max_examples=500, deadline=None)
+    @example(":)) #tag_!! HTTPURL, ... D: :smile:!")
+    @example("a\u3000b! x\x1c:) D:! :-)). @USER!? #! “quoted”")
+    def test_matches_peel_oracle(self, text):
+        for stream in (text, normalize(text)):
+            tokens = tokenize(stream)
+            assert tokens == oracle_tokenize(stream)
+            assert [is_word_token(t) for t in tokens] == \
+                [oracle_is_word_token(t) for t in tokens]
+        counts = count_attributes(text)
+        assert (counts.words, counts.stopwords) == oracle_word_counts(text)
+
+    def test_str_split_breaks_where_regex_whitespace_does(self):
+        # tokenize splits chunks with str.split, the oracle with \S+.
+        every = "".join(chr(point) for point in range(0x110000)
+                        if not 0xD800 <= point <= 0xDFFF)
+        assert re.findall(r"\s", every) == [char for char in every if char.isspace()]
+
     @given(text_strategy)
     @settings(max_examples=200, deadline=None)
     def test_span_contract(self, text):
@@ -226,6 +313,13 @@ class TestCountAttributes:
         assert not is_word_token(":-)")
         assert not is_word_token(":face_with_medical_mask:")
         assert not is_word_token("!")
+
+    @pytest.mark.parametrize("token", [
+        "", "!", "...", "“”", "#", "@", "#tag", "@bob", ":smile:", ":)", "D:", "<3",
+        "HTTPURL", "HTTPURL.", "word!", "a", "D", ":smile", "can't", "’tis",
+    ])
+    def test_word_token_matches_oracle(self, token):
+        assert is_word_token(token) == oracle_is_word_token(token)
 
     @given(text_strategy)
     @settings(max_examples=200, deadline=None)
