@@ -13,10 +13,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import ValidationError, read_utf8, split_lines
+from .errors import ParseError, ValidationError, read_utf8, split_lines
 
 MODEL_KINDS = ("lstm", "bigcn", "logreg", "svm", "rf")
 FEATURE_MODES = ("handcrafted", "tfidf", "both")
@@ -73,17 +74,15 @@ class RunConfig:
         for name in _RANGES:
             _check(name, getattr(self, name))
 
-    def canonical_text(self) -> str:
+    def canonical_lines(self) -> list[str]:
         """Sorted key = value lines covering every experiment-defining
         field; out_dir only says where artifacts land, so it is omitted
         and the digest identifies the experiment itself."""
-        lines = []
-        for field_info in sorted(fields(self), key=lambda f: f.name):
-            if field_info.name == "out_dir":
-                continue
-            value = getattr(self, field_info.name)
-            lines.append(f"{field_info.name} = {_format_value(value)}")
-        return "\n".join(lines) + "\n"
+        return [f"{f.name} = {_format_value(getattr(self, f.name))}"
+                for f in sorted(fields(self), key=lambda f: f.name) if f.name != "out_dir"]
+
+    def canonical_text(self) -> str:
+        return "\n".join(self.canonical_lines()) + "\n"
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:12]
@@ -213,3 +212,18 @@ def load_config(path, base: Optional[RunConfig] = None) -> RunConfig:
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     return parse_config_text(read_utf8(path), base, source=str(path))
+
+
+def load_run_config(path) -> RunConfig:
+    """A run directory's config.txt, which must be the canonical text of
+    the settings it holds: missing keys would take their defaults, so a
+    cut or edited file could load as another run whose checkpoints fit."""
+    text = read_utf8(path)
+    config = parse_config_text(text, source=str(path))
+    have, want = text.split("\n"), config.canonical_lines() + [""]
+    if have != want:
+        line_no = next(n for n, (a, b) in enumerate(zip_longest(have, want), 1) if a != b)
+        there = f"reads {want[line_no - 1]!r}" if line_no < len(want) else "has ended"
+        raise ParseError(f"{path} line {line_no}: differs from the canonical text of its "
+                         f"settings, which {there} here")
+    return config

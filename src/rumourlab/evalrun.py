@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, load_run_config
 from .errors import ValidationError
 from .featurize import (
     build_vocabulary,
@@ -271,7 +271,7 @@ class RunPredictor:
 
     def __init__(self, run_dir):
         self.run_dir = Path(run_dir)
-        self.config = load_config(self.run_dir / "config.txt")
+        self.config = load_run_config(self.run_dir / "config.txt")
         # report.txt is written after every seed's artifacts.
         if not (self.run_dir / "report.txt").is_file():
             raise ValidationError(f"{self.run_dir}: incomplete run (no report.txt)")

@@ -1,5 +1,8 @@
-"""Classical learners: logistic regression and a linear SVM trained
-through the gradient engine, and a bagged CART random forest.
+"""Classical learners: logistic regression and a linear SVM, trained in a
+direct numpy loop that writes out the engine's backward rules and takes
+its Adam step (logreg) or a plain subgradient step (svm), and a bagged
+CART random forest. The loop builds no graph, yet its weights match the
+engine graph's bit for bit (tests/test_models.py, TestLinearFitMatchesGraph).
 
 Gradient-trained kinds consume z-scored features (statistics fitted on
 the training matrix and stored with the model); the forest consumes raw
@@ -28,20 +31,13 @@ from ..featurize import (
 )
 from ..gradengine import (
     OptimizerState,
-    Tensor,
-    backward,
-    bce_loss,
-    collect_grads,
-    hinge_loss,
     load_checkpoint,
-    matmul,
     optimizer_step,
     parameter,
     save_checkpoint,
-    sigmoid,
-    sum_all,
-    zero_grads,
 )
+from ..gradengine.losses import _clamp
+from ..gradengine.tensor import _sigmoid_values
 from ..ingest import NONRUMOUR, RUMOUR, Thread
 from .data import handcrafted_matrix, tfidf_matrix
 
@@ -110,40 +106,40 @@ def _gradient_fit(
     config: RunConfig,
     row_weights: Optional[np.ndarray],
 ) -> tuple[np.ndarray, float]:
-    """Shared full-batch loop for logreg (BCE) and svm (hinge + L2)."""
+    """Full-batch loop for logreg (weighted BCE, Adam) and svm (weighted
+    mean hinge, plain subgradient steps), each plus an optional
+    l2 * ||w||^2. Every expression keeps the engine's evaluation order."""
     n, dim = x.shape
-    w = parameter(np.zeros((dim, 1)), "w")
-    b = parameter(np.zeros((1, 1)), "b")
-    params = {"w": w, "b": b}
-    xt = Tensor(x)
-    sample_weights = None if row_weights is None else row_weights[:, None]
+    w, b = parameter(np.zeros((dim, 1)), "w"), parameter(np.zeros((1, 1)), "b")
+    xt = x.T
     y01 = np.array([1.0 if c == RUMOUR else 0.0 for c in labels])[:, None]
-    ypm = 2.0 * y01 - 1.0
+    sw = np.ones_like(y01) if row_weights is None else row_weights[:, None]
     if kind == "logreg":
-        state = OptimizerState(lr=config.classic_lr)
-        iters = config.classic_iters
+        l2, iters, state = config.logreg_l2, config.classic_iters, OptimizerState(config.classic_lr)
+        neg_sw, total_w, y0 = -sw, sw.sum(), 1.0 - y01
     else:
-        iters = config.svm_iters
-    for step in range(iters):
-        zero_grads(params.values())
-        scores = matmul(xt, w) + b
+        l2, iters, ypm = config.svm_l2, config.svm_iters, 2.0 * y01 - 1.0
+        share = np.full_like(y01, 1.0 / n) if row_weights is None else sw / sw.sum()
+    for _ in range(iters):
+        scores = x @ w.values + b.values
         if kind == "logreg":
-            loss = bce_loss(sigmoid(scores), y01, sample_weights)
-            if config.logreg_l2 > 0.0:
-                loss = loss + config.logreg_l2 * sum_all(w * w)
+            p = _sigmoid_values(scores)
+            q = _clamp(p)
+            g = neg_sw * (y01 / q - y0 / (1.0 - q)) / total_w * p * (1.0 - p)
         else:
-            loss = hinge_loss(
-                scores, ypm, weight_param=w, l2=config.svm_l2,
-                sample_weights=sample_weights,
-            )
-        backward(loss)
-        grads = collect_grads(params)
+            margins = 1.0 + (scores * ypm) * -1.0
+            g = (share * (margins > 0.0) * -1.0) * ypm
+        gw = xt @ g
+        if l2 > 0.0:
+            # d(l2 * sum(w * w)) reaches w once per factor, after the data term.
+            gw += l2 * w.values
+            gw += l2 * w.values
+        gb = g.sum(axis=0, keepdims=True)
         if kind == "logreg":
-            optimizer_step(state, params, grads)
+            optimizer_step(state, {"w": w, "b": b}, {"w": gw, "b": gb})
         else:
-            # Plain subgradient descent for the SVM.
-            w.values -= config.classic_lr * grads["w"]
-            b.values -= config.classic_lr * grads["b"]
+            w.values -= config.classic_lr * gw
+            b.values -= config.classic_lr * gb
     return w.values[:, 0].copy(), float(b.values[0, 0])
 
 
@@ -289,7 +285,7 @@ def predict_classic(model: ClassicModel, features: np.ndarray) -> tuple[list[str
             )
         z = model.standardizer.transform(x) @ model.weights + model.bias
         if model.kind == "logreg":
-            scores = sigmoid(Tensor(z)).values
+            scores = _sigmoid_values(z)
             labels = [RUMOUR if s >= 0.5 else NONRUMOUR for s in scores]
         else:
             scores = z

@@ -153,7 +153,7 @@ def test_traced_runs_see_every_engine_primitive(generated, tmp_path):
                   perceptron_dim=4, max_len=16, dropout=0.5, **common),
         RunConfig(model="bigcn", tfidf_top_k=200, bigcn_hidden_dim=4, bigcn_out_dim=4,
                   dropout=0.5, **common),
-        # Without class weights the hinge loss takes its mean_all branch.
+        # The svm run feeds the classic.train_svm_s counter checked below.
         RunConfig(model="svm", features="tfidf", class_weights=False, svm_iters=3, **common),
         RunConfig(model="rf", features="tfidf", rf_trees=2, **common),
     )

@@ -72,6 +72,12 @@ def bigcn_run(planted_file, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def svm_run(planted_file, tmp_path_factory):
+    return _train_small(planted_file, tmp_path_factory, "svm", "features = tfidf",
+                        "svm_iters = 50")
+
+
+@pytest.fixture(scope="module")
 def forest_run(planted_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("runs")
     assert main(["train", "--data", str(planted_file), "--model", "rf",
@@ -445,6 +451,38 @@ class TestTrainPredictEvaluate:
         assert main([command, "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
         assert capsys.readouterr().err == \
             f"error: {path} line {lines.index(setting) + 1}: unknown config key {key!r}\n"
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_truncated_config_exits_one(self, svm_run, unlabeled_file, tmp_path, capsys,
+                                        command):
+        # Cut before its model line, an svm run's config parses as logreg
+        # (missing keys take defaults), and the svm checkpoint fits logreg.
+        run_dir = tmp_path / svm_run.name
+        shutil.copytree(svm_run, run_dir)
+        path = run_dir / "config.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[18] == "model = svm"
+        path.write_text("\n".join(lines[:18]) + "\n", encoding="utf-8")
+        assert main([command, "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {path} line 19: differs from the canonical text of its "
+                       "settings, which reads 'model = logreg' here\n")
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text[:-1],
+        lambda text: text + "seeds = 1\n",
+        lambda text: "\n".join(sorted(text.splitlines(), reverse=True)) + "\n",
+    ], ids=["crlf", "no-final-newline", "repeated-key", "reordered"])
+    def test_edited_config_exits_one(self, trained_run, unlabeled_file, tmp_path, capsys,
+                                     edit):
+        run_dir = tmp_path / trained_run.name
+        shutil.copytree(trained_run, run_dir)
+        path = run_dir / "config.txt"
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8", newline="")
+        assert main(["predict", "--run", str(run_dir), "--data", str(unlabeled_file)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path} line ")
 
     @pytest.mark.parametrize("name,damage,line_no", [
         # The forest is cut after its first tree; line 2 holds n_trees.

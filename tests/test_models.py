@@ -10,12 +10,16 @@ from rumourlab.config import RunConfig
 from rumourlab.errors import ParseError, ValidationError
 from rumourlab.featurize import Standardizer, build_vocabulary, fit_tfidf
 from rumourlab.gradengine import (
+    OptimizerState,
     Tensor,
     backward,
+    bce_loss,
     collect_grads,
     gather_rows,
+    hinge_loss,
     mask_mul,
     matmul,
+    optimizer_step,
     parameter,
     relu,
     sigmoid,
@@ -35,7 +39,13 @@ from rumourlab.models import (
     predict_threads,
     train_classic,
 )
-from rumourlab.models.classic import LEAF, _gini_best_split, _grow_tree, _tree_votes
+from rumourlab.models.classic import (
+    LEAF,
+    _gini_best_split,
+    _gradient_fit,
+    _grow_tree,
+    _tree_votes,
+)
 from rumourlab.models.data import thread_docs, tweet_docs
 from rumourlab.models.lstm import GATES
 from rumourlab.proptree import to_graph_batch
@@ -511,6 +521,89 @@ class TestTrainClassic:
         model = train_classic("logreg", x, y, _classic(classic_iters=50), 0)
         with pytest.raises(ValidationError, match="features"):
             predict_classic(model, np.zeros((2, 5)))
+
+
+def graph_gradient_fit(kind, x, labels, config, row_weights):
+    """logreg and svm trained through an engine graph rebuilt at every
+    step: the reference the direct loop in classic._gradient_fit is
+    checked against, byte for byte."""
+    w = parameter(np.zeros((x.shape[1], 1)), "w")
+    b = parameter(np.zeros((1, 1)), "b")
+    params = {"w": w, "b": b}
+    xt = Tensor(x)
+    sample_weights = None if row_weights is None else row_weights[:, None]
+    y01 = np.array([1.0 if c == "rumour" else 0.0 for c in labels])[:, None]
+    ypm = 2.0 * y01 - 1.0
+    state = OptimizerState(lr=config.classic_lr)
+    for _ in range(config.classic_iters if kind == "logreg" else config.svm_iters):
+        zero_grads(params.values())
+        scores = matmul(xt, w) + b
+        if kind == "logreg":
+            loss = bce_loss(sigmoid(scores), y01, sample_weights)
+            if config.logreg_l2 > 0.0:
+                loss = loss + config.logreg_l2 * sum_all(w * w)
+        else:
+            loss = hinge_loss(scores, ypm, weight_param=w, l2=config.svm_l2,
+                              sample_weights=sample_weights)
+        backward(loss)
+        grads = collect_grads(params)
+        if kind == "logreg":
+            optimizer_step(state, params, grads)
+        else:
+            w.values -= config.classic_lr * grads["w"]
+            b.values -= config.classic_lr * grads["b"]
+    return w.values[:, 0].copy(), float(b.values[0, 0])
+
+
+def _linear_case(shape, seed=4):
+    """A dense handcrafted-like matrix or a sparse, row-normalized
+    TF-IDF-like one (with all-zero columns), labels of both classes and
+    positive row weights."""
+    rng = np.random.default_rng(seed)
+    if shape == "dense":
+        x = rng.normal(size=(64, 8))
+    else:
+        x = rng.random((48, 400)) * (rng.random((48, 400)) < 0.05)
+        x[:, :10] = 0.0
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        x = x / np.where(norms > 0.0, norms, 1.0)
+    labels = ["rumour" if v else "nonrumour" for v in rng.random(len(x)) < 0.35]
+    return x, labels, rng.uniform(0.5, 3.0, size=len(x))
+
+
+class TestLinearFitMatchesGraph:
+    @pytest.mark.parametrize("shape", ["dense", "sparse"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kind,l2", [("logreg", 0.0), ("logreg", 1e-3),
+                                         ("svm", 0.0), ("svm", 1e-4)])
+    def test_weights_byte_equal(self, kind, l2, weighted, shape):
+        x, labels, weights = _linear_case(shape)
+        config = RunConfig(logreg_l2=l2, svm_l2=l2, classic_iters=80, svm_iters=80)
+        row_weights = weights if weighted else None
+        w, b = _gradient_fit(kind, x, labels, config, row_weights)
+        want_w, want_b = graph_gradient_fit(kind, x, labels, config, row_weights)
+        assert w.tobytes() == want_w.tobytes() and b == want_b
+        assert np.abs(w).max() > 0.0
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_svm_rows_on_the_margin(self, weighted):
+        # Symmetric rows with exact arithmetic: one step of lr 1 sets w to 1
+        # and b to 0, so the next puts the +-1 rows exactly on the margin
+        # (relu subgradient 0 there), the +-0.5 rows inside it and the +-2
+        # rows beyond it.
+        x = np.array([[1.0], [0.5], [2.0], [0.5], [-1.0], [-0.5], [-2.0], [-0.5]])
+        labels = ["rumour"] * 4 + ["nonrumour"] * 4
+        row_weights = np.full(8, 2.0) if weighted else None
+        config = RunConfig(svm_l2=0.0, classic_lr=1.0, svm_iters=1)
+        w, b = _gradient_fit("svm", x, labels, config, row_weights)
+        assert w.tolist() == [1.0] and b == 0.0
+        margins = 1.0 - np.where(np.arange(8) < 4, 1.0, -1.0) * (x[:, 0] * w[0] + b)
+        assert (margins == 0.0).sum() == 2 and (margins > 0.0).sum() == 4
+        for iters in (2, 5):
+            config = RunConfig(svm_l2=0.0, classic_lr=1.0, svm_iters=iters)
+            w, b = _gradient_fit("svm", x, labels, config, row_weights)
+            want_w, want_b = graph_gradient_fit("svm", x, labels, config, row_weights)
+            assert w.tobytes() == want_w.tobytes() and b == want_b
 
 
 FOREST_TEXT = """# rumourlab-forest v1
