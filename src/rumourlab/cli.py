@@ -20,6 +20,7 @@ from .errors import ParseError, ValidationError
 from .evalrun import RunPredictor, compute_report, report_to_text, run_experiment, run_model
 from .featurize import save_vocabulary
 from .ingest import assemble_threads, load_split, load_tweets, save_split, split_dataset
+from .models.data import token_table
 from .proptree import write_tree_corpus
 
 
@@ -147,11 +148,12 @@ def _cmd_build_trees(args) -> int:
     _, threads, _ = _load_threads(args.data)
     labeled = [t for t in threads if t.label is not None]
     split = split_dataset(labeled, config.ratios, config.split_seed)
+    tokens = token_table(threads)
     # Trees train nothing, so a train split of one class still builds them.
-    model = run_model(replace(config, model="bigcn", class_weights=False), split.train)
+    model = run_model(replace(config, model="bigcn", class_weights=False), split.train, tokens)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_tree_corpus(model.prepare(threads).trees, out)
+    write_tree_corpus(model.prepare(threads, tokens).trees, out)
     save_vocabulary(model.tfidf, out.with_suffix(".vocab.txt"), out.with_suffix(".idf.txt"))
     _progress(f"wrote {len(threads)} trees to {out}")
     return 0

@@ -172,8 +172,8 @@ def _parse_value(name: str, raw: str):
     return raw
 
 
-def _parse_line(line: str, where: str, updates: dict) -> None:
-    """Add one `key = value` line to `updates`; errors start with `where`."""
+def _parse_line(line: str, where: str, updates: dict) -> Optional[str]:
+    """Add a `key = value` line to `updates`; return the key. Errors start with `where`."""
     line = line.split("#", 1)[0].strip()
     if not line:
         return
@@ -188,14 +188,18 @@ def _parse_line(line: str, where: str, updates: dict) -> None:
         raise ValidationError(f"{where}: {exc}") from None
     except ValueError:
         raise ValidationError(f"{where}: bad value for {name!r}: {raw.strip()!r}") from None
+    return name
 
 
 def parse_config_text(text: str, base: Optional[RunConfig] = None,
                       source: str = "config") -> RunConfig:
-    """Apply config text to `base`; errors name `source` and the line."""
-    updates = {}
+    """Apply config text to `base`; errors name `source` and the line. No key may repeat."""
+    updates, first_line = {}, {}
     for line_no, line in enumerate(split_lines(text), start=1):
-        _parse_line(line, f"{source} line {line_no}", updates)
+        name = _parse_line(line, f"{source} line {line_no}", updates)
+        if name is not None and first_line.setdefault(name, line_no) != line_no:
+            raise ValidationError(f"{source} line {line_no}: config key {name!r} repeated "
+                                  f"(first given on line {first_line[name]})")
     return replace(base or RunConfig(), **updates)
 
 

@@ -40,7 +40,7 @@ from .ingest import (
     split_dataset,
 )
 from .models import BiGcnModel, ClassicLearner, LstmModel
-from .models.data import thread_docs, tweet_docs
+from .models.data import TokenTable, thread_docs, token_table, tweet_docs
 
 REPORT_FORMAT_VERSION = "rumourlab-report v1"
 CLASS_SHORT = {RUMOUR: "R", NONRUMOUR: "N"}
@@ -158,8 +158,13 @@ def metrics_to_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reads_text(config: RunConfig) -> bool:
+    """Whether the run's features come from text (a classic kind's need TF-IDF)."""
+    return config.model in ("lstm", "bigcn") or config.features != "handcrafted"
+
+
 def run_model(config: RunConfig, train: Optional[Sequence[Thread]] = None,
-              run_dir: Optional[Path] = None):
+              tokens: Optional[TokenTable] = None, run_dir: Optional[Path] = None):
     """The model of the run's kind, with the operations prepare, train,
     predict, save and load (see README), over its features fitted on
     `train` or read from `run_dir`: the LSTM vocabulary, TF-IDF over
@@ -171,13 +176,13 @@ def run_model(config: RunConfig, train: Optional[Sequence[Thread]] = None,
     if config.model == "lstm":
         # Reserve three ids (pad/unk/sep) inside the configured cap.
         vocab = (load_terms(run_dir / "vocab.txt") if train is None
-                 else build_vocabulary(thread_docs(train), config.vocab_cap - 3))
+                 else build_vocabulary(thread_docs(train, tokens), config.vocab_cap - 3))
         return LstmModel(config, vocab, weights)
     tfidf = None
-    if config.model == "bigcn" or config.features != "handcrafted":
+    if _reads_text(config):
         docs = tweet_docs if config.model == "bigcn" else thread_docs
         tfidf = (load_vocabulary(run_dir / "vocab.txt", run_dir / "idf.txt") if train is None
-                 else fit_tfidf(docs(train), config.tfidf_top_k))
+                 else fit_tfidf(docs(train, tokens), config.tfidf_top_k))
     if config.model == "bigcn":
         return BiGcnModel(config, tfidf, weights)
     return ClassicLearner(config, tfidf)
@@ -232,9 +237,16 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     if missing := [label for label in LABELS if label not in held]:
         raise ValidationError(f"[stage: split] no examples of class(es) in the train split: "
                               f"{missing}")
-    model = stage("featurize", lambda: run_model(config, split.train))
-    train, dev, test = stage("featurize", lambda: [
-        model.prepare(part) for part in (split.train, split.dev, split.test)])
+    # The fit and the train prepare share a token table over the train split. It is
+    # dropped before dev and test (which build their own) to keep peak memory down.
+    tokens = None
+    if _reads_text(config):
+        tokens = stage("featurize", lambda: token_table(split.train))
+    model = stage("featurize", lambda: run_model(config, split.train, tokens))
+    train = stage("featurize", lambda: model.prepare(split.train, tokens))
+    del tokens
+    dev, test = stage("featurize", lambda: [
+        model.prepare(part) for part in (split.dev, split.test)])
 
     run_dir = Path(config.out_dir) / f"{config.model}-{config.digest()}"
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -64,7 +65,7 @@ def build_vocabulary(docs: Iterable[Sequence[str]], cap: int) -> Vocabulary:
     lexicographically."""
     counts: Counter[str] = Counter()
     for doc in docs:
-        counts.update(token.lower() for token in doc)
+        counts.update(map(str.lower, doc))
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return Vocabulary(terms=tuple(term for term, _ in ranked[:cap]))
 
@@ -110,18 +111,47 @@ class TfidfModel:
 def fit_tfidf(train_docs: Sequence[Sequence[str]], top_k: int) -> TfidfModel:
     """Build the top_k vocabulary and smoothed idf weights from documents
     of tokens. Requires at least one non-empty document."""
-    docs = [[token.lower() for token in doc] for doc in train_docs]
-    if not any(docs):
+    if not any(train_docs):
         raise ValidationError("cannot fit TF-IDF on an empty corpus")
-    vocab = build_vocabulary(docs, top_k)
-    doc_count = len(docs)
+    vocab = build_vocabulary(train_docs, top_k)
+    doc_count = len(train_docs)
     df = Counter()
-    for doc in docs:
-        df.update(set(doc))
+    for doc in train_docs:
+        df.update(set(map(str.lower, doc)))
     idf = np.zeros(vocab.content_size)
     for position, term in enumerate(vocab.terms):
         idf[position] = math.log((1 + doc_count) / (1 + df[term])) + 1.0
     return TfidfModel(vocab=vocab, idf=idf, doc_count=doc_count)
+
+
+def tfidf_rows(model: TfidfModel, docs: Sequence[Sequence[str]],
+               use_raw_counts: bool = False) -> SparseMatrix:
+    """transform_tfidf of every document as the rows of one matrix. np.unique over
+    doc * width + column counts terms in ascending column order, and each norm adds its
+    row's squares in that order from 0.0, as the per-document sum did: the bits match."""
+    width = model.vocab.content_size
+    lengths = np.fromiter(map(len, docs), dtype=np.intp, count=len(docs))
+    tokens = map(str.lower, chain.from_iterable(docs))
+    ids = np.fromiter(map(model.vocab._index.get, tokens, repeat(UNK_ID)), dtype=np.intp)
+    known = ids >= len(RESERVED)
+    cells = np.repeat(np.arange(len(docs)), lengths)[known] * width + ids[known]
+    cells, counts = np.unique(cells - len(RESERVED), return_counts=True)
+    rows, cols = np.divmod(cells, width)
+    if use_raw_counts:
+        vals = counts.astype(float)
+    else:
+        vals = counts * model.idf[cols]
+        vals = vals / np.sqrt(np.bincount(rows, weights=vals * vals))[rows]
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"non-finite value at index {cols[~np.isfinite(vals)][0]}")
+    return SparseMatrix(shape=(len(docs), width), rows=rows, cols=cols, vals=vals)
+
+
+def row_vectors(matrix: SparseMatrix) -> list[SparseVector]:
+    """The rows of a matrix whose entries run in row order; stack_rows inverted."""
+    ends = np.cumsum(np.bincount(matrix.rows, minlength=matrix.shape[0])).tolist()
+    entries = list(zip(matrix.cols.tolist(), matrix.vals.tolist()))
+    return [SparseVector(tuple(entries[start:end])) for start, end in zip([0] + ends, ends)]
 
 
 def transform_tfidf(
@@ -133,19 +163,7 @@ def transform_tfidf(
     terms yields an empty vector. With use_raw_counts the entries are the
     raw term counts instead (no idf, no norm), for ablation runs.
     """
-    counts: Counter[str] = Counter(token.lower() for token in doc)
-    entries: list[tuple[int, float]] = []
-    for term, count in counts.items():
-        position = model.vocab.content_index(term)
-        if position is None:
-            continue
-        value = float(count) if use_raw_counts else count * model.idf[position]
-        entries.append((position, value))
-    entries.sort()
-    if not use_raw_counts and entries:
-        norm = math.sqrt(sum(v * v for _, v in entries))
-        entries = [(i, v / norm) for i, v in entries]
-    return SparseVector(entries=tuple(entries))
+    return row_vectors(tfidf_rows(model, [doc], use_raw_counts))[0]
 
 
 HANDCRAFTED_WIDTH = 8

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
@@ -45,9 +45,11 @@ class TweetRecord:
     like_count: int
     parent_id: Optional[str] = None
     label: Optional[str] = None
+    current_year: InitVar[Optional[int]] = None  # not kept; None reads the clock
 
-    def __post_init__(self):
-        current_year = datetime.now(timezone.utc).year
+    def __post_init__(self, current_year: Optional[int]):
+        if current_year is None:
+            current_year = datetime.now(timezone.utc).year
         if not MIN_ACCOUNT_YEAR <= self.account_created_year <= current_year:
             raise ValidationError(
                 f"account_created_year {self.account_created_year} outside "
@@ -147,7 +149,7 @@ def _parse_timestamp(raw: str) -> datetime:
         raise ValidationError(f"created_at {raw!r} is out of range") from None
 
 
-def _record_from_line(raw: bytes) -> Optional[TweetRecord]:
+def _record_from_line(raw: bytes, current_year: int) -> Optional[TweetRecord]:
     """The record on one line, or None for a blank line."""
     try:
         line = raw.decode("utf-8").strip()
@@ -182,7 +184,7 @@ def _record_from_line(raw: bytes) -> Optional[TweetRecord]:
             raise ValidationError(f"{name} must not hold a tab or line break")
     values = _schema_values(fields)
     return TweetRecord(values[0], values[1], _parse_timestamp(values[2]), *values[3:],
-                       fields.get("parent_id"), fields.get("label"))
+                       fields.get("parent_id"), fields.get("label"), current_year)
 
 
 def load_tweets(path) -> list[TweetRecord]:
@@ -197,13 +199,14 @@ def load_tweets(path) -> list[TweetRecord]:
         raise FileNotFoundError(f"dataset file not found: {path}")
     records: list[TweetRecord] = []
     seen: set[str] = set()
+    current_year = datetime.now(timezone.utc).year
     with path.open("rb") as handle:
         # Lines end at \n, \r or \r\n, as in errors.split_lines; each is decoded
         # on its own so that a bad byte is reported on the line that holds it.
         lines = (piece for chunk in handle for piece in chunk.splitlines())
         for line_no, raw in enumerate(lines, start=1):
             try:
-                record = _record_from_line(raw)
+                record = _record_from_line(raw, current_year)
                 if record is None:
                     continue
                 if record.id in seen:

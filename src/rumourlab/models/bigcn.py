@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..config import RunConfig
-from ..featurize import TfidfModel
+from ..featurize import TfidfModel, row_vectors, tfidf_rows
 from ..gradengine import (
     Tensor,
     concat,
@@ -32,7 +32,7 @@ from ..gradengine import (
 )
 from ..ingest import NONRUMOUR, RUMOUR, Thread
 from ..proptree import GraphBatch, PropTree, build_tree, drop_edge, to_graph_batch
-from .data import labels01
+from .data import TokenTable, labels01, tweet_docs
 from .init import xavier_uniform
 from .trainer import GradientModel
 
@@ -70,13 +70,12 @@ class BiGcnModel(GradientModel):
         params["cls_b"] = parameter(np.zeros((1, 2)), "cls_b")
         return params
 
-    def prepare(self, threads: Sequence[Thread]) -> TreeData:
-        trees = tuple(
-            build_tree(thread, self.tfidf,
-                       keep_reply_links=self.config.keep_reply_links,
-                       raw_counts=self.config.tree_raw_counts)
-            for thread in threads
-        )
+    def prepare(self, threads: Sequence[Thread], tokens: TokenTable | None = None) -> TreeData:
+        rows = iter(row_vectors(tfidf_rows(self.tfidf, tweet_docs(threads, tokens),
+                                           use_raw_counts=self.config.tree_raw_counts)))
+        trees = tuple(build_tree(thread, self.tfidf, self.config.keep_reply_links,
+                                 features=[next(rows) for _ in thread.tweets()])
+                      for thread in threads)
         return TreeData(trees=trees, targets=labels01(threads))
 
     def slice(self, data: TreeData, index: np.ndarray) -> TreeData:

@@ -39,7 +39,7 @@ from ..gradengine import (
 from ..gradengine.losses import _clamp
 from ..gradengine.tensor import _sigmoid_values
 from ..ingest import NONRUMOUR, RUMOUR, Thread
-from .data import handcrafted_matrix, tfidf_matrix
+from .data import TokenTable, handcrafted_matrix, tfidf_matrix
 
 CLASSIC_KINDS = ("logreg", "svm", "rf")
 
@@ -378,13 +378,14 @@ class ClassicLearner:
         self.config = config
         self.tfidf = tfidf
 
-    def prepare(self, threads: Sequence[Thread]) -> tuple[np.ndarray, list]:
+    def prepare(self, threads: Sequence[Thread],
+                tokens: TokenTable | None = None) -> tuple[np.ndarray, list]:
         """The handcrafted and/or TF-IDF matrix of `threads`, and their labels."""
         blocks = []
         if self.config.features in ("handcrafted", "both"):
             blocks.append(handcrafted_matrix(threads))
         if self.config.features in ("tfidf", "both"):
-            blocks.append(tfidf_matrix(self.tfidf, threads))
+            blocks.append(tfidf_matrix(self.tfidf, threads, tokens))
         return np.hstack(blocks), [t.label for t in threads]
 
     def train(self, train_data, dev_data, seed: int):

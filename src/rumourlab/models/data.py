@@ -2,32 +2,42 @@
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
 
 from ..featurize import (HANDCRAFTED_WIDTH, TfidfModel, Vocabulary, extract_handcrafted,
-                         stack_rows, transform_tfidf)
+                         tfidf_rows)
 from ..ingest import RUMOUR, Thread
 from ..textproc import normalize, tokenize
 
-
-def thread_tokens(thread: Thread) -> list[str]:
-    """Each tweet's tokens in time order; no token spans two tweets."""
-    return [token for tweet in thread.tweets() for token in tokenize(normalize(tweet.text))]
+TokenTable = dict[str, list[str]]
 
 
-def tweet_docs(threads: Sequence[Thread]) -> list[list[str]]:
+def token_table(threads: Sequence[Thread]) -> TokenTable:
+    """Each tweet's tokens by tweet id (unique in a dataset), lowercased as
+    every reader lowercases, with one str object per distinct term."""
+    terms: dict[str, str] = {}
+    return {tweet.id: [terms.setdefault(token, token)
+                       for token in map(str.lower, tokenize(normalize(tweet.text)))]
+            for thread in threads for tweet in thread.tweets()}
+
+
+def thread_tokens(thread: Thread, table: TokenTable | None = None) -> list[str]:
+    """Each tweet's lowercased tokens in time order; no token spans two tweets."""
+    table = token_table([thread]) if table is None else table
+    return [token for tweet in thread.tweets() for token in table[tweet.id]]
+
+
+def tweet_docs(threads: Sequence[Thread], table: TokenTable | None = None) -> list[list[str]]:
     """One token document per tweet (sources and replies alike)."""
-    return [
-        tokenize(normalize(tweet.text))
-        for thread in threads
-        for tweet in thread.tweets()
-    ]
+    table = token_table(threads) if table is None else table
+    return [table[tweet.id] for thread in threads for tweet in thread.tweets()]
 
 
-def thread_docs(threads: Sequence[Thread]) -> list[list[str]]:
-    return [thread_tokens(thread) for thread in threads]
+def thread_docs(threads: Sequence[Thread], table: TokenTable | None = None) -> list[list[str]]:
+    return [thread_tokens(thread, table) for thread in threads]
 
 
 def labels01(threads: Sequence[Thread]) -> np.ndarray:
@@ -36,15 +46,17 @@ def labels01(threads: Sequence[Thread]) -> np.ndarray:
 
 
 def lstm_inputs(
-    threads: Sequence[Thread], vocab: Vocabulary, max_len: int
+    threads: Sequence[Thread], vocab: Vocabulary, max_len: int, table: TokenTable | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Token-id matrix and contiguous-prefix mask, one row per thread."""
+    table = token_table(threads) if table is None else table
     ids = np.full((len(threads), max_len), vocab.pad_id, dtype=int)
     mask = np.zeros((len(threads), max_len))
     for row, thread in enumerate(threads):
-        tokens = thread_tokens(thread)[:max_len]
+        own = (table[tweet.id] for tweet in thread.tweets())
+        tokens = list(islice(chain.from_iterable(own), max_len))
         for col, token in enumerate(tokens):
-            found = vocab.id_of(token.lower())
+            found = vocab.id_of(token)
             ids[row, col] = vocab.unk_id if found is None else found
         mask[row, :len(tokens)] = 1.0
     return ids, mask
@@ -56,7 +68,7 @@ def handcrafted_matrix(threads: Sequence[Thread]) -> np.ndarray:
     return np.stack(rows) if rows else np.zeros((0, HANDCRAFTED_WIDTH))
 
 
-def tfidf_matrix(model: TfidfModel, threads: Sequence[Thread]) -> np.ndarray:
+def tfidf_matrix(model: TfidfModel, threads: Sequence[Thread],
+                 table: TokenTable | None = None) -> np.ndarray:
     """Dense unit-norm TF-IDF rows over whole-thread documents."""
-    rows = [transform_tfidf(model, doc) for doc in thread_docs(threads)]
-    return stack_rows(rows, model.vocab.content_size).to_dense()
+    return tfidf_rows(model, thread_docs(threads, table)).to_dense()

@@ -30,7 +30,7 @@ from ..gradengine import (
     sigmoid,
 )
 from ..ingest import NONRUMOUR, RUMOUR, Thread
-from .data import labels01, lstm_inputs
+from .data import TokenTable, labels01, lstm_inputs
 from .init import xavier_uniform
 from .trainer import GradientModel
 
@@ -83,8 +83,8 @@ class LstmModel(GradientModel):
         params["b_out"] = parameter(np.zeros((1, 1)), "b_out")
         return params
 
-    def prepare(self, threads: Sequence[Thread]) -> LstmBatch:
-        ids, mask = lstm_inputs(threads, self.vocab, self.config.max_len)
+    def prepare(self, threads: Sequence[Thread], tokens: TokenTable | None = None) -> LstmBatch:
+        ids, mask = lstm_inputs(threads, self.vocab, self.config.max_len, tokens)
         return LstmBatch(ids=ids, mask=mask, targets=labels01(threads))
 
     def slice(self, data: LstmBatch, index: np.ndarray) -> LstmBatch:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError, read_utf8, split_lines
-from .featurize import SparseVector, TfidfModel, stack_rows, transform_tfidf
+from .featurize import SparseVector, TfidfModel, row_vectors, stack_rows, tfidf_rows
 from .gradengine.sparse import SparseMatrix
 from .ingest import LABELS, Thread
 from .textproc import normalize, tokenize
@@ -81,20 +81,23 @@ def build_tree(
     model: TfidfModel,
     keep_reply_links: bool = False,
     raw_counts: bool = False,
+    features: Optional[Sequence[SparseVector]] = None,
 ) -> PropTree:
     """Tree for a thread with TF-IDF node features.
 
     By default every reply attaches to the source. With keep_reply_links
     a reply whose parent_id names an earlier tweet in the thread keeps
     that link; anything else still attaches to the source. raw_counts
-    stores plain term counts instead of tf-idf (ablation mode).
+    stores plain term counts instead of tf-idf (ablation mode). `features`, the
+    tweets' rows from one transform of many threads, replaces `model` and `raw_counts`.
     """
     tweets = thread.tweets()
+    if features is None:
+        docs = [tokenize(normalize(tweet.text)) for tweet in tweets]
+        features = row_vectors(tfidf_rows(model, docs, use_raw_counts=raw_counts))
     position = {tweet.id: i + 1 for i, tweet in enumerate(tweets)}
     nodes = []
     for i, tweet in enumerate(tweets):
-        features = transform_tfidf(model, tokenize(normalize(tweet.text)),
-                                   use_raw_counts=raw_counts)
         if i == 0:
             parent = None
         elif keep_reply_links and tweet.parent_id in position \
@@ -102,7 +105,7 @@ def build_tree(
             parent = position[tweet.parent_id]
         else:
             parent = 1
-        nodes.append(PropNode(index=i + 1, parent=parent, features=features))
+        nodes.append(PropNode(index=i + 1, parent=parent, features=features[i]))
     return PropTree(thread_id=thread.id, label=thread.label, nodes=tuple(nodes))
 
 

@@ -82,10 +82,12 @@ def _emoji_table() -> dict[int, str | None]:
 
 
 def normalize(text: str) -> str:
-    """Rewrite mentions, URLs, and emoji, then collapse whitespace."""
-    text = _URL_RE.sub(URL_TOKEN, text)
-    text = _MENTION_RE.sub(MENTION_TOKEN, text)
-    return " ".join(text.translate(_emoji_table()).split())
+    """Rewrite mentions, URLs, and emoji, then collapse whitespace; each
+    rewrite is skipped on text without what it needs ("://" or "www", "@", non-ASCII)."""
+    text = _URL_RE.sub(URL_TOKEN, text) if "://" in text or "www" in text.lower() else text
+    text = _MENTION_RE.sub(MENTION_TOKEN, text) if "@" in text else text
+    text = text if text.isascii() else text.translate(_emoji_table())
+    return " ".join(text.split())
 
 
 def _is_special_token(chunk: str) -> bool:

@@ -1,7 +1,10 @@
+import math
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from rumourlab.featurize import SparseVector
 from rumourlab.ingest import Thread, TweetRecord
 
 BASE_TIME = datetime(2020, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -36,3 +39,21 @@ def tmp_dataset(tmp_path):
         return path
 
     return write
+
+
+def oracle_transform_tfidf(model, doc, use_raw_counts=False):
+    """The per-document TF-IDF transform, one Counter and one sorted entry
+    list per document: the reference `featurize.tfidf_rows` must match."""
+    counts = Counter(token.lower() for token in doc)
+    entries = []
+    for term, count in counts.items():
+        position = model.vocab.content_index(term)
+        if position is None:
+            continue
+        value = float(count) if use_raw_counts else count * model.idf[position]
+        entries.append((position, value))
+    entries.sort()
+    if not use_raw_counts and entries:
+        norm = math.sqrt(sum(v * v for _, v in entries))
+        entries = [(i, v / norm) for i, v in entries]
+    return SparseVector(entries=tuple(entries))

@@ -5,19 +5,24 @@ import os
 import shutil
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rumourlab
+from rumourlab import textproc
 from rumourlab.cli import main
 from rumourlab.config import load_config
 from rumourlab.featurize import load_vocabulary
 from rumourlab.ingest import assemble_threads, load_tweets, save_tweets
 from rumourlab.models import BiGcnModel
-from rumourlab.proptree import read_tree_corpus
+from rumourlab.proptree import PropNode, PropTree, read_tree_corpus, write_tree_corpus
 from rumourlab.synthetic import make_planted_records
+from rumourlab.textproc import normalize, tokenize
+
+from conftest import oracle_transform_tfidf
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +207,21 @@ class TestIngestAndStats:
         assert main([command, "--data", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path} line 2: {message}\n"
 
+    @pytest.mark.parametrize("command", ["ingest", "stats"])
+    def test_next_years_account_exits_one_naming_file_and_line(self, planted_file, tmp_path,
+                                                              capsys, command):
+        """The loader reads the current year once per file; a record still
+        may not name a later one."""
+        year = datetime.now(timezone.utc).year
+        lines = planted_file.read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "future.jsonl"
+        future = {**json.loads(lines[1]), "account_created_year": year + 1}
+        path.write_text("\n".join([lines[0], json.dumps(future)] + lines[2:]) + "\n",
+                        encoding="utf-8")
+        assert main([command, "--data", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: {path} line 2: account_created_year "
+                                           f"{year + 1} outside [2006, {year}]\n")
+
     def test_oversized_count_exits_one_before_training(self, planted_file, tmp_path, capsys):
         lines = planted_file.read_text(encoding="utf-8").splitlines()
         path = tmp_path / "huge.jsonl"
@@ -280,6 +300,20 @@ class TestBuildTrees:
                 assert [i for i, _ in a.features.entries] == [i for i, _ in b.features.entries]
                 assert np.allclose([v for _, v in a.features.entries],
                                    [v for _, v in b.features.entries], rtol=1e-11, atol=0)
+
+    def test_corpus_bytes_are_the_per_tweet_transform_bytes(self, planted_file, tmp_path):
+        """Each node holds the per-document transform of its own tweet's
+        tokens, so the corpus keeps the bytes of a per-tweet build."""
+        out = tmp_path / "trees.txt"
+        assert main(["build-trees", "--data", str(planted_file), "--out", str(out)]) == 0
+        tfidf = load_vocabulary(out.with_suffix(".vocab.txt"), out.with_suffix(".idf.txt"))
+        threads, _ = assemble_threads(load_tweets(planted_file), planted_file)
+        oracle = [PropTree(thread_id=thread.id, label=thread.label, nodes=tuple(
+            PropNode(index=i, parent=None if i == 1 else 1,
+                     features=oracle_transform_tfidf(tfidf, tokenize(normalize(tweet.text))))
+            for i, tweet in enumerate(thread.tweets(), start=1))) for thread in threads]
+        write_tree_corpus(oracle, tmp_path / "oracle.txt")
+        assert out.read_bytes() == (tmp_path / "oracle.txt").read_bytes()
 
     def test_feature_files_are_the_ones_a_bigcn_run_writes(self, bigcn_run, planted_file,
                                                            tmp_path):
@@ -626,9 +660,12 @@ class TestTrainPredictEvaluate:
         # U+0085 ends no line, so the bad value is named on line 2.
         ("--config", "dataset = a\u0085b\nmodel = mlp\n",
          "{config} line 2: model must be one of lstm, bigcn, logreg, svm, rf"),
+        # No reader keeps the later of two entries for one key.
+        ("--config", "seeds = 1\nmodel = svm\n# rf next\nmodel = rf\n",
+         "{config} line 4: config key 'model' repeated (first given on line 2)"),
     ], ids=["config-no-equals", "config-bad-value", "config-unknown-key", "set-no-equals",
             "set-bad-value", "config-range", "set-classic-iters", "set-classic-lr",
-            "flag-model", "flag-data", "config-nel-value"])
+            "flag-model", "flag-data", "config-nel-value", "config-repeated-key"])
     def test_config_error_names_its_source(self, planted_file, tmp_path, capsys,
                                            source, text, message):
         config = tmp_path / "c.cfg"
@@ -639,6 +676,51 @@ class TestTrainPredictEvaluate:
         assert main(argv) == 1
         assert f"error: {message.format(config=config)}\n" == capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_set_overrides_a_key_from_the_config_file(self, planted_file, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("model = svm\nseeds = 1\nclassic_iters = 5\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(planted_file), "--out-dir", str(out),
+                     "--config", str(config), "--set", "model = rf",
+                     "--set", "rf_trees = 2"]) == 0
+        (run_dir,) = out.iterdir()
+        assert run_dir.name.startswith("rf-")
+
+
+class TestOneTextPass:
+    @pytest.mark.parametrize("model,settings,passes", [
+        ("lstm", ["vocab_cap = 200", "embed_dim = 4", "hidden_dim = 4", "perceptron_dim = 4",
+                  "max_len = 16", "max_epochs = 1"], 1),
+        ("bigcn", ["tfidf_top_k = 100", "bigcn_hidden_dim = 4", "bigcn_out_dim = 4",
+                   "max_epochs = 1"], 1),
+        ("logreg", ["features = both", "classic_iters = 5"], 1),
+        ("logreg", ["features = handcrafted", "classic_iters = 5"], 0),
+    ], ids=["lstm", "bigcn", "logreg-both", "logreg-handcrafted"])
+    def test_train_tokenizes_each_tweet_once(self, planted_file, tmp_path, monkeypatch,
+                                            model, settings, passes):
+        """A train reads text through one token table; a run without text
+        features builds none."""
+        texts = []
+        original = textproc.tokenize
+
+        def counting(text):
+            texts.append(text)
+            return original(text)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("rumourlab") and \
+                    module.__dict__.get("tokenize") is original:
+                monkeypatch.setattr(module, "tokenize", counting)
+        argv = ["train", "--data", str(planted_file), "--model", model,
+                "--out-dir", str(tmp_path / "runs"), "--set", "seeds = 1,2"]
+        assert main(argv + [arg for line in settings for arg in ("--set", line)]) == 0
+        threads, _ = assemble_threads(load_tweets(planted_file), planted_file)
+        tweets = [tweet for thread in threads if thread.label is not None
+                  for tweet in thread.tweets()]
+        assert len(texts) == passes * len(tweets)
+        assert sorted(texts) == sorted(normalize(tweet.text) for tweet in tweets) * passes
 
 
 class TestAnalyzeCommand:

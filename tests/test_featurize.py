@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rumourlab.errors import ParseError, ValidationError
@@ -19,12 +19,15 @@ from rumourlab.featurize import (
     load_vocabulary,
     save_terms,
     save_vocabulary,
+    TfidfModel,
+    row_vectors,
     smote_oversample,
     stack_rows,
+    tfidf_rows,
     transform_tfidf,
 )
 
-from conftest import make_record
+from conftest import make_record, oracle_transform_tfidf
 
 
 def brute_force_tfidf(docs, doc, vocab):
@@ -144,6 +147,52 @@ class TestTransformTfidf:
         model = fit_tfidf(TOY_DOCS, top_k=10)
         got = dict(transform_tfidf(model, ["apple", "apple"], use_raw_counts=True).entries)
         assert got == {model.vocab.content_index("apple"): 2.0}
+
+
+# Terms in several cases, some that lowercase to another term or to two
+# characters, and some that no vocabulary below holds.
+_TFIDF_TOKENS = st.sampled_from(["apple", "Apple", "APPLE", "banana", "Banana", "cherry",
+                                 "date", "DATE", "zzz", "Zzz", "\u0130", "i\u0307", "\u017f",
+                                 "S", "s", "#tag", "#TAG"])
+_TFIDF_DOCS = st.lists(st.lists(_TFIDF_TOKENS, max_size=9), max_size=6)
+
+
+class TestTfidfRows:
+    @settings(max_examples=300, deadline=None)
+    @given(train=st.lists(st.lists(_TFIDF_TOKENS, min_size=1, max_size=6), min_size=1,
+                          max_size=5),
+           docs=_TFIDF_DOCS, top_k=st.integers(1, 8), raw=st.booleans(),
+           idf=st.none() | st.lists(st.floats(0.01, 1e6), min_size=8, max_size=8))
+    @example(train=[["apple"]], docs=[], top_k=1, raw=False, idf=None)
+    @example(train=[["apple"]], docs=[[], ["zzz", "ZZZ"], []], top_k=1, raw=False, idf=None)
+    @example(train=[["apple"]], docs=[["Apple", "apple", "APPLE"]], top_k=1, raw=True,
+             idf=None)
+    def test_rows_are_the_per_document_oracle_rows(self, train, docs, top_k, raw, idf):
+        """Same rows, columns and value bytes as stacking the per-document
+        transform, over fitted and over arbitrary idf weights."""
+        model = fit_tfidf(train, top_k)
+        if idf is not None:
+            model = TfidfModel(vocab=model.vocab, idf=np.array(idf[:model.vocab.content_size]),
+                               doc_count=model.doc_count)
+        got = tfidf_rows(model, docs, use_raw_counts=raw)
+        oracle = [oracle_transform_tfidf(model, doc, raw) for doc in docs]
+        want = stack_rows(oracle, model.vocab.content_size)
+        assert got.shape == want.shape
+        assert got.rows.tolist() == want.rows.tolist()
+        assert got.cols.tolist() == want.cols.tolist()
+        assert got.vals.tobytes() == want.vals.tobytes()
+        assert row_vectors(got) == oracle
+        assert [transform_tfidf(model, doc, raw) for doc in docs] == oracle
+
+    def test_zero_idf_row_is_refused(self):
+        """A row whose terms all weigh 0 has no norm; the per-document
+        transform refused it, and so does the matrix."""
+        model = fit_tfidf(TOY_DOCS, top_k=10)
+        model = TfidfModel(vocab=model.vocab, idf=np.zeros(model.vocab.content_size),
+                           doc_count=model.doc_count)
+        with pytest.raises(ValidationError, match="non-finite value at index"), \
+                np.errstate(invalid="ignore"):
+            tfidf_rows(model, [["apple"]])
 
 
 class TestStackRows:

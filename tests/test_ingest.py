@@ -1,7 +1,7 @@
 import json
 import re
 from dataclasses import fields
-from datetime import timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -230,6 +230,9 @@ class TestRecordValidation:
     def test_account_year_range(self):
         with pytest.raises(ValidationError):
             make_record("x", account_created_year=2001)
+        next_year = datetime.now(timezone.utc).year + 1
+        with pytest.raises(ValidationError, match=f"account_created_year {next_year} outside"):
+            make_record("x", account_created_year=next_year)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValidationError):

@@ -46,10 +46,11 @@ from rumourlab.models.classic import (
     _grow_tree,
     _tree_votes,
 )
-from rumourlab.models.data import thread_docs, tweet_docs
+from rumourlab.models.data import lstm_inputs, thread_docs, token_table, tweet_docs
 from rumourlab.models.lstm import GATES
 from rumourlab.proptree import to_graph_batch
 from rumourlab.synthetic import make_planted_threads
+from rumourlab.textproc import normalize, tokenize
 
 from conftest import make_thread
 
@@ -69,6 +70,30 @@ def lstm_setup(toy_threads):
     )
     params = model.init_params(np.random.default_rng(0))
     return model, params
+
+
+class TestTokenTable:
+    def test_each_tweets_lowercased_tokens_with_one_str_per_term(self, toy_threads):
+        table = token_table(toy_threads)
+        assert table == {tweet.id: [token.lower() for token in tokenize(normalize(tweet.text))]
+                         for thread in toy_threads for tweet in thread.tweets()}
+        first = {}
+        for tokens in table.values():
+            for token in tokens:
+                assert first.setdefault(token, token) is token
+
+    @pytest.mark.parametrize("max_len", [1, 5, 200])
+    def test_lstm_inputs_keep_the_first_tokens_of_the_joined_thread(self, toy_threads,
+                                                                   max_len):
+        vocab = build_vocabulary(thread_docs(toy_threads[:6]), cap=30)
+        ids, mask = lstm_inputs(toy_threads, vocab, max_len)
+        for row, thread in enumerate(toy_threads):
+            joined = " ".join(tweet.text for tweet in thread.tweets())
+            tokens = [token.lower() for token in tokenize(normalize(joined))][:max_len]
+            found = [vocab.id_of(token) for token in tokens]
+            assert ids[row].tolist() == [vocab.unk_id if i is None else i for i in found] \
+                + [vocab.pad_id] * (max_len - len(tokens))
+            assert mask[row].tolist() == [1.0] * len(tokens) + [0.0] * (max_len - len(tokens))
 
 
 class TestLstm:

@@ -15,6 +15,7 @@ from rumourlab.textproc import (
     _HASHTAG_RE,
     _MENTION_RE,
     _URL_RE,
+    _emoji_table,
     count_attributes,
     emoji_aliases,
     is_word_token,
@@ -199,6 +200,33 @@ class TestNormalize:
             assert normalize(text) == ":face_with_medical_mask: :emoji:"
             assert normalize(text) == oracle_normalize(text)
             assert count_attributes(text).emojis == 2 == oracle_emoji_count(text)
+
+
+def three_step_normalize(text):
+    """normalize without its shortcuts: every rewrite on every text."""
+    text = _URL_RE.sub(URL_TOKEN, text)
+    text = _MENTION_RE.sub(MENTION_TOKEN, text)
+    return " ".join(text.translate(_emoji_table()).split())
+
+
+# Characters near what each shortcut looks for: letters that match a URL
+# letter only when case is ignored (long s, Kelvin sign), W in other
+# widths, the URL and mention punctuation, emoji and the two joiners.
+_SHORTCUT_PIECES = st.sampled_from(
+    list("wWhHtTpPsS:/.@_ a1") + ["\u017f", "\u212a", "\uff37", "\uff57", "www.", "WwW.",
+                                  "http://", "HTTPS://", "\U0001F637", "\u2764", "\ufe0f",
+                                  "\u200d", "\u00e9", "\u0085"])
+
+
+class TestNormalizeShortcuts:
+    @given(st.lists(_SHORTCUT_PIECES, max_size=20).map("".join))
+    @settings(max_examples=500, deadline=None)
+    @example("\u017fee http\u017f://x.io WWW.ex.com @bob\u200d\U0001F637")
+    def test_matches_three_step_normalize(self, text):
+        assert normalize(text) == three_step_normalize(text)
+
+    def test_no_ascii_character_is_translated(self):
+        assert min(_emoji_table()) > 0x7F
 
 
 class TestTokenize:
