@@ -204,10 +204,13 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None,
 
 
 def apply_settings(settings: Sequence[str], base: RunConfig) -> RunConfig:
-    """Apply `key = value` strings given one per `--set` flag."""
-    updates = {}
-    for setting in settings:
-        _parse_line(setting, f"--set {setting!r}", updates)
+    """Apply `key = value` strings given one per `--set` flag. No key may repeat."""
+    updates, first = {}, {}
+    for index, setting in enumerate(settings):
+        name = _parse_line(setting, f"--set {setting!r}", updates)
+        if name is not None and first.setdefault(name, index) != index:
+            raise ValidationError(f"--set {setting!r}: config key {name!r} repeated "
+                                  f"(first given by --set {settings[first[name]]!r})")
     return replace(base, **updates)
 
 

@@ -54,6 +54,7 @@ def make_planted_records(
     rng = np.random.default_rng(seed)
     records: list[TweetRecord] = []
     base = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    current_year = datetime.now(timezone.utc).year
     for t in range(n_threads):
         is_rumour = rng.random() < rumour_rate
         label = (RUMOUR if is_rumour else NONRUMOUR) if labeled else None
@@ -67,6 +68,7 @@ def make_planted_records(
             retweet_count=int(rng.integers(0, 100)),
             like_count=int(rng.integers(0, 300)),
             label=label,
+            current_year=current_year,
         ))
         for r in range(int(rng.integers(0, max_replies + 1))):
             records.append(TweetRecord(
@@ -77,6 +79,7 @@ def make_planted_records(
                 retweet_count=int(rng.integers(0, 20)),
                 like_count=int(rng.integers(0, 50)),
                 parent_id=source_id,
+                current_year=current_year,
             ))
     return records
 

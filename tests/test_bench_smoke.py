@@ -1,10 +1,11 @@
 """Smoke tests for the benchmark's helpers. A small generated corpus goes
 through the four analysis kinds and a TF-IDF train, predict and evaluate
 through the command line, so the generator keeps producing input the
-program accepts. Traced analyze commands check that the tracer sees the
-text layer and every analysis function it lists. Traced LSTM, Bi-GCN, SVM and forest runs check that the
-tracer still sees the pipeline's functions, every engine primitive the
-models hold and the forest's node count, and that each split is
+program accepts. A traced load counts every record. Traced analyze
+commands check that the tracer sees the text layer and every analysis
+function it lists. Traced LSTM, Bi-GCN, SVM and forest runs check that
+the tracer still sees the pipeline's functions, every engine primitive
+the models hold and the forest's node count, and that each split is
 prepared once."""
 
 import importlib
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import rumourlab
-from rumourlab import cli, evalrun
+from rumourlab import cli, evalrun, ingest
 from rumourlab.cli import main
 from rumourlab.config import RunConfig
 from rumourlab.gradengine import losses, tensor
@@ -98,6 +99,23 @@ def test_traced_analyze_sees_text_layer(generated, tmp_path):
     listed = {name for module, _, name, _ in tracing.TARGETS if module == "rumourlab.analyze"}
     assert len(listed) == 5
     assert {"cli.main", "textproc.normalize", "textproc.tokenize"} | listed <= names
+
+
+def test_traced_load_counts_every_record(generated):
+    import tracer as tracing
+
+    _, labeled, unlabeled = generated
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # Through the module, whose attributes the tracer patches.
+        loaded = [ingest.load_tweets(path) for path in (labeled, unlabeled)]
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == ["ingest.load_tweets"] * 2
+    lines = sum(1 for path in (labeled, unlabeled)
+                for line in path.read_bytes().splitlines() if line.strip())
+    assert tracer.counts["ingest.records"] == lines == sum(map(len, loaded))
 
 
 def test_traced_run_prepares_each_split_once(generated, tmp_path):

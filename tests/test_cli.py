@@ -1,5 +1,4 @@
 import base64
-import dataclasses
 import json
 import os
 import shutil
@@ -412,8 +411,8 @@ class TestTrainPredictEvaluate:
         records = []
         for record in make_planted_records(n_threads=60, seed=4):
             form = forms[int((record.parent_id or record.id)[1:6]) % len(forms)]
-            records.append(dataclasses.replace(
-                record, id=form.format(record.id),
+            records.append(record._replace(
+                id=form.format(record.id),
                 parent_id=record.parent_id and form.format(record.parent_id)))
         save_tweets(records, tmp_path / "awkward.jsonl")
         out = tmp_path / "runs"
@@ -606,7 +605,7 @@ class TestTrainPredictEvaluate:
         """Every kind needs both classes to learn from, whether or not it
         weighs them."""
         data = tmp_path / "rumours.jsonl"
-        save_tweets([r if r.label is None else dataclasses.replace(r, label="rumour")
+        save_tweets([r if r.label is None else r._replace(label="rumour")
                      for r in make_planted_records(40, seed=1)], data)
         out = tmp_path / "runs"
         assert main(["train", "--data", str(data), "--model", model, "--out-dir", str(out),
@@ -663,16 +662,24 @@ class TestTrainPredictEvaluate:
         # No reader keeps the later of two entries for one key.
         ("--config", "seeds = 1\nmodel = svm\n# rf next\nmodel = rf\n",
          "{config} line 4: config key 'model' repeated (first given on line 2)"),
+        ("--set", ("model = svm", "seeds = 1", "model=rf"),
+         "--set 'model=rf': config key 'model' repeated (first given by --set 'model = svm')"),
     ], ids=["config-no-equals", "config-bad-value", "config-unknown-key", "set-no-equals",
             "set-bad-value", "config-range", "set-classic-iters", "set-classic-lr",
-            "flag-model", "flag-data", "config-nel-value", "config-repeated-key"])
+            "flag-model", "flag-data", "config-nel-value", "config-repeated-key",
+            "set-repeated-key"])
     def test_config_error_names_its_source(self, planted_file, tmp_path, capsys,
                                            source, text, message):
         config = tmp_path / "c.cfg"
-        config.write_text(text, encoding="utf-8")
         out = tmp_path / "runs"
         argv = ["train", "--data", str(planted_file), "--out-dir", str(out)]
-        argv += [source, str(config) if source == "--config" else text]
+        if source == "--config":
+            config.write_text(text, encoding="utf-8")
+            argv += [source, str(config)]
+        else:
+            # A tuple stands for one flag per value.
+            for value in (text,) if isinstance(text, str) else text:
+                argv += [source, value]
         assert main(argv) == 1
         assert f"error: {message.format(config=config)}\n" == capsys.readouterr().err
         assert not out.exists()
@@ -756,9 +763,9 @@ class TestAnalyzeCommand:
         # Every labeled thread says rumour, though about half lack the
         # marker the run learned; the unlabeled block sits between them.
         labeled = [
-            dataclasses.replace(record, id=f"l{record.id}",
-                                parent_id=record.parent_id and f"l{record.parent_id}",
-                                label=None if record.parent_id else "rumour")
+            record._replace(id=f"l{record.id}",
+                            parent_id=record.parent_id and f"l{record.parent_id}",
+                            label=None if record.parent_id else "rumour")
             for record in make_planted_records(n_threads=20, seed=7, max_replies=1)
         ]
         middle = [i for i, record in enumerate(labeled) if record.parent_id is None][10]
@@ -768,7 +775,7 @@ class TestAnalyzeCommand:
         capsys.readouterr()
         assert main(["predict", "--run", str(trained_run), "--data", str(unlabeled_file)]) == 0
         predicted = dict(line.split("\t")[:2] for line in capsys.readouterr().out.splitlines())
-        filled = [dataclasses.replace(record, label=predicted.get(record.id))
+        filled = [record._replace(label=predicted.get(record.id))
                   for record in unlabeled]
         expected = tmp_path / "filled.jsonl"
         save_tweets(labeled[:middle] + filled + labeled[middle:], expected)

@@ -1,6 +1,6 @@
 import json
+import pickle
 import re
-from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -22,8 +22,9 @@ from rumourlab.ingest import (
     split_dataset,
 )
 from rumourlab.models.data import handcrafted_matrix
+from rumourlab.synthetic import make_planted_records
 
-from conftest import make_record, make_thread
+from conftest import make_record, make_thread, oracle_record
 
 GOOD = {"id": "a", "text": "x", "created_at": "2020-01-01T00:00:00Z",
         "verified": False, "followers": 0, "following": 0,
@@ -222,6 +223,90 @@ class TestFuzzedDataset:
         assert np.isfinite(handcrafted_matrix(threads)).all()
 
 
+_ODD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, 2**63 - 1, 2**63, 10**30, 1.5, 2005, 2006,
+                     "", "a", "p", "rumour", "nonrumour", "maybe", "2015", "2020-01-01T00:00:00Z",
+                     "2020-01-01T00:00:00", "soon", [], ["a"], {}, {"k": 1}]),
+    st.integers(-3, 2**64), st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+
+
+@st.composite
+def _mutated_line(draw):
+    """A good record with one or two fields changed, dropped, broken by a
+    tab or line break, or added; now and then with trailing data, or a line
+    that is no object at all."""
+    record = dict(GOOD)
+    record.update(draw(st.fixed_dictionaries({}, optional={
+        "parent_id": st.just("p"), "label": st.sampled_from(["rumour", "nonrumour"])})))
+    for name in draw(st.lists(st.sampled_from([*GOOD, "parent_id", "label", "extra"]),
+                              min_size=1, max_size=2)):
+        action = draw(st.sampled_from(["edge", "value", "drop", "break"]))
+        if action == "drop":
+            record.pop(name, None)
+        elif action == "break":
+            record[name] = draw(st.sampled_from(["a\tb", "\na", "a\r", "x\r\n"]))
+        else:
+            record[name] = draw(st.sampled_from([-1, 0, 2**63 - 1, 2**63, True, False, None])
+                                if action == "edge" else _ODD_VALUES)
+    line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    if draw(st.integers(0, 7)):
+        return line + draw(st.sampled_from(["", " ", "\u00a0"]))
+    return draw(st.sampled_from([
+        line + " x", line + "{}", line + ",", line[:-1] + ', "id": 7}',
+        line[:-1] + ', "followers": ' + "9" * 5000 + "}", "[1]", '"s"', "3", "null", "{",
+    ]))
+
+
+class TestDifferentialOracle:
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=_mutated_line())
+    @example(line=json.dumps({**GOOD, "account_created_year": 0, "like_count": 2**63}))
+    @example(line=json.dumps({**GOOD, "verified": 1}))
+    @example(line=json.dumps({**GOOD, "followers": True}))
+    @example(line=json.dumps({**GOOD, "like_count": 2**63}))
+    @example(line=json.dumps({**GOOD, "parent_id": "a"}))
+    @example(line=json.dumps({**GOOD, "parent_id": None, "label": None}))
+    def test_load_accepts_exactly_what_the_oracle_accepts(self, tmp_path, line):
+        path = tmp_path / "one.jsonl"
+        path.write_bytes(line.encode("utf-8") + b"\n")
+        expected = oracle_record(line.strip(), datetime.now(timezone.utc).year)
+        try:
+            (record,) = load_tweets(path)
+        except ValidationError as exc:
+            assert str(exc) == f"{path} line 1: {expected}"
+            return
+        assert type(expected) is TweetRecord, expected
+        assert record == expected
+        assert list(map(type, record)) == list(map(type, expected))
+
+
+class TestRecordShape:
+    def test_replace_runs_the_checks(self):
+        record = make_record("a", parent_id="p")
+        assert record._replace(label="rumour").label == "rumour"
+        with pytest.raises(ValidationError, match="^tweet a lists itself as parent$"):
+            record._replace(parent_id=record.id)
+        with pytest.raises(ValidationError, match="unknown label 'maybe'"):
+            TweetRecord._make((*record[:-1], "maybe"))
+
+    def test_pickle_round_trip_is_equal_and_checked(self):
+        record = make_record("a", text="h\u00e9llo", label="rumour", parent_id="p")
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and type(again) is TweetRecord
+        unchecked = tuple.__new__(TweetRecord, (*record[:-1], "maybe"))
+        with pytest.raises(ValidationError, match="unknown label 'maybe'"):
+            pickle.loads(pickle.dumps(unchecked))
+
+    def test_loaded_records_equal_the_written_ones(self, tmp_dataset):
+        records = make_planted_records(n_threads=15, seed=4)
+        loaded = load_tweets(tmp_dataset(records))
+        assert loaded == records
+        assert loaded[0] == tuple(records[0])
+        assert [list(map(type, r)) for r in loaded] == [list(map(type, r)) for r in records]
+
+
 class TestRecordValidation:
     def test_self_parent_rejected(self):
         with pytest.raises(ValidationError):
@@ -241,7 +326,7 @@ class TestRecordValidation:
 
 class TestFlatSchema:
     def test_record_fields_follow_the_schema(self):
-        names = [f.name for f in fields(TweetRecord)]
+        names = list(TweetRecord._fields)
         assert names[:len(_SCHEMA)] == list(_SCHEMA)
         assert names[len(_SCHEMA):] == ["parent_id", "label"]
 
