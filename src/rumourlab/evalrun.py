@@ -207,11 +207,12 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     """Execute the full pipeline for one configuration.
 
     Ingest, split, featurize and prepare each split once, train once per
-    seed, majority-vote the test predictions, and persist everything under
-    the digest-named run directory. `config` checked every setting when it
-    was built, a train split without both classes is refused, and the
-    model and its features are built before the directory is, so a bad
-    config or split writes nothing.
+    seed (once in all when the model's fit does not read the seed),
+    majority-vote the test predictions, and persist everything under the
+    digest-named run directory. `config` checked every setting when it
+    was built, a train split without both classes or an empty dev or test
+    split is refused, and the model and its features are built before the
+    directory is, so a bad config or split writes nothing.
     Raises with the failing stage named.
     """
 
@@ -237,6 +238,9 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     if missing := [label for label in LABELS if label not in held]:
         raise ValidationError(f"[stage: split] no examples of class(es) in the train split: "
                               f"{missing}")
+    if empty := [name for name in ("dev", "test") if not getattr(split, name)]:
+        raise ValidationError(f"[stage: split] no threads in the split(s) {empty}: ratios "
+                              f"{config.ratios} over {len(labeled)} labeled threads")
     # The fit and the train prepare share a token table over the train split. It is
     # dropped before dev and test (which build their own) to keep peak memory down.
     tokens = None
@@ -255,14 +259,21 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     _save_features(model, run_dir)
     note(f"run dir {run_dir}: train={len(split.train)} dev={len(split.dev)} "
          f"test={len(split.test)}")
-    outputs = []
+    # A fit that does not read the seed is trained and scored once (at the
+    # first seed); every seed still writes its own files and casts its vote.
+    outputs, first = [], None
     for seed in config.seeds:
-        payload, history, summary = stage(f"fit seed {seed}",
-                                          lambda: model.train(train, dev, seed))
+        fresh = first is None or model.reads_seed
+        if fresh:
+            payload, history, summary = stage(f"fit seed {seed}",
+                                              lambda: model.train(train, dev, seed))
+            first = seed
         model.save(payload, run_dir, seed)
         (run_dir / f"history_seed{seed}.txt").write_text(history, encoding="utf-8")
-        outputs.append(model.predict(payload, test))
-        note(f"seed {seed}: {summary}")
+        outputs.append(model.predict(payload, test) if fresh else outputs[-1])
+        shared = "" if fresh else (
+            f" (same fit as seed {first}: {config.model} without SMOTE does not read the seed)")
+        note(f"seed {seed}: {summary}{shared}")
 
     voted, mean_scores = _vote(outputs)
     report = compute_report(voted, [t.label for t in split.test], model=config.model,

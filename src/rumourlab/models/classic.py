@@ -378,6 +378,13 @@ class ClassicLearner:
         self.config = config
         self.tfidf = tfidf
 
+    @property
+    def reads_seed(self) -> bool:
+        """Whether `train` depends on its seed: the forest's bootstrap and
+        feature draws and SMOTE's points do; logreg and svm start at zero
+        and take full-batch steps."""
+        return self.config.model == "rf" or self.config.smote
+
     def prepare(self, threads: Sequence[Thread],
                 tokens: TokenTable | None = None) -> tuple[np.ndarray, list]:
         """The handcrafted and/or TF-IDF matrix of `threads`, and their labels."""

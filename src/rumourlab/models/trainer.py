@@ -141,6 +141,8 @@ class GradientModel:
     parameter dict, one checkpoint per seed."""
 
     config: RunConfig
+    # The seed drives initialization, shuffling, dropout and DropEdge.
+    reads_seed = True
 
     def train(self, train_data, dev_data, seed: int):
         """(parameters, history text, summary line) for one seed."""

@@ -616,6 +616,25 @@ class TestTrainPredictEvaluate:
         # The trees train nothing, so they still build.
         assert main(["build-trees", "--data", str(data), "--out", str(tmp_path / "t.txt")]) == 0
 
+    @pytest.mark.parametrize("model", ["lstm", "logreg"])
+    @pytest.mark.parametrize("ratios,empty", [("0.7,0.05,0.25", "dev"),
+                                              ("0.8,0.1,0.1", "test")])
+    def test_empty_dev_or_test_split_writes_nothing(self, tmp_path, capsys, model, ratios,
+                                                    empty):
+        """Twelve threads leave one split empty under these ratios. Before the
+        check, logreg scored a nan dev accuracy or every kind trained and then
+        failed on the empty test split, with files left behind."""
+        data = tmp_path / "small.jsonl"
+        save_tweets(make_planted_records(n_threads=12, seed=1), data)
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(data), "--model", model, "--out-dir", str(out),
+                     "--set", f"ratios = {ratios}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [stage: split] no threads in the split(s) "
+                              f"['{empty}']: ratios ")
+        assert "over 12 labeled threads" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model,setting", [
         ("bigcn", "dropout = 2"),
         ("bigcn", "tfidf_top_k = 0"),

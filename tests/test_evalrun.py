@@ -284,39 +284,90 @@ class TestRunExperiment:
         for seed in (1, 2, 3):
             assert (result.run_dir / f"ckpt_seed{seed}.txt").exists()
 
-    @pytest.mark.parametrize("model", ["lstm", "bigcn", "logreg", "svm", "rf"])
-    def test_predictor_round_trip(self, planted_file, tmp_path, monkeypatch, model):
-        sizes = {
-            "lstm": dict(vocab_cap=200, embed_dim=4, hidden_dim=4, perceptron_dim=4,
-                         max_len=16, max_epochs=1),
-            "bigcn": dict(tfidf_top_k=100, bigcn_hidden_dim=4, bigcn_out_dim=4,
-                          max_epochs=1),
-            "logreg": dict(),
-            "svm": dict(svm_iters=100),
-            "rf": dict(rf_trees=3, features="both"),
-        }[model]
-        trained = {}  # seed -> (model, payload) as train returned them
+    SIZES = {
+        "lstm": dict(vocab_cap=200, embed_dim=4, hidden_dim=4, perceptron_dim=4,
+                     max_len=16, max_epochs=1),
+        "bigcn": dict(tfidf_top_k=100, bigcn_hidden_dim=4, bigcn_out_dim=4,
+                      max_epochs=1),
+        "logreg": dict(),
+        "svm": dict(svm_iters=100),
+        "rf": dict(rf_trees=3, features="both"),
+    }
+
+    @staticmethod
+    def _record_training(monkeypatch) -> dict:
+        """seed -> (model, payload) for each `train` call, as train returned them."""
+        trained = {}
         for cls in (GradientModel, ClassicLearner):
             def recorded(self, train, dev, seed, _original=cls.train):
                 outcome = _original(self, train, dev, seed)
                 trained[seed] = (self, outcome[0])
                 return outcome
             monkeypatch.setattr(cls, "train", recorded)
-        config = self._config(planted_file, tmp_path, model=model, seeds=(1, 2), **sizes)
+        return trained
+
+    @pytest.mark.parametrize("model", ["lstm", "bigcn", "logreg", "svm", "rf"])
+    def test_predictor_round_trip(self, planted_file, tmp_path, monkeypatch, model):
+        trained = self._record_training(monkeypatch)
+        config = self._config(planted_file, tmp_path, model=model, seeds=(1, 2),
+                              **self.SIZES[model])
         result = run_experiment(config)
         predictor = RunPredictor(result.run_dir)
         labels, scores = predictor.predict(result.split.test)
         file_lines = (result.run_dir / "predictions.txt").read_text().splitlines()
         assert [l.split("\t")[1] for l in file_lines] == labels
         assert [l.split("\t")[2] for l in file_lines] == [f"{s:.6g}" for s in scores]
-        assert sorted(trained) == [1, 2]
-        for seed, (trained_model, payload) in trained.items():
+        # logreg and svm without SMOTE train once and save that fit for both seeds.
+        assert sorted(trained) == ([1] if model in ("logreg", "svm") else [1, 2])
+        for seed in config.seeds:
+            trained_model, payload = trained.get(seed, trained[1])
             data = trained_model.prepare(result.split.test)
             fresh_labels, fresh_scores = trained_model.predict(payload, data)
             loaded_labels, loaded_scores = trained_model.predict(
                 trained_model.load(result.run_dir, seed), data)
             assert loaded_labels == fresh_labels
             assert np.asarray(loaded_scores).tobytes() == np.asarray(fresh_scores).tobytes()
+
+    @pytest.mark.parametrize("model,settings", [
+        ("rf", {}), ("rf", {"smote": True}), ("logreg", {"smote": True}),
+        ("svm", {"smote": True}), ("lstm", {}), ("bigcn", {}),
+    ])
+    def test_seeded_fits_train_once_per_seed(self, planted_file, tmp_path, monkeypatch,
+                                             model, settings):
+        trained = self._record_training(monkeypatch)
+        notes = []
+        run_experiment(self._config(planted_file, tmp_path, model=model, seeds=(1, 2, 3),
+                                    **{**self.SIZES[model], **settings}), notes.append)
+        assert sorted(trained) == [1, 2, 3]
+        assert not any("same fit" in note for note in notes)
+
+    @pytest.mark.parametrize("model", ["logreg", "svm"])
+    def test_seed_free_fit_trains_once(self, planted_file, tmp_path, monkeypatch, model):
+        """One fit serves every seed, and the run directory is the one that
+        training each seed gives."""
+        def run_files(reads_seed: bool):
+            with monkeypatch.context() as patch:
+                if reads_seed:
+                    patch.setattr(ClassicLearner, "reads_seed", True)
+                trained = self._record_training(patch)
+                notes = []
+                result = run_experiment(self._config(
+                    planted_file, tmp_path / str(reads_seed), model=model,
+                    seeds=(4, 2, 9), **self.SIZES[model]), notes.append)
+            files = {p.relative_to(result.run_dir): p.read_bytes()
+                     for p in sorted(result.run_dir.rglob("*")) if p.is_file()}
+            return sorted(trained), notes, files
+
+        trained, notes, files = run_files(reads_seed=False)
+        assert trained == [4]
+        assert notes[1].startswith("seed 4: dev accuracy ")
+        for note, seed in zip(notes[2:], (2, 9)):
+            assert note == f"{notes[1].replace('seed 4', f'seed {seed}')} (same fit as " \
+                           f"seed 4: {model} without SMOTE does not read the seed)"
+        every_seed = run_files(reads_seed=True)
+        assert every_seed[0] == [2, 4, 9]
+        assert files == every_seed[2]
+        assert {f"ckpt_seed{seed}.txt" for seed in (4, 2, 9)} <= {p.name for p in files}
 
     def test_bigcn_raw_count_features(self, planted_file, tmp_path):
         config = self._config(planted_file, tmp_path, model="bigcn", tree_raw_counts=True,

@@ -29,6 +29,7 @@ from rumourlab.gradengine import (
 )
 from rumourlab.models import (
     BiGcnModel,
+    ClassicLearner,
     ClassicModel,
     LstmModel,
     classic,
@@ -629,6 +630,63 @@ class TestLinearFitMatchesGraph:
             w, b = _gradient_fit("svm", x, labels, config, row_weights)
             want_w, want_b = graph_gradient_fit("svm", x, labels, config, row_weights)
             assert w.tobytes() == want_w.tobytes() and b == want_b
+
+
+@pytest.fixture(scope="module")
+def uneven_threads():
+    """Labeled threads with fewer rumours than nonrumours, so SMOTE adds points."""
+    threads = make_planted_threads(n_threads=30, rumour_rate=0.3, seed=5, max_replies=2)
+    assert 2 <= sum(t.label == "rumour" for t in threads) < len(threads) / 2
+    return threads
+
+
+def _learner_and_data(threads, **settings):
+    """A ClassicLearner over TF-IDF fitted on `threads` (none for handcrafted
+    features) and its prepared matrix and labels of `threads`."""
+    config = RunConfig(classic_iters=60, svm_iters=60, rf_trees=3, tfidf_top_k=40, **settings)
+    tfidf = None
+    if config.features != "handcrafted":
+        tfidf = fit_tfidf(thread_docs(threads, token_table(threads)), config.tfidf_top_k)
+    learner = ClassicLearner(config, tfidf)
+    return learner, learner.prepare(threads)
+
+
+class TestSeedUse:
+    """A learner whose `reads_seed` is False fits the same model for every
+    seed, so a run may train it once and save that fit once per seed."""
+
+    @pytest.mark.parametrize("features", ["handcrafted", "tfidf", "both"])
+    @pytest.mark.parametrize("model,settings", [
+        ("logreg", {}), ("logreg", {"logreg_l2": 1e-3}), ("logreg", {"class_weights": False}),
+        ("svm", {}), ("svm", {"svm_l2": 0.0}), ("svm", {"svm_l2": 1e-2}),
+    ])
+    def test_linear_fits_without_smote_ignore_the_seed(self, uneven_threads, features,
+                                                       model, settings):
+        learner, (x, labels) = _learner_and_data(uneven_threads, model=model,
+                                                 features=features, **settings)
+        assert learner.reads_seed is False
+        first, second = (train_classic(model, x, labels, learner.config, seed)
+                         for seed in (1, 2))
+        assert np.abs(first.weights).max() > 0.0
+        assert first.weights.tobytes() == second.weights.tobytes()
+        assert np.float64(first.bias).tobytes() == np.float64(second.bias).tobytes()
+
+    @pytest.mark.parametrize("model,settings", [
+        ("rf", {}), ("rf", {"smote": True}), ("logreg", {"smote": True}),
+        ("svm", {"smote": True}),
+    ])
+    def test_forest_and_smote_fits_read_the_seed(self, uneven_threads, model, settings):
+        learner, data = _learner_and_data(uneven_threads, model=model, features="both",
+                                          **settings)
+        assert learner.reads_seed is True
+        first, second = (learner.train(data, data, seed)[0] for seed in (1, 2))
+        if model == "rf":
+            assert forest_to_text(first) != forest_to_text(second)
+        else:
+            assert first.weights.tobytes() != second.weights.tobytes()
+
+    def test_gradient_models_read_the_seed(self, lstm_setup, bigcn_setup):
+        assert lstm_setup[0].reads_seed is True and bigcn_setup[0].reads_seed is True
 
 
 FOREST_TEXT = """# rumourlab-forest v1
