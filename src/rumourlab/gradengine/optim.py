@@ -48,19 +48,26 @@ def optimizer_step(
                 f"gradient shape {grad.shape} does not match parameter "
                 f"{name!r} of shape {param.values.shape}"
             )
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise ValidationError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(param.values)
             state.v[name] = np.zeros_like(param.values)
-        if state.weight_decay > 0.0:
-            param.values -= state.lr * state.weight_decay * param.values
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        m_hat = m / bias1
-        v_hat = v / bias2
-        param.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        _update(state, param.values, state.m[name], state.v[name], grad, bias1, bias2)
+
+
+def _update(state: OptimizerState, values: np.ndarray, m: np.ndarray, v: np.ndarray,
+            grad: np.ndarray, bias1: float, bias2: float) -> None:
+    """One parameter's step in place: the textbook expressions' operations
+    in their order, through two scratch arrays of its size, freed on return."""
+    a, b = np.empty_like(values), np.empty_like(values)
+    if state.weight_decay > 0.0:
+        values -= np.multiply(values, state.lr * state.weight_decay, out=a)
+    m *= state.beta1
+    m += np.multiply(grad, 1.0 - state.beta1, out=a)
+    v *= state.beta2
+    v += np.multiply(np.multiply(grad, 1.0 - state.beta2, out=a), grad, out=a)
+    # values -= lr * (m / bias1) / (sqrt(v / bias2) + epsilon)
+    np.multiply(np.divide(m, bias1, out=a), state.lr, out=a)
+    np.add(np.sqrt(np.divide(v, bias2, out=b), out=b), state.epsilon, out=b)
+    values -= np.divide(a, b, out=a)

@@ -3,9 +3,13 @@
 Every primitive builds its output through _node: it is tracked (requires
 grad, keeps its parents and backward closure) when some input is, so
 constants and values computed from constants alone are never tracked.
-backward() walks the tracked graph once in reverse topological order
-and accumulates gradients into every tracked tensor. All arithmetic is
-float64.
+backward() walks the tracked graph once in reverse topological order,
+accumulates gradients into every parameter (tracked leaf) and consumes
+the graph as it goes: each node drops its gradient, closure and parents
+once its backward has run, so intermediates are freed as soon as nothing
+downstream needs them. An untracked lstm_sequence (evaluation,
+prediction) keeps one step of state, not the per-step history. All
+arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from .sparse import SparseMatrix, scatter_rows
 class Tensor:
     """A numpy array plus the bookkeeping reverse mode needs."""
 
-    __slots__ = ("values", "requires_grad", "grad", "name", "_parents", "_backward")
+    __slots__ = ("values", "requires_grad", "grad", "name", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, values, requires_grad=False, name=None, parents=(), backward=None):
         self.values = np.asarray(values, dtype=np.float64)
@@ -158,10 +163,11 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.values, 0.0), (x,), _back)
 
 
-def _sigmoid_values(v: np.ndarray) -> np.ndarray:
-    """The logistic function; exp only ever sees -|v|, so it cannot overflow."""
+def _sigmoid_values(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The logistic function; exp only ever sees -|v|, so it cannot overflow.
+    As 0 <= e <= 1, max(e, v >= 0) is 1 where v >= 0 and e elsewhere."""
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.maximum(e, v >= 0), 1.0 + e, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -185,7 +191,10 @@ def lstm_sequence(inputs: Tensor, w_h: Tensor, mask: np.ndarray) -> Tensor:
 
     inputs holds every step's input projection plus bias, one row per
     (example, step) in row-major order, gate columns in the order i, f, o,
-    c; w_h is (H, 4H). A masked step carries both states unchanged.
+    c; w_h is (H, 4H). A masked step carries both states unchanged. Every
+    step runs in preallocated buffers; a tracked call keeps each step's
+    states and activations for the backward pass, an untracked one only
+    the current step's.
     """
     mask = np.asarray(mask, dtype=np.float64)
     keep = 1.0 - mask
@@ -195,43 +204,70 @@ def lstm_sequence(inputs: Tensor, w_h: Tensor, mask: np.ndarray) -> Tensor:
         raise ValidationError(f"lstm_sequence: inputs {inputs.shape}, w_h {w_h.shape} "
                               f"and mask {mask.shape} incompatible")
     xs = inputs.values.reshape(batch, steps, 4 * size)
+    w = w_h.values
+    tracked = inputs.requires_grad or w_h.requires_grad
     # hs[t] and cs[t] are the states entering step t (hs[steps] is the
     # output); acts[t] holds its gate activations, tanh_c[t] tanh(new cell).
-    hs, cs = np.zeros((2, steps + 1, batch, size))
-    acts = np.empty((steps, batch, 4 * size))
-    tanh_c = np.empty((steps, batch, size))
+    # Untracked, slot 0 of each is the current step, updated in place.
+    slots = steps if tracked else 1
+    hs, cs = np.zeros((2, steps + 1 if tracked else 1, batch, size))
+    acts = np.empty((slots, batch, 4 * size))
+    tanh_c = np.empty((slots, batch, size))
+    gates = acts.reshape(slots, batch, 4, size).transpose(0, 2, 1, 3)
+    pre = np.empty((batch, 4 * size))
+    new_c, tmp = np.empty((2, batch, size))
     for t in range(steps):
-        pre = xs[:, t] + hs[t] @ w_h.values
-        acts[t, :, :3 * size] = _sigmoid_values(pre[:, :3 * size])
-        np.tanh(pre[:, 3 * size:], out=acts[t, :, 3 * size:])
-        i, f, o, g = acts[t].reshape(batch, 4, size).transpose(1, 0, 2)
-        new_c = f * cs[t] + i * g
-        np.tanh(new_c, out=tanh_c[t])
+        now, after = (t, t + 1) if tracked else (0, 0)
+        i, f, o, g = gates[now]
         m, k = mask[:, t:t + 1], keep[:, t:t + 1]
-        cs[t + 1] = new_c * m + cs[t] * k
-        hs[t + 1] = (o * tanh_c[t]) * m + hs[t] * k
+        np.add(np.matmul(hs[now], w, out=pre), xs[:, t], out=pre)
+        _sigmoid_values(pre[:, :3 * size], out=acts[now, :, :3 * size])
+        np.tanh(pre[:, 3 * size:], out=g)
+        np.add(np.multiply(f, cs[now], out=new_c), np.multiply(i, g, out=tmp), out=new_c)
+        np.tanh(new_c, out=tanh_c[now])
+        # new·m + old·(1 − m), summed as old·(1 − m) + new·m so that
+        # untracked the old state may share the new one's buffer.
+        np.add(np.multiply(cs[now], k, out=cs[after]), np.multiply(new_c, m, out=new_c),
+               out=cs[after])
+        np.add(np.multiply(hs[now], k, out=hs[after]),
+               np.multiply(np.multiply(o, tanh_c[now], out=tmp), m, out=tmp), out=hs[after])
 
     def _back(grad):
-        # Gate slopes of every step at once: a(1 - a) for sigmoid, 1 - a² for tanh.
-        slopes = acts * (1.0 - acts)
-        slopes[..., 3 * size:] = 1.0 - acts[..., 3 * size:] * acts[..., 3 * size:]
-        d_pre = np.empty_like(acts)
-        dh, dc = grad, np.zeros((batch, size))
+        # One row per (example, step), like inputs, so its gradient is a view.
+        d_pre = np.empty((batch, steps, 4 * size))
+        d_gates = d_pre.reshape(batch, steps, 4, size).transpose(1, 2, 0, 3)
+        slope = np.empty((batch, 4 * size))
+        dh, dc = np.array(grad), np.zeros((batch, size))
+        dh_new, dc_new = np.empty((2, batch, size))
         for t in reversed(range(steps)):
             m, k = mask[:, t:t + 1], keep[:, t:t + 1]
-            i, f, o, g = acts[t].reshape(batch, 4, size).transpose(1, 0, 2)
-            dh_new = dh * m
-            dc_new = dc * m + dh_new * o * (1.0 - tanh_c[t] * tanh_c[t])
-            np.concatenate([dc_new * g, dc_new * cs[t], dh_new * tanh_c[t], dc_new * i],
-                           axis=1, out=d_pre[t])
-            d_pre[t] *= slopes[t]
-            dc = dc_new * f + dc * k
-            dh = d_pre[t] @ w_h.values.T + dh * k
-        if inputs.requires_grad:
-            _accumulate(inputs, d_pre.transpose(1, 0, 2).reshape(inputs.shape))
+            a, tc, d = acts[t], tanh_c[t], d_pre[:, t]
+            i, f, o, g = gates[t]
+            # Gate slopes: a(1 - a) for sigmoid, 1 - a² for tanh.
+            np.multiply(np.subtract(1.0, a, out=slope), a, out=slope)
+            np.subtract(1.0, np.multiply(g, g, out=slope[:, 3 * size:]), out=slope[:, 3 * size:])
+            np.multiply(dh, m, out=dh_new)
+            # dc_new = dc·m + dh_new·o·(1 − tanh_c²)
+            np.multiply(np.multiply(dh_new, o, out=dc_new),
+                        np.subtract(1.0, np.multiply(tc, tc, out=tmp), out=tmp), out=dc_new)
+            dc_new += np.multiply(dc, m, out=tmp)
+            d_i, d_f, d_o, d_g = d_gates[t]
+            np.multiply(dc_new, g, out=d_i)
+            np.multiply(dc_new, cs[t], out=d_f)
+            np.multiply(dh_new, tc, out=d_o)
+            np.multiply(dc_new, i, out=d_g)
+            d *= slope
+            # dc = dc_new·f + dc·k and dh = d·w_hᵀ + dh·k
+            np.add(np.multiply(dc, k, out=dc), np.multiply(dc_new, f, out=tmp), out=dc)
+            np.add(np.multiply(dh, k, out=dh), np.matmul(d, w.T, out=tmp), out=dh)
+        # w_h first: its step-major copy of d_pre is gone before inputs'
+        # gradient is allocated.
         if w_h.requires_grad:
-            _accumulate(w_h, hs[:-1].reshape(-1, size).T @ d_pre.reshape(-1, 4 * size))
-    return _node(hs[steps], (inputs, w_h), _back)
+            _accumulate(w_h, hs[:-1].reshape(-1, size).T
+                        @ d_pre.transpose(1, 0, 2).reshape(-1, 4 * size))
+        if inputs.requires_grad:
+            _accumulate(inputs, d_pre.reshape(inputs.shape))
+    return _node(hs[-1], (inputs, w_h), _back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -350,15 +386,25 @@ def _topological_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _consumed(grad):
+    raise ValidationError("backward: this graph was already consumed by an earlier backward")
+
+
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from loss."""
+    """Populate .grad on every parameter reachable from loss, consuming
+    the graph: each node drops its gradient, closure and parents once its
+    backward has run, and a second backward through it raises."""
     if loss.values.size != 1:
         raise ValidationError(f"backward needs a scalar loss, got shape {loss.shape}")
     order = _topological_order(loss)
     loss.grad = np.ones_like(loss.values)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._parents, node._backward = None, (), _consumed
 
 
 def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -3,10 +3,17 @@ import math
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from rumourlab.errors import ValidationError
 from rumourlab.featurize import SparseVector
+from rumourlab.gradengine.tensor import (
+    _accumulate,
+    _node,
+    _sigmoid_values,
+    _topological_order,
+)
 from rumourlab.ingest import Thread, TweetRecord, _parse_timestamp
 
 BASE_TIME = datetime(2020, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -103,3 +110,92 @@ def oracle_record(line, current_year):
         return TweetRecord(**values, current_year=current_year)
     except ValidationError as exc:
         return str(exc)
+
+
+def oracle_backward(loss):
+    """The graph walk that keeps the graph: every node keeps its gradient,
+    closure and parents. `backward` must give every parameter the same
+    gradient bytes."""
+    order = _topological_order(loss)
+    loss.grad = np.ones_like(loss.values)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def oracle_sigmoid_values(v):
+    """The logistic function in its `np.where` form, which
+    `tensor._sigmoid_values` must match bit for bit."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
+def oracle_optimizer_step(state, params, grads):
+    """Adam with decoupled decay as the textbook expressions, one
+    temporary per operation: the reference for the in-place
+    `optimizer_step`, which must give the same bytes."""
+    state.t += 1
+    bias1 = 1.0 - state.beta1 ** state.t
+    bias2 = 1.0 - state.beta2 ** state.t
+    for name, param in params.items():
+        grad = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(param.values)
+            state.v[name] = np.zeros_like(param.values)
+        if state.weight_decay > 0.0:
+            param.values -= state.lr * state.weight_decay * param.values
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * grad
+        v *= state.beta2
+        v += (1.0 - state.beta2) * grad * grad
+        m_hat = m / bias1
+        v_hat = v / bias2
+        param.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+
+
+def oracle_lstm_sequence(inputs, w_h, mask):
+    """The recurrence with fresh arrays for every step's temporaries, a
+    full per-step history whether tracked or not, and every step's gate
+    slopes and gradient pieces built at once: `tensor.lstm_sequence` must
+    give the same output and gradient bytes."""
+    mask = np.asarray(mask, dtype=np.float64)
+    keep = 1.0 - mask
+    batch, steps = mask.shape
+    size = w_h.shape[0]
+    xs = inputs.values.reshape(batch, steps, 4 * size)
+    hs, cs = np.zeros((2, steps + 1, batch, size))
+    acts = np.empty((steps, batch, 4 * size))
+    tanh_c = np.empty((steps, batch, size))
+    for t in range(steps):
+        pre = xs[:, t] + hs[t] @ w_h.values
+        acts[t, :, :3 * size] = _sigmoid_values(pre[:, :3 * size])
+        np.tanh(pre[:, 3 * size:], out=acts[t, :, 3 * size:])
+        i, f, o, g = acts[t].reshape(batch, 4, size).transpose(1, 0, 2)
+        new_c = f * cs[t] + i * g
+        np.tanh(new_c, out=tanh_c[t])
+        m, k = mask[:, t:t + 1], keep[:, t:t + 1]
+        cs[t + 1] = new_c * m + cs[t] * k
+        hs[t + 1] = (o * tanh_c[t]) * m + hs[t] * k
+
+    def _back(grad):
+        slopes = acts * (1.0 - acts)
+        slopes[..., 3 * size:] = 1.0 - acts[..., 3 * size:] * acts[..., 3 * size:]
+        d_pre = np.empty_like(acts)
+        dh, dc = grad, np.zeros((batch, size))
+        for t in reversed(range(steps)):
+            m, k = mask[:, t:t + 1], keep[:, t:t + 1]
+            i, f, o, g = acts[t].reshape(batch, 4, size).transpose(1, 0, 2)
+            dh_new = dh * m
+            dc_new = dc * m + dh_new * o * (1.0 - tanh_c[t] * tanh_c[t])
+            np.concatenate([dc_new * g, dc_new * cs[t], dh_new * tanh_c[t], dc_new * i],
+                           axis=1, out=d_pre[t])
+            d_pre[t] *= slopes[t]
+            dc = dc_new * f + dc * k
+            dh = d_pre[t] @ w_h.values.T + dh * k
+        if inputs.requires_grad:
+            _accumulate(inputs, d_pre.transpose(1, 0, 2).reshape(inputs.shape))
+        if w_h.requires_grad:
+            _accumulate(w_h, hs[:-1].reshape(-1, size).T @ d_pre.reshape(-1, 4 * size))
+    return _node(hs[steps], (inputs, w_h), _back)

@@ -369,6 +369,18 @@ class TestRunExperiment:
         assert files == every_seed[2]
         assert {f"ckpt_seed{seed}.txt" for seed in (4, 2, 9)} <= {p.name for p in files}
 
+    def test_classic_fit_weighs_classes(self, tmp_path):
+        # train_classic weighs rows by class whenever class_weights is set.
+        path = tmp_path / "imbalanced.jsonl"
+        save_tweets(make_planted_records(n_threads=60, rumour_rate=0.2, seed=5,
+                                         max_replies=2), path)
+        checkpoints = [
+            (run_experiment(self._config(path, tmp_path / str(weighted),
+                                         class_weights=weighted)).run_dir
+             / "ckpt_seed1.txt").read_bytes()
+            for weighted in (True, False)]
+        assert checkpoints[0] != checkpoints[1]
+
     def test_bigcn_raw_count_features(self, planted_file, tmp_path):
         config = self._config(planted_file, tmp_path, model="bigcn", tree_raw_counts=True,
                               tfidf_top_k=100, bigcn_hidden_dim=4, bigcn_out_dim=4,

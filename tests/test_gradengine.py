@@ -1,6 +1,8 @@
 import base64
 import math
 import re
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from rumourlab.gradengine import (
     grad_check,
     hinge_loss,
     load_checkpoint,
+    lstm_sequence,
     mask_mul,
     matmul,
     optimizer_step,
@@ -37,12 +40,27 @@ from rumourlab.gradengine import (
     zero_grads,
 )
 from rumourlab.gradengine.sparse import scatter_rows
+from rumourlab.gradengine.tensor import _sigmoid_values
 from rumourlab.selftest import check_primitive_gradients
+
+from conftest import oracle_lstm_sequence, oracle_optimizer_step, oracle_sigmoid_values
 
 
 class TestForward:
     def test_sigmoid_at_zero(self):
         assert sigmoid(Tensor([0.0])).values[0] == pytest.approx(0.5, abs=1e-15)
+
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                         745.2, -745.2, 746.0, -746.0, 1e308, -1e308])), max_size=40))
+    def test_sigmoid_values_match_where_form(self, values):
+        v = np.array(values, dtype=np.float64)
+        want = oracle_sigmoid_values(v).tobytes()
+        assert _sigmoid_values(v).tobytes() == want
+        out = np.empty_like(v)
+        assert _sigmoid_values(v, out=out) is out
+        assert out.tobytes() == want
 
     def test_matmul_identity(self):
         x = np.arange(9.0).reshape(3, 3)
@@ -167,6 +185,33 @@ class TestBackward:
         zero_grads([x])
         assert x.grad is None
 
+    def test_backward_frees_intermediates(self):
+        x = parameter(np.array([1.0, -2.0]), "x")
+        hidden = sigmoid(x * x)
+        loss = sum_all(hidden)
+        ref = weakref.ref(hidden)
+        del hidden
+        assert ref() is not None
+        backward(loss)
+        assert ref() is None
+        assert loss._parents == () and loss.grad is None
+        assert x.grad is not None
+
+    def test_second_backward_raises(self):
+        x = parameter(np.array([3.0]), "x")
+        loss = sum_all(x * x)
+        backward(loss)
+        with pytest.raises(ValidationError, match="already consumed"):
+            backward(loss)
+        assert x.grad.tolist() == [6.0]
+
+    def test_consumed_node_in_a_new_graph_raises(self):
+        x = parameter(np.array([3.0]), "x")
+        y = x * x
+        backward(sum_all(y))
+        with pytest.raises(ValidationError, match="already consumed"):
+            backward(sum_all(y + 1.0))
+
 
 class TestLosses:
     def test_bce_at_half(self):
@@ -238,6 +283,49 @@ class TestOptimizer:
 
         assert np.array_equal(run(), run())
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_step_matches_expression_form(self, weight_decay):
+        rng = np.random.default_rng(7)
+        start = {"w": rng.normal(size=(30, 7)), "b": rng.normal(size=(1, 7)),
+                 "s": rng.normal(size=())}
+        runs = []
+        for step in (optimizer_step, oracle_optimizer_step):
+            params = {name: parameter(values.copy(), name) for name, values in start.items()}
+            state = OptimizerState(lr=0.05, weight_decay=weight_decay)
+            grad_rng = np.random.default_rng(8)
+            for _ in range(5):
+                step(state, params, {name: grad_rng.normal(size=values.shape)
+                                     for name, values in start.items()})
+            runs.append([a.tobytes() for name in start
+                         for a in (params[name].values, state.m[name], state.v[name])])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_step_peak_memory_is_two_parameter_sizes(self, weight_decay):
+        # The traced peak of a step above its starting level, in parameter
+        # sizes: two scratch arrays plus the finiteness mask (1/8), freed
+        # before the next parameter's update, against one array per live
+        # temporary in the expression form.
+        size = 1_000_000
+        rng = np.random.default_rng(0)
+        grads = {"p": rng.normal(size=size), "q": rng.normal(size=size)}
+
+        def peak_sizes(step):
+            params = {name: parameter(np.ones(size), name) for name in grads}
+            state = OptimizerState(lr=0.01, weight_decay=weight_decay)
+            step(state, params, grads)  # the moments exist from here on
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                step(state, params, grads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return (peak - start) / (size * 8)
+
+        assert peak_sizes(optimizer_step) <= 2.5
+        assert peak_sizes(oracle_optimizer_step) > 3.5
+
     def test_adam_matches_reference_formula(self):
         p = parameter(np.array([1.0]), "p")
         state = OptimizerState(lr=0.1, beta1=0.9, beta2=0.999,
@@ -248,6 +336,44 @@ class TestOptimizer:
         v_hat = (0.001 * 0.25) / (1 - 0.999)
         expected = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
         assert p.values[0] == pytest.approx(expected, abs=1e-15)
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("mask", [
+        [[1, 1, 1, 1, 1], [0, 0, 0, 0, 0], [1, 1, 1, 0, 0], [1, 0, 1, 1, 0]],
+        [[1], [0], [1]],
+    ], ids=["ragged-with-all-padding-row", "one-step"])
+    @pytest.mark.parametrize("tracked", ["inputs", "w_h"])
+    def test_untracked_output_matches_tracked(self, mask, tracked):
+        mask = np.array(mask, dtype=float)
+        batch, steps = mask.shape
+        rng = np.random.default_rng(4)
+        inputs = rng.normal(size=(batch * steps, 4 * 6))
+        w_h = rng.normal(scale=0.5, size=(6, 4 * 6))
+        out = lstm_sequence(Tensor(inputs), Tensor(w_h), mask)
+        x = parameter(inputs, "inputs") if tracked == "inputs" else Tensor(inputs)
+        w = parameter(w_h, "w_h") if tracked == "w_h" else Tensor(w_h)
+        want = lstm_sequence(x, w, mask)
+        assert want.requires_grad and not out.requires_grad
+        assert out.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("lengths", [[9, 0, 4, 9, 1], [1, 0, 1], [0, 0]],
+                             ids=["ragged", "one-step", "no-active-step"])
+    def test_output_and_gradients_match_allocating_form(self, lengths):
+        mask = (np.arange(max(lengths)) < np.array(lengths)[:, None]).astype(float)
+        batch, steps = mask.shape
+        rng = np.random.default_rng(6)
+        inputs = rng.normal(size=(batch * steps, 4 * 7))
+        w_h = rng.normal(scale=0.5, size=(7, 4 * 7))
+        upstream = Tensor(rng.normal(size=(batch, 7)))
+        runs = []
+        for recurrence in (lstm_sequence, oracle_lstm_sequence):
+            x, w = parameter(inputs, "inputs"), parameter(w_h, "w_h")
+            out = recurrence(x, w, mask)
+            runs.append(out.values.tobytes())
+            backward(sum_all(out * upstream))
+            runs.append((x.grad.tobytes(), w.grad.tobytes()))
+        assert runs[:2] == runs[2:]
 
 
 class TestGradCheck:

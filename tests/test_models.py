@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from rumourlab.gradengine import (
     tanh,
     zero_grads,
 )
+from rumourlab.gradengine.tensor import _topological_order
 from rumourlab.models import (
     BiGcnModel,
     ClassicLearner,
@@ -39,6 +42,7 @@ from rumourlab.models import (
     predict_classic,
     predict_threads,
     train_classic,
+    trainer,
 )
 from rumourlab.models.classic import (
     LEAF,
@@ -53,7 +57,7 @@ from rumourlab.proptree import to_graph_batch
 from rumourlab.synthetic import make_planted_threads
 from rumourlab.textproc import normalize, tokenize
 
-from conftest import make_thread
+from conftest import make_thread, oracle_backward
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +380,53 @@ class TestFitContracts:
     def test_empty_sets_rejected(self):
         with pytest.raises(ValidationError):
             fit(_ScriptedModel([1.0]), [], self._threads(), RunConfig(), 0)
+
+
+class TestConsumedGraph:
+    """backward frees the training graph as it goes and leaves the
+    parameter gradients of the walk that keeps it."""
+
+    @pytest.fixture(params=["lstm", "bigcn"])
+    def dropout_model(self, request, toy_threads):
+        # Dropout (and DropEdge for Bi-GCN) on, so the batch's graph holds
+        # every kind of node training builds.
+        if request.param == "lstm":
+            vocab = build_vocabulary(thread_docs(toy_threads), cap=80)
+            model = LstmModel(RunConfig(dropout=0.3), vocab)
+        else:
+            tfidf = fit_tfidf(tweet_docs(toy_threads), top_k=50)
+            model = BiGcnModel(RunConfig(bigcn_hidden_dim=6, bigcn_out_dim=5, dropout=0.3,
+                                         drop_edge_rate=0.3), tfidf)
+        return model, model.prepare(toy_threads)
+
+    def test_parameter_grads_match_the_graph_keeping_walk(self, dropout_model):
+        model, data = dropout_model
+        params = model.init_params(np.random.default_rng(2))
+
+        def grads(walk):
+            zero_grads(params.values())
+            loss, _, _ = model.loss_and_predictions(params, model.slice(data, np.arange(8)),
+                                                    train=True, rng=np.random.default_rng(3))
+            walk(loss)
+            return {name: grad.tobytes() for name, grad in collect_grads(params).items()}
+
+        assert grads(backward) == grads(oracle_backward)
+
+    def test_no_graph_tensor_outlives_backward_in_fit(self, dropout_model, monkeypatch):
+        model, data = dropout_model
+        calls, alive = [], []
+
+        def watched(loss):
+            graph = [weakref.ref(node) for node in _topological_order(loss)
+                     if node is not loss and not (node.requires_grad and node._backward is None)]
+            backward(loss)
+            calls.append(len(graph))
+            alive.extend(ref() for ref in graph if ref() is not None)
+
+        monkeypatch.setattr(trainer, "backward", watched)
+        fit(model, data, data, dataclasses.replace(model.config, max_epochs=1, batch_size=4), 0)
+        assert len(calls) == 3 and min(calls) > 10
+        assert alive == []
 
 
 class TestFitDeterminism:
