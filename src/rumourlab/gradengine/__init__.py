@@ -12,7 +12,7 @@ from .tensor import (
     collect_grads,
     concat,
     gather_rows,
-    lstm_sequence,
+    lstm_layer,
     mask_mul,
     matmul,
     mean_all,
@@ -31,7 +31,7 @@ from .tensor import (
 __all__ = [
     "CKPT_FORMAT_VERSION", "OptimizerState", "SparseMatrix", "Tensor",
     "add", "backward", "bce_loss", "collect_grads", "concat", "gather_rows",
-    "grad_check", "hinge_loss", "load_checkpoint", "lstm_sequence", "mask_mul",
+    "grad_check", "hinge_loss", "load_checkpoint", "lstm_layer", "mask_mul",
     "matmul", "mean_all", "mul", "optimizer_step", "parameter", "relu",
     "save_checkpoint", "segment_mean", "sigmoid", "softmax_rows", "spmm",
     "sum_all", "tanh", "weighted_ce_loss", "zero_grads",

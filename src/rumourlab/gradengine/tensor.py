@@ -7,7 +7,7 @@ backward() walks the tracked graph once in reverse topological order,
 accumulates gradients into every parameter (tracked leaf) and consumes
 the graph as it goes: each node drops its gradient, closure and parents
 once its backward has run, so intermediates are freed as soon as nothing
-downstream needs them. An untracked lstm_sequence (evaluation,
+downstream needs them. An untracked lstm_layer (evaluation,
 prediction) keeps one step of state, not the per-step history. All
 arithmetic is float64.
 """
@@ -186,26 +186,31 @@ def tanh(x: Tensor) -> Tensor:
     return _node(values, (x,), _back)
 
 
-def lstm_sequence(inputs: Tensor, w_h: Tensor, mask: np.ndarray) -> Tensor:
-    """Final hidden state (batch, H) of a masked LSTM recurrence, as one node.
+def lstm_layer(x: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor, mask: np.ndarray) -> Tensor:
+    """Final hidden state (batch, H) of a masked LSTM layer, as one node.
 
-    inputs holds every step's input projection plus bias, one row per
-    (example, step) in row-major order, gate columns in the order i, f, o,
-    c; w_h is (H, 4H). A masked step carries both states unchanged. Every
-    step runs in preallocated buffers; a tracked call keeps each step's
-    states and activations for the backward pass, an untracked one only
-    the current step's.
+    x holds every step's input, one row per (example, step) in row-major
+    order; w_x is (E, 4H), bias (1, 4H) and w_h (H, 4H), gate columns in
+    the order i, f, o, c. Every step's input projection x·w_x + bias is one
+    product (Appleyard et al., arXiv:1604.01946) that lives only while the
+    steps run: no backward reads it. A masked step carries both states
+    unchanged. Every step runs in preallocated buffers; a tracked call
+    keeps each step's states and activations for the backward pass, an
+    untracked one only the current step's.
     """
     mask = np.asarray(mask, dtype=np.float64)
     keep = 1.0 - mask
     batch, steps = mask.shape
     size = w_h.shape[0]
-    if w_h.shape != (size, 4 * size) or inputs.shape != (batch * steps, 4 * size):
-        raise ValidationError(f"lstm_sequence: inputs {inputs.shape}, w_h {w_h.shape} "
-                              f"and mask {mask.shape} incompatible")
-    xs = inputs.values.reshape(batch, steps, 4 * size)
+    if (w_h.shape != (size, 4 * size) or bias.shape != (1, 4 * size)
+            or x.values.ndim != 2 or w_x.shape != (x.shape[1], 4 * size)
+            or x.shape[0] != batch * steps):
+        raise ValidationError(f"lstm_layer: x {x.shape}, w_x {w_x.shape}, bias {bias.shape}, "
+                              f"w_h {w_h.shape} and mask {mask.shape} incompatible")
+    projected = x.values @ w_x.values
+    xs = np.add(projected, bias.values, out=projected).reshape(batch, steps, 4 * size)
     w = w_h.values
-    tracked = inputs.requires_grad or w_h.requires_grad
+    tracked = x.requires_grad or w_x.requires_grad or bias.requires_grad or w_h.requires_grad
     # hs[t] and cs[t] are the states entering step t (hs[steps] is the
     # output); acts[t] holds its gate activations, tanh_c[t] tanh(new cell).
     # Untracked, slot 0 of each is the current step, updated in place.
@@ -233,7 +238,9 @@ def lstm_sequence(inputs: Tensor, w_h: Tensor, mask: np.ndarray) -> Tensor:
                np.multiply(np.multiply(o, tanh_c[now], out=tmp), m, out=tmp), out=hs[after])
 
     def _back(grad):
-        # One row per (example, step), like inputs, so its gradient is a view.
+        nonlocal acts, tanh_c, cs, gates
+        # One row per (example, step), like x, so the projection's
+        # gradient is a view.
         d_pre = np.empty((batch, steps, 4 * size))
         d_gates = d_pre.reshape(batch, steps, 4, size).transpose(1, 2, 0, 3)
         slope = np.empty((batch, 4 * size))
@@ -260,14 +267,25 @@ def lstm_sequence(inputs: Tensor, w_h: Tensor, mask: np.ndarray) -> Tensor:
             # dc = dc_new·f + dc·k and dh = d·w_hᵀ + dh·k
             np.add(np.multiply(dc, k, out=dc), np.multiply(dc_new, f, out=tmp), out=dc)
             np.add(np.multiply(dh, k, out=dh), np.matmul(d, w.T, out=tmp), out=dh)
-        # w_h first: its step-major copy of d_pre is gone before inputs'
-        # gradient is allocated.
+        # Free the forward buffers (and the loop's views of them) before
+        # w_h's step-major copy of d_pre is made; rebinding, not del, as a
+        # run of zero steps never binds the loop names.
+        acts = tanh_c = cs = gates = a = tc = i = f = o = g = None
         if w_h.requires_grad:
             _accumulate(w_h, hs[:-1].reshape(-1, size).T
                         @ d_pre.transpose(1, 0, 2).reshape(-1, 4 * size))
-        if inputs.requires_grad:
-            _accumulate(inputs, d_pre.reshape(inputs.shape))
-    return _node(hs[-1], (inputs, w_h), _back)
+        # The projection's add and matmul rules. The graph form passed
+        # them d_pre plus zeros, which differs from d_pre only in -0.0
+        # entries; those reach each gradient as zeros that _accumulate's
+        # own zeros-plus-add turns into 0.0, so the bytes agree.
+        d_proj = d_pre.reshape(-1, 4 * size)
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(d_proj, bias.shape))
+        if x.requires_grad:
+            _accumulate(x, d_proj @ w_x.values.T)
+        if w_x.requires_grad:
+            _accumulate(w_x, x.values.T @ d_proj)
+    return _node(hs[-1], (x, w_x, bias, w_h), _back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:

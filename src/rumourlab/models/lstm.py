@@ -1,8 +1,8 @@
 """Sequence classifier: embedding, one masked LSTM layer, a relu
 perceptron layer, and a sigmoid rumour-probability output.
 
-Every step's input projection is one product (Appleyard et al.,
-arXiv:1604.01946) and the recurrence is one lstm_sequence node. Masked
+The layer is one lstm_layer node, which computes every step's input
+projection as one product (Appleyard et al., arXiv:1604.01946). Masked
 timesteps propagate both the hidden and cell state unchanged, so
 appending padding to an example never alters its output.
 """
@@ -22,7 +22,7 @@ from ..gradengine import (
     bce_loss,
     concat,
     gather_rows,
-    lstm_sequence,
+    lstm_layer,
     mask_mul,
     matmul,
     parameter,
@@ -104,7 +104,7 @@ class LstmModel(GradientModel):
         x = gather_rows(params["embed"], ids[:, :steps].reshape(-1))
         w_x, w_h, bias = (concat([params[f"{name}{gate}"] for gate in GATES], axis=1)
                           for name in ("w_x", "w_h", "b_"))
-        hidden = lstm_sequence(matmul(x, w_x) + bias, w_h, mask[:, :steps])
+        hidden = lstm_layer(x, w_x, bias, w_h, mask[:, :steps])
         z = relu(matmul(hidden, params["w_perc"]) + params["b_perc"])
         if train and self.config.dropout > 0.0:
             keep = 1.0 - self.config.dropout

@@ -77,8 +77,9 @@ def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 def fit(model, train_data, dev_data, config: RunConfig, seed: int) -> FitResult:
     """Train a gradient model on `model.prepare` output with the optimizer
     and loop settings of `config`, restoring the parameters of the epoch
-    with the lowest dev loss. Fully deterministic for a given config and
-    seed."""
+    with the lowest dev loss. A dev loss that is not finite before any
+    epoch had a finite one means the parameters diverged, and raises.
+    Fully deterministic for a given config and seed."""
     if not train_data or not dev_data:
         raise ValidationError("train and dev sets must both be non-empty")
     rng = np.random.default_rng(seed)
@@ -87,7 +88,7 @@ def fit(model, train_data, dev_data, config: RunConfig, seed: int) -> FitResult:
                            epsilon=config.epsilon)
     history: list[EpochRecord] = []
     best_loss = np.inf
-    best_params = _snapshot(params)
+    best_params = None
     best_epoch = 0
     bad_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
@@ -110,6 +111,8 @@ def fit(model, train_data, dev_data, config: RunConfig, seed: int) -> FitResult:
             epoch=epoch, train_loss=train_loss, train_accuracy=train_acc,
             dev_loss=dev_loss, dev_accuracy=dev_acc,
         ))
+        if best_params is None and not np.isfinite(dev_loss):
+            raise ValidationError(f"training diverged: non-finite dev loss at epoch {epoch}")
         if dev_loss < best_loss:
             best_loss = dev_loss
             best_params = _snapshot(params)

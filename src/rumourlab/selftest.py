@@ -19,7 +19,7 @@ from .gradengine import (
     gather_rows,
     grad_check,
     hinge_loss,
-    lstm_sequence,
+    lstm_layer,
     mask_mul,
     matmul,
     mean_all,
@@ -68,9 +68,12 @@ def _primitive_cases(rng):
     emb_weight = rng.normal(size=(4, 3))
     proj = m.values[:, :1].copy()
     ce_weights = np.array([1.0, 2.0, 0.5, 1.5])
-    # Four steps, two hidden units; rows: full, ending after step 1, empty, gapped.
-    gate_inputs = parameter(rng.normal(size=(16, 8)), "gate_inputs")
-    w_h = parameter(rng.normal(size=(2, 8)), "w_h")
+    # Four steps, three inputs, two hidden units; rows: full, ending after
+    # step 1, empty, gapped.
+    seq = {"x": parameter(rng.normal(size=(16, 3)), "x"),
+           "w_x": parameter(rng.normal(size=(3, 8)), "w_x"),
+           "b": parameter(rng.normal(size=(1, 8)), "b"),
+           "w_h": parameter(rng.normal(size=(2, 8)), "w_h")}
     seq_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 0], [1, 0, 1, 1]], dtype=float)
     seq_weight = rng.normal(size=(4, 2))
     cases = {
@@ -87,8 +90,8 @@ def _primitive_cases(rng):
         "segment_mean": ({"a": a}, lambda p: sum_all(segment_mean(p["a"], segments, 2) * seg_weight)),
         "embedding": ({"table": table}, lambda p: sum_all(gather_rows(p["table"], ids) * emb_weight)),
         "mask_mul": ({"a": a}, lambda p: sum_all(mask_mul(p["a"], mask))),
-        "lstm_sequence": ({"gate_inputs": gate_inputs, "w_h": w_h}, lambda p: sum_all(
-            lstm_sequence(p["gate_inputs"], p["w_h"], seq_mask) * seq_weight)),
+        "lstm_layer": (seq, lambda p: sum_all(
+            lstm_layer(p["x"], p["w_x"], p["b"], p["w_h"], seq_mask) * seq_weight)),
         "mean": ({"a": a}, lambda p: mean_all(p["a"] * p["a"])),
         "bce": ({"a": a}, lambda p: bce_loss(sigmoid(matmul(p["a"], Tensor(proj))), targets01)),
         "weighted_ce": ({"a": a}, lambda p: weighted_ce_loss(

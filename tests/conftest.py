@@ -158,8 +158,9 @@ def oracle_optimizer_step(state, params, grads):
 def oracle_lstm_sequence(inputs, w_h, mask):
     """The recurrence with fresh arrays for every step's temporaries, a
     full per-step history whether tracked or not, and every step's gate
-    slopes and gradient pieces built at once: `tensor.lstm_sequence` must
-    give the same output and gradient bytes."""
+    slopes and gradient pieces built at once: `tensor.lstm_layer` must
+    give the same output and gradient bytes as this recurrence over
+    `matmul(x, w_x) + bias`."""
     mask = np.asarray(mask, dtype=np.float64)
     keep = 1.0 - mask
     batch, steps = mask.shape

@@ -23,7 +23,7 @@ from rumourlab.gradengine import (
     grad_check,
     hinge_loss,
     load_checkpoint,
-    lstm_sequence,
+    lstm_layer,
     mask_mul,
     matmul,
     optimizer_step,
@@ -339,21 +339,32 @@ class TestOptimizer:
 
 
 class TestLstmSequence:
+    """lstm_layer against the composition it replaced, the projection as
+    two graph nodes feeding the recurrence oracle."""
+
+    @staticmethod
+    def _operands(batch, steps, size, seed):
+        rng = np.random.default_rng(seed)
+        return {"x": rng.normal(size=(batch * steps, 5)),
+                "w_x": rng.normal(scale=0.5, size=(5, 4 * size)),
+                "bias": rng.normal(size=(1, 4 * size)),
+                "w_h": rng.normal(scale=0.5, size=(size, 4 * size))}
+
+    @staticmethod
+    def _composition(x, w_x, bias, w_h, mask):
+        return oracle_lstm_sequence(matmul(x, w_x) + bias, w_h, mask)
+
     @pytest.mark.parametrize("mask", [
         [[1, 1, 1, 1, 1], [0, 0, 0, 0, 0], [1, 1, 1, 0, 0], [1, 0, 1, 1, 0]],
         [[1], [0], [1]],
     ], ids=["ragged-with-all-padding-row", "one-step"])
-    @pytest.mark.parametrize("tracked", ["inputs", "w_h"])
+    @pytest.mark.parametrize("tracked", ["x", "w_x", "bias", "w_h"])
     def test_untracked_output_matches_tracked(self, mask, tracked):
         mask = np.array(mask, dtype=float)
-        batch, steps = mask.shape
-        rng = np.random.default_rng(4)
-        inputs = rng.normal(size=(batch * steps, 4 * 6))
-        w_h = rng.normal(scale=0.5, size=(6, 4 * 6))
-        out = lstm_sequence(Tensor(inputs), Tensor(w_h), mask)
-        x = parameter(inputs, "inputs") if tracked == "inputs" else Tensor(inputs)
-        w = parameter(w_h, "w_h") if tracked == "w_h" else Tensor(w_h)
-        want = lstm_sequence(x, w, mask)
+        operands = self._operands(*mask.shape, 6, seed=4)
+        out = lstm_layer(*map(Tensor, operands.values()), mask)
+        want = lstm_layer(*(parameter(v, name) if name == tracked else Tensor(v)
+                            for name, v in operands.items()), mask)
         assert want.requires_grad and not out.requires_grad
         assert out.values.tobytes() == want.values.tobytes()
 
@@ -361,19 +372,49 @@ class TestLstmSequence:
                              ids=["ragged", "one-step", "no-active-step"])
     def test_output_and_gradients_match_allocating_form(self, lengths):
         mask = (np.arange(max(lengths)) < np.array(lengths)[:, None]).astype(float)
-        batch, steps = mask.shape
-        rng = np.random.default_rng(6)
-        inputs = rng.normal(size=(batch * steps, 4 * 7))
-        w_h = rng.normal(scale=0.5, size=(7, 4 * 7))
-        upstream = Tensor(rng.normal(size=(batch, 7)))
+        operands = self._operands(*mask.shape, 7, seed=6)
+        upstream = Tensor(np.random.default_rng(6).normal(size=(len(lengths), 7)))
         runs = []
-        for recurrence in (lstm_sequence, oracle_lstm_sequence):
-            x, w = parameter(inputs, "inputs"), parameter(w_h, "w_h")
-            out = recurrence(x, w, mask)
+        for layer in (lstm_layer, self._composition):
+            params = {name: parameter(v, name) for name, v in operands.items()}
+            out = layer(*params.values(), mask)
             runs.append(out.values.tobytes())
             backward(sum_all(out * upstream))
-            runs.append((x.grad.tobytes(), w.grad.tobytes()))
+            runs.append([p.grad.tobytes() for p in params.values()])
         assert runs[:2] == runs[2:]
+
+    def test_tracked_memory_holds_no_dead_array(self):
+        # Tracked, the composition keeps the matmul output and its bias sum
+        # alive until backward; the layer keeps neither. The layer's
+        # backward holds its forward buffers and d_pre together, but frees
+        # the buffers before it copies d_pre step-major for w_h.
+        mask = np.ones((8, 64))
+        operands = self._operands(*mask.shape, 32, seed=2)
+        projection = 8 * 64 * 4 * 32 * 8
+
+        def live_and_backward_peak(layer):
+            params = {name: parameter(v, name) for name, v in operands.items()}
+            upstream = Tensor(np.ones((8, 32)))
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                loss = sum_all(layer(*params.values(), mask) * upstream)
+                live = tracemalloc.get_traced_memory()[0] - start
+                tracemalloc.reset_peak()
+                backward(loss)
+                return live, tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        live, peak = live_and_backward_peak(lstm_layer)
+        assert live <= live_and_backward_peak(self._composition)[0] - projection
+        assert peak <= live + 1.25 * projection
+
+    def test_incompatible_shapes_rejected(self):
+        operands = self._operands(2, 3, 4, seed=1)
+        operands["bias"] = operands["bias"][:, :-1]
+        with pytest.raises(ValidationError, match="lstm_layer"):
+            lstm_layer(*map(Tensor, operands.values()), np.ones((2, 3)))
 
 
 class TestGradCheck:

@@ -366,6 +366,20 @@ class TestFitContracts:
         assert len(result.history) == 5
         assert result.params["theta"].values.tolist() == [3.0]
 
+    def test_non_finite_first_dev_loss_is_divergence(self):
+        config = RunConfig(lr=1.0, batch_size=1, max_epochs=3, patience=1)
+        with pytest.raises(ValidationError, match="non-finite dev loss at epoch 1$"):
+            fit(_ScriptedModel(dev_losses=[np.nan]), self._threads(), self._threads(),
+                config, 0)
+
+    def test_non_finite_dev_loss_after_a_finite_one_keeps_the_best_epoch(self):
+        model = _ScriptedModel(dev_losses=[1.0, np.nan])
+        config = RunConfig(lr=1.0, batch_size=1, max_epochs=2, patience=5)
+        result = fit(model, self._threads(), self._threads(), config, 0)
+        assert len(result.history) == 2
+        assert result.best_epoch == 1
+        assert result.params["theta"].values.tolist() == [1.0]
+
     def test_non_finite_loss_reports_epoch_and_batch(self, toy_threads):
         class ExplodingModel(_ScriptedModel):
             def loss_and_predictions(self, params, batch, train, rng=None):
