@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .ingest import LABELS, TweetRecord
-from .textproc import count_attributes, data_rows, is_word_token, normalize, stopword_list, tokenize
+from .textproc import data_rows, is_word_token, normalize, stopword_list, tally_attributes, tokenize
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -186,6 +186,7 @@ def attribute_histograms(
 ) -> list[AttributeHistogram]:
     """Twelve histograms: the six surface attributes for each class,
     binned with the fixed documented edges."""
+    word_kinds: dict[str, int] = {}  # one entry per distinct token, for this call only
     tallies: dict[tuple[str, str], list[int]] = {
         (attribute, label): [0] * (len(edges) - 1)
         for attribute, edges in HISTOGRAM_EDGES.items()
@@ -194,7 +195,7 @@ def attribute_histograms(
     for record, label in labeled:
         if label not in LABELS:
             raise ValidationError(f"tweet {record.id}: unknown label {label!r}")
-        counts = count_attributes(record.text)
+        counts = tally_attributes(record.text, word_kinds)
         for attribute, edges in HISTOGRAM_EDGES.items():
             tallies[(attribute, label)][bisect_right(edges, getattr(counts, attribute)) - 1] += 1
     return [
@@ -214,25 +215,25 @@ def _month_key(record: TweetRecord) -> str:
 def content_terms(text: str) -> list[str]:
     """Lowercase topic-bearing terms: word tokens that are not stopwords,
     plus hashtag bodies."""
-    stopwords = stopword_list()
-    terms = []
-    for token in tokenize(normalize(text)):
-        if token.startswith("#") and len(token) > 1:
-            term = token[1:].lower()
-        elif is_word_token(token):
-            term = token.lower()
-        else:
-            continue
-        if term not in stopwords:
-            terms.append(term)
-    return terms
+    return _content_terms(text, {}, stopword_list())
 
 
-def _remove_excluded(terms: list[str], exclude: Sequence[str]) -> list[str]:
-    """Drop excluded keywords, including multiword phrases matched over
+def _content_terms(text: str, token_terms: dict[str, str],
+                   stopwords: frozenset[str]) -> list[str]:
+    """content_terms, with the caller's table of each distinct token's term
+    ("" for a token that gives none), filled with the tokens it has not met yet."""
+    tokens = tokenize(normalize(text))
+    for token in set(tokens).difference(token_terms):
+        term = (token[1:] if token.startswith("#") and len(token) > 1
+                else token if is_word_token(token) else "").lower()
+        token_terms[token] = "" if term in stopwords else term
+    return list(filter(None, map(token_terms.__getitem__, tokens)))
+
+
+def _remove_excluded(terms: list[str], phrases: Sequence[tuple[str, ...]],
+                     singles: set[str]) -> list[str]:
+    """Drop excluded single keywords and multiword phrases matched over
     consecutive terms."""
-    phrases = [tuple(k.lower().split()) for k in exclude if " " in k]
-    singles = {k.lower() for k in exclude if " " not in k}
     kept = []
     i = 0
     while i < len(terms):
@@ -263,12 +264,17 @@ def monthly_top_terms(
 ) -> list[MonthlyTermTable]:
     """Per calendar month (UTC) and class: the top_n content terms by
     frequency, ties broken lexicographically, excluded keywords removed."""
+    phrases = [tuple(k.lower().split()) for k in exclude if " " in k]
+    singles = {k.lower() for k in exclude if " " not in k}
+    stopwords = stopword_list()
+    token_terms: dict[str, str] = {}  # one entry per distinct token, for this call only
     counters: dict[str, dict[str, Counter]] = defaultdict(
         lambda: {label: Counter() for label in LABELS})
     for record, label in labeled:
         if label not in LABELS:
             raise ValidationError(f"tweet {record.id}: unknown label {label!r}")
-        terms = _remove_excluded(content_terms(record.text), exclude)
+        terms = _remove_excluded(_content_terms(record.text, token_terms, stopwords),
+                                 phrases, singles)
         counters[_month_key(record)][label].update(terms)
     tables = []
     for month in sorted(counters):

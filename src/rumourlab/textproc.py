@@ -1,11 +1,12 @@
 """Tweet-aware text handling: normalization, tokenization and surface
 counts.
 
-Normalization rewrites user mentions to the literal token ``@USER``, URLs
-to ``HTTPURL``, and emoji to colon-delimited aliases from the bundled
-table (unknown pictographs become ``:emoji:``), then collapses whitespace.
-It is idempotent. Tokenization operates on normalized text: each
-whitespace-separated chunk stays whole, except for its trailing
+Normalization drops the emoji joiners, rewrites user mentions to the
+literal token ``@USER``, URLs to ``HTTPURL``, and emoji to colon-delimited
+aliases from the bundled table (unknown pictographs become ``:emoji:``) in
+one regex pass over the table's code-point ranges, then collapses
+whitespace. It is idempotent. Tokenization operates on normalized text:
+each whitespace-separated chunk stays whole, except for its trailing
 punctuation, which splits off as one-character tokens. A special token
 (hashtag, mention, ``HTTPURL``, emoji alias or ASCII emoticon) keeps the
 trailing punctuation it ends in, so ``:-)`` and ``D:`` stay whole and
@@ -40,7 +41,7 @@ _EMOJI_RANGES = (
     (0x2600, 0x27BF),
     (0x2B00, 0x2BFF),
 )
-_EMOJI_JOINERS = {"️", "‍"}
+_EMOJI_JOINERS = {"\ufe0f", "\u200d"}
 
 _PUNCT = string.punctuation + "“”‘’…´—–¡¿"
 
@@ -71,22 +72,41 @@ def emoji_aliases() -> dict[str, str]:
 
 
 @lru_cache(maxsize=1)
-def _emoji_table() -> dict[int, str | None]:
-    """``str.translate`` table: range code points to ``:emoji:``, bundled
-    emoji to their aliases, and joiners (entered last, so they win) to None."""
+def _emoji_table() -> dict[int, str]:
+    """Emoji code point -> replacement: range code points to ``:emoji:``,
+    bundled emoji to their aliases."""
     points = (point for low, high in _EMOJI_RANGES for point in range(low, high + 1))
     table = dict.fromkeys(points, f" :{UNKNOWN_EMOJI_ALIAS}: ")
     table.update((ord(char), f" :{alias}: ") for char, alias in emoji_aliases().items())
-    table.update(dict.fromkeys(map(ord, _EMOJI_JOINERS)))
     return table
 
 
+@lru_cache(maxsize=1)
+def _emoji_pattern() -> re.Pattern:
+    """One character class matching every code point of the emoji table,
+    written as runs of consecutive code points."""
+    table = _emoji_table()
+    lows = sorted(point for point in table if point - 1 not in table)
+    highs = sorted(point for point in table if point + 1 not in table)
+    ranges = "".join(f"{chr(low)}-{chr(high)}" for low, high in zip(lows, highs))
+    return re.compile(f"[{ranges}]")
+
+
+def _emoji_alias(match: re.Match) -> str:
+    return _emoji_table()[ord(match[0])]
+
+
 def normalize(text: str) -> str:
-    """Rewrite mentions, URLs, and emoji, then collapse whitespace; each
-    rewrite is skipped on text without what it needs ("://" or "www", "@", non-ASCII)."""
+    """Drop emoji joiners, rewrite URLs, mentions and emoji, then collapse
+    whitespace. Each step is skipped on text without what it needs: the
+    joiner drop and the emoji pass on ASCII text, the URL pattern on text
+    without "://" or "www", the mention pattern on text without "@"."""
+    if not text.isascii():
+        for joiner in _EMOJI_JOINERS:
+            text = text.replace(joiner, "")
     text = _URL_RE.sub(URL_TOKEN, text) if "://" in text or "www" in text.lower() else text
     text = _MENTION_RE.sub(MENTION_TOKEN, text) if "@" in text else text
-    text = text if text.isascii() else text.translate(_emoji_table())
+    text = text if text.isascii() else _emoji_pattern().sub(_emoji_alias, text)
     return " ".join(text.split())
 
 
@@ -98,6 +118,9 @@ def tokenize(text: str) -> list[str]:
     """Split normalized text into tokens, preserving case."""
     tokens: list[str] = []
     for chunk in text.split():
+        if chunk[-1] not in _PUNCT:
+            tokens.append(chunk)
+            continue
         # The longest prefix that is a special token or ends before the
         # trailing punctuation; the rest are one-character tokens.
         end = len(chunk)
@@ -131,15 +154,22 @@ def count_attributes(text: str) -> AttributeCounts:
     """Surface-attribute counts: URLs, emoji, hashtags, and mentions are
     counted on the raw text; words and stopwords on the token stream of
     the normalized text."""
-    urls = len(_URL_RE.findall(text))
-    hashtags = len(_HASHTAG_RE.findall(text))
-    mentions = len(_MENTION_RE.findall(text))
-    table = _emoji_table()
-    emojis = sum(text.count(char) for char in set(text) if table.get(ord(char)))
-    words = [t for t in tokenize(normalize(text)) if is_word_token(t)]
+    return tally_attributes(text, {})
+
+
+def tally_attributes(text: str, word_kinds: dict[str, int]) -> AttributeCounts:
+    """count_attributes, with the caller's table of each distinct token's
+    kind (0 not a word, 1 a word, 2 a stopword), filled with the tokens it
+    has not met yet."""
+    tokens = tokenize(normalize(text))
     stopwords = stopword_list()
-    stops = sum(word.lower() in stopwords for word in words)
+    for token in set(tokens).difference(word_kinds):
+        word_kinds[token] = (1 + (token.lower() in stopwords)) if is_word_token(token) else 0
+    kinds = list(map(word_kinds.__getitem__, tokens))
     return AttributeCounts(
-        words=len(words), urls=urls, emojis=emojis,
-        hashtags=hashtags, mentions=mentions, stopwords=stops,
+        words=len(kinds) - kinds.count(0),
+        urls=len(_URL_RE.findall(text)) if "://" in text or "www" in text.lower() else 0,
+        emojis=0 if text.isascii() else len(_emoji_pattern().findall(text)),
+        hashtags=len(_HASHTAG_RE.findall(text)), mentions=len(_MENTION_RE.findall(text)),
+        stopwords=kinds.count(2),
     )

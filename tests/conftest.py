@@ -15,6 +15,7 @@ from rumourlab.gradengine.tensor import (
     _topological_order,
 )
 from rumourlab.ingest import Thread, TweetRecord, _parse_timestamp
+from rumourlab.textproc import _PUNCT, _is_special_token
 
 BASE_TIME = datetime(2020, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -200,3 +201,20 @@ def oracle_lstm_sequence(inputs, w_h, mask):
         if w_h.requires_grad:
             _accumulate(w_h, hs[:-1].reshape(-1, size).T @ d_pre.reshape(-1, 4 * size))
     return _node(hs[steps], (inputs, w_h), _back)
+
+
+def oracle_tokenize(text):
+    """The per-chunk loop that `textproc.tokenize` must reproduce token for
+    token: every chunk, whatever its last character, enters the search for
+    its longest prefix that is a special token or ends before the trailing
+    punctuation; the rest are one-character tokens."""
+    tokens = []
+    for chunk in text.split():
+        end = len(chunk)
+        stem = len(chunk.rstrip(_PUNCT))
+        while end > stem and not _is_special_token(chunk[:end]):
+            end -= 1
+        if end:
+            tokens.append(chunk[:end])
+        tokens.extend(chunk[end:])
+    return tokens

@@ -1,8 +1,12 @@
 import math
 import re
+from bisect import bisect_right
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumourlab import analyze
 from rumourlab.analyze import (
@@ -21,6 +25,17 @@ from rumourlab.analyze import (
     timeseries_to_csv,
 )
 from rumourlab.errors import ValidationError
+from rumourlab.ingest import LABELS
+from rumourlab.textproc import (
+    _HASHTAG_RE,
+    _MENTION_RE,
+    _URL_RE,
+    _emoji_table,
+    is_word_token,
+    normalize,
+    stopword_list,
+    tokenize,
+)
 
 from conftest import make_record
 
@@ -258,6 +273,102 @@ class TestMonthlyTopTerms:
 
     def test_hashtag_bodies_counted(self):
         assert content_terms("#wuhan lab") == ["wuhan", "lab"]
+
+
+# The per-token forms: every token of every tweet classified afresh, with
+# the exclusion list parsed again for each tweet.
+def oracle_content_terms(text):
+    terms = []
+    for token in tokenize(normalize(text)):
+        if token.startswith("#") and len(token) > 1:
+            term = token[1:].lower()
+        elif is_word_token(token):
+            term = token.lower()
+        else:
+            continue
+        if term not in stopword_list():
+            terms.append(term)
+    return terms
+
+
+def oracle_remove_excluded(terms, exclude):
+    phrases = [tuple(k.lower().split()) for k in exclude if " " in k]
+    singles = {k.lower() for k in exclude if " " not in k}
+    kept = []
+    i = 0
+    while i < len(terms):
+        phrase = next((p for p in phrases if tuple(terms[i:i + len(p)]) == p), None)
+        if phrase is not None:
+            i += len(phrase)
+            continue
+        if terms[i] not in singles:
+            kept.append(terms[i])
+        i += 1
+    return kept
+
+
+def oracle_top_terms(labeled, exclude, top_n):
+    counters = defaultdict(lambda: {label: Counter() for label in LABELS})
+    for record, label in labeled:
+        month = f"{record.created_at.year:04d}-{record.created_at.month:02d}"
+        counters[month][label].update(
+            oracle_remove_excluded(oracle_content_terms(record.text), exclude))
+    return [(month, {label: tuple(sorted(counters[month][label].items(),
+                                         key=lambda item: (-item[1], item[0]))[:top_n])
+                     for label in LABELS})
+            for month in sorted(counters)]
+
+
+def oracle_histogram_counts(labeled):
+    tallies = {(attribute, label): [0] * (len(edges) - 1)
+               for attribute, edges in analyze.HISTOGRAM_EDGES.items() for label in LABELS}
+    for record, label in labeled:
+        text = record.text
+        words = [token for token in tokenize(normalize(text)) if is_word_token(token)]
+        values = {"words": len(words),
+                  "stopwords": sum(word.lower() in stopword_list() for word in words),
+                  "urls": len(_URL_RE.findall(text)), "hashtags": len(_HASHTAG_RE.findall(text)),
+                  "mentions": len(_MENTION_RE.findall(text)),
+                  "emojis": sum(ord(char) in _emoji_table() for char in text)}
+        for attribute, edges in analyze.HISTOGRAM_EDGES.items():
+            tallies[(attribute, label)][bisect_right(edges, values[attribute]) - 1] += 1
+    return [(attribute, label, tuple(tallies[(attribute, label)]))
+            for attribute in analyze.HISTOGRAM_EDGES for label in LABELS]
+
+
+# One token in several cases, stopwords, excluded keywords and phrases,
+# hashtags, tokens that are no words at all, and tokens whose class
+# depends on case (`XD` and `HTTPURL` are special, `xd` and `httpurl` words).
+_TEXT_PIECES = st.sampled_from([
+    "Lab", "lab", "LAB", "lab!", "The", "the", "THE", "#Covid", "#covid", "covid", "Covid",
+    "corona", "Corona", "virus", "VIRUS", "#", "@bob", "http://x.io", "\U0001F637", ":-)",
+    "...", "not", "wuhan", "Wuhan?", "XD", "xd", "httpurl", "WWW.ex.com", "\u2764\ufe0f",
+])
+labeled_strategy = st.lists(
+    st.tuples(st.lists(_TEXT_PIECES, max_size=12).map(" ".join), st.sampled_from(LABELS),
+              st.sampled_from([0, 60 * 24 * 40, 60 * 24 * 70])),
+    max_size=12,
+).map(lambda rows: [(make_record(f"t{i}", text=text, minutes=minutes), label)
+                    for i, (text, label, minutes) in enumerate(rows)])
+
+
+@given(labeled_strategy, st.sampled_from([1, 3, 20]))
+@settings(max_examples=200, deadline=None)
+def test_tables_equal_per_token_forms(labeled, top_n):
+    exclude = ("covid", "corona virus")
+    tables = monthly_top_terms(labeled, exclude, top_n)
+    assert [(t.month, t.ranked) for t in tables] == oracle_top_terms(labeled, exclude, top_n)
+    assert [(h.attribute, h.label, h.counts) for h in attribute_histograms(labeled)] == \
+        oracle_histogram_counts(labeled)
+
+
+def test_top_terms_keep_no_token_table_across_calls(monkeypatch):
+    labeled = [(make_record("a", text="Lab lab wuhan the"), "rumour")]
+    (first,) = monthly_top_terms(labeled, top_n=5)
+    assert first.ranked["rumour"] == (("lab", 2), ("wuhan", 1))
+    monkeypatch.setattr(analyze, "stopword_list", lambda: frozenset({"lab"}))
+    (second,) = monthly_top_terms(labeled, top_n=5)
+    assert second.ranked["rumour"] == (("the", 1), ("wuhan", 1))
 
 
 def _scored(record, label):

@@ -24,11 +24,13 @@ from rumourlab.textproc import (
     tokenize,
 )
 
+from conftest import oracle_tokenize
+
 # Text with the shapes that matter: mentions, urls, emoji, hashtags,
 # punctuation runs, and unicode words.
 _FRAGMENTS = (
     list("abc APE.!?#@:/-_0139'\"\t\n")
-    + ["\U0001F637", "\U0001F602", "❤", "\U0001F9FF",
+    + ["\U0001F637", "\U0001F602", "❤", "\U0001F9FF", "\ufe0f", "\u200d",
        "http://x.io/a", " www.ex.com ", "@bob", "#tag", "the", "not", ":-)", "  "]
 )
 text_strategy = st.lists(st.sampled_from(_FRAGMENTS), max_size=15).map("".join)
@@ -44,13 +46,12 @@ def _oracle_is_emoji_char(char):
 
 
 def oracle_normalize(text):
+    text = "".join(char for char in text if char not in _EMOJI_JOINERS)
     text = _URL_RE.sub(URL_TOKEN, text)
     text = _MENTION_RE.sub(MENTION_TOKEN, text)
     aliases = emoji_aliases()
     parts = []
     for char in text:
-        if char in _EMOJI_JOINERS:
-            continue
         if char in aliases:
             parts.append(f" :{aliases[char]}: ")
         elif _oracle_is_emoji_char(char):
@@ -99,7 +100,7 @@ def _oracle_is_special(chunk):
                                                         _MENTION_RE)))
 
 
-def oracle_tokenize(text):
+def oracle_peel_tokenize(text):
     tokens = []
     for chunk in re.findall(r"\S+", text):
         end = len(chunk)
@@ -130,7 +131,7 @@ def oracle_is_word_token(token):
 
 def oracle_word_counts(text):
     words = stops = 0
-    for token in oracle_tokenize(normalize(text)):
+    for token in oracle_peel_tokenize(normalize(text)):
         if oracle_is_word_token(token):
             words += 1
             stops += token.lower() in stopword_list()
@@ -147,6 +148,16 @@ _TRAILING_PIECES = st.sampled_from([
 ])
 trailing_strategy = st.lists(st.one_of(_TRAILING_PIECES, _ORACLE_ALPHABET),
                              max_size=12).map("".join)
+
+# Chunks that end in punctuation and chunks that do not: emoticons,
+# URL and hashtag tokens followed by punctuation, bare punctuation runs,
+# alias tokens, raw emoji and non-ASCII words.
+_CHUNK_PIECES = st.sampled_from([
+    ":-)", "D:", "HTTPURL.", "#tag!!", "really?!", "...", "?!", "!!!", "…", "“”", ",", "-",
+    ":smile:", ":red_heart:,", ":face_with_medical_mask:", "\U0001F637", "\u2764\ufe0f",
+    "café", "naïve!", "Straße", "日本", "¿qué?", "@bob", "@bob!", "http://x.io/a.", "word",
+    "x", " ", " ", "\u3000",
+])
 
 
 class TestNormalize:
@@ -174,6 +185,9 @@ class TestNormalize:
 
     @given(text_strategy)
     @settings(max_examples=200, deadline=None)
+    @example("@\ufe0fbob")
+    @example("@bob\u200dsmith")
+    @example("http\u200d://t.co/x")
     def test_idempotent(self, text):
         once = normalize(text)
         assert normalize(once) == once
@@ -203,7 +217,8 @@ class TestNormalize:
 
 
 def three_step_normalize(text):
-    """normalize without its shortcuts: every rewrite on every text."""
+    """normalize without its shortcuts: every step on every text."""
+    text = "".join(char for char in text if char not in _EMOJI_JOINERS)
     text = _URL_RE.sub(URL_TOKEN, text)
     text = _MENTION_RE.sub(MENTION_TOKEN, text)
     return " ".join(text.translate(_emoji_table()).split())
@@ -270,11 +285,18 @@ class TestTokenize:
     def test_matches_peel_oracle(self, text):
         for stream in (text, normalize(text)):
             tokens = tokenize(stream)
-            assert tokens == oracle_tokenize(stream)
+            assert tokens == oracle_peel_tokenize(stream)
             assert [is_word_token(t) for t in tokens] == \
                 [oracle_is_word_token(t) for t in tokens]
         counts = count_attributes(text)
         assert (counts.words, counts.stopwords) == oracle_word_counts(text)
+
+    @given(st.lists(_CHUNK_PIECES, max_size=12).map("".join))
+    @settings(max_examples=500, deadline=None)
+    @example(":-) D: HTTPURL. #tag!! really?! ... ?! :smile:, café naïve! \U0001F637.")
+    def test_matches_per_chunk_oracle(self, text):
+        stream = normalize(text)
+        assert tokenize(stream) == oracle_tokenize(stream)
 
     def test_str_split_breaks_where_regex_whitespace_does(self):
         # tokenize splits chunks with str.split, the oracle with \S+.
