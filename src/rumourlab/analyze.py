@@ -266,6 +266,7 @@ def monthly_top_terms(
     frequency, ties broken lexicographically, excluded keywords removed."""
     phrases = [tuple(k.lower().split()) for k in exclude if " " in k]
     singles = {k.lower() for k in exclude if " " not in k}
+    starts = singles.union(phrase[0] for phrase in phrases)  # every term a match begins with
     stopwords = stopword_list()
     token_terms: dict[str, str] = {}  # one entry per distinct token, for this call only
     counters: dict[str, dict[str, Counter]] = defaultdict(
@@ -273,8 +274,9 @@ def monthly_top_terms(
     for record, label in labeled:
         if label not in LABELS:
             raise ValidationError(f"tweet {record.id}: unknown label {label!r}")
-        terms = _remove_excluded(_content_terms(record.text, token_terms, stopwords),
-                                 phrases, singles)
+        terms = _content_terms(record.text, token_terms, stopwords)
+        if not starts.isdisjoint(terms):
+            terms = _remove_excluded(terms, phrases, singles)
         counters[_month_key(record)][label].update(terms)
     tables = []
     for month in sorted(counters):

@@ -265,6 +265,7 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     for seed in config.seeds:
         fresh = first is None or model.reads_seed
         if fresh:
+            payload = None  # the previous seed's payload dies before this fit starts
             payload, history, summary = stage(f"fit seed {seed}",
                                               lambda: model.train(train, dev, seed))
             first = seed

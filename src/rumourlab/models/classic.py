@@ -206,6 +206,7 @@ def _grow_tree(x: np.ndarray, rows: np.ndarray, y: np.ndarray, weights: np.ndarr
         return index
 
     grow(rows, 0)
+    grow = None  # break the closure's cycle through itself, so x, y and weights die on return
     return np.array([tuple(node) for node in nodes], dtype=NODE)
 
 

@@ -2,6 +2,8 @@
 seeded shuffling and initialization, early stopping on dev loss with
 best-parameter restore. Both entry points take the model's own prepared
 data (`model.prepare(threads)`), so a caller prepares each split once.
+A parameter's gradient lives from `backward` until `fit` clears it right
+after the Adam step, so the epoch's evaluation and `fit`'s caller see none.
 `GradientModel` gives both models the run operations over this loop.
 """
 
@@ -96,7 +98,6 @@ def fit(model, train_data, dev_data, config: RunConfig, seed: int) -> FitResult:
         for batch_no, index in enumerate(
                 _batch_indices(len(train_data), config.batch_size, order), start=1):
             batch = model.slice(train_data, index)
-            zero_grads(params.values())
             loss, _, _ = model.loss_and_predictions(params, batch, train=True, rng=rng)
             if not np.isfinite(loss.item()):
                 raise ValidationError(
@@ -105,6 +106,7 @@ def fit(model, train_data, dev_data, config: RunConfig, seed: int) -> FitResult:
                 )
             backward(loss)
             optimizer_step(state, params, collect_grads(params))
+            zero_grads(params.values())
         train_loss, train_acc = _evaluate(model, params, train_data, config.batch_size)
         dev_loss, dev_acc = _evaluate(model, params, dev_data, config.batch_size)
         history.append(EpochRecord(

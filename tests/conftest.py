@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from collections import Counter
@@ -37,6 +38,15 @@ def make_thread(id, label="nonrumour", text="hello world", n_replies=0,
         for i in range(n_replies)
     )
     return Thread(source=source, replies=replies)
+
+
+@pytest.fixture
+def no_cycle_collector():
+    """The cycle collector off for one test, so an object that dies there
+    died by its reference count, not whenever the collector happened to run."""
+    gc.disable()
+    yield
+    gc.enable()
 
 
 @pytest.fixture

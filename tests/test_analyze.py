@@ -258,6 +258,12 @@ class TestMonthlyTopTerms:
         terms = {term for term, _ in table.ranked["rumour"]}
         assert terms == {"corona", "beer", "virus"}
 
+    def test_phrase_first_word_alone_is_kept(self):
+        record = make_record("a", text="corona beer")
+        (table,) = monthly_top_terms(
+            [(record, "rumour")], exclude=("covid", "corona virus"), top_n=10)
+        assert table.ranked["rumour"] == (("beer", 1), ("corona", 1))
+
     def test_stopwords_never_appear(self):
         record = make_record("a", text="the and of lab")
         (table,) = monthly_top_terms([(record, "nonrumour")], top_n=10)

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,22 @@ class TestRunExperiment:
                                     **{**self.SIZES[model], **settings}), notes.append)
         assert sorted(trained) == [1, 2, 3]
         assert not any("same fit" in note for note in notes)
+
+    @pytest.mark.parametrize("model", ["lstm", "bigcn"])
+    def test_previous_seed_parameters_die_before_the_next_fit(
+            self, planted_file, tmp_path, monkeypatch, no_cycle_collector, model):
+        refs, alive = [], []
+
+        def watched(self, train, dev, seed, _train=GradientModel.train):
+            alive.append(sum(ref() is not None for ref in refs))
+            outcome = _train(self, train, dev, seed)
+            refs.extend(weakref.ref(p.values) for p in outcome[0].values())
+            return outcome
+
+        monkeypatch.setattr(GradientModel, "train", watched)
+        run_experiment(self._config(planted_file, tmp_path, model=model, seeds=(1, 2),
+                                    **self.SIZES[model]))
+        assert alive == [0, 0] and refs
 
     @pytest.mark.parametrize("model", ["logreg", "svm"])
     def test_seed_free_fit_trains_once(self, planted_file, tmp_path, monkeypatch, model):

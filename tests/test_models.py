@@ -398,7 +398,8 @@ class TestFitContracts:
 
 class TestConsumedGraph:
     """backward frees the training graph as it goes and leaves the
-    parameter gradients of the walk that keeps it."""
+    parameter gradients of the walk that keeps it; fit drops those
+    gradients after each Adam step."""
 
     @pytest.fixture(params=["lstm", "bigcn"])
     def dropout_model(self, request, toy_threads):
@@ -441,6 +442,20 @@ class TestConsumedGraph:
         fit(model, data, data, dataclasses.replace(model.config, max_epochs=1, batch_size=4), 0)
         assert len(calls) == 3 and min(calls) > 10
         assert alive == []
+
+    def test_no_gradient_outlives_its_step(self, dropout_model, monkeypatch):
+        model, data = dropout_model
+        held = []
+
+        def watched(model, params, data, batch_size, _evaluate=trainer._evaluate):
+            held.append([name for name, p in params.items() if p.grad is not None])
+            return _evaluate(model, params, data, batch_size)
+
+        monkeypatch.setattr(trainer, "_evaluate", watched)
+        result = fit(model, data, data, dataclasses.replace(model.config, max_epochs=2,
+                                                             batch_size=4), 0)
+        assert held == [[]] * 4
+        assert [name for name, p in result.params.items() if p.grad is not None] == []
 
 
 class TestFitDeterminism:
@@ -512,6 +527,18 @@ class TestTrainClassic:
         labels, scores = predict_classic(model, x)
         assert labels == y
         assert ((scores > 0) & (scores < 1)).all()
+
+    def test_forest_training_arrays_die_on_return(self, no_cycle_collector, monkeypatch):
+        refs = []
+
+        def watched(x, rows, y, weights, *args, _grow_tree=classic._grow_tree):
+            refs.extend(weakref.ref(array) for array in (x, y, weights))
+            return _grow_tree(x, rows, y, weights, *args)
+
+        monkeypatch.setattr(classic, "_grow_tree", watched)
+        x, y = self._separable()
+        train_classic("rf", x, y, _classic(rf_trees=2), 1)
+        assert len(refs) == 6 and [ref() for ref in refs] == [None] * 6
 
     def test_forest_thresholds_are_raw_midpoints(self):
         # Wide-ranged counts, several of which come back changed from a
