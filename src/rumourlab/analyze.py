@@ -264,7 +264,8 @@ def monthly_top_terms(
 ) -> list[MonthlyTermTable]:
     """Per calendar month (UTC) and class: the top_n content terms by
     frequency, ties broken lexicographically, excluded keywords removed."""
-    phrases = [tuple(k.lower().split()) for k in exclude if " " in k]
+    # A keyword with a space is a phrase; one of only whitespace matches nothing.
+    phrases = [tuple(k.lower().split()) for k in exclude if " " in k and k.strip()]
     singles = {k.lower() for k in exclude if " " not in k}
     starts = singles.union(phrase[0] for phrase in phrases)  # every term a match begins with
     stopwords = stopword_list()

@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
     analyze.add_argument("--top-n", type=int, default=20)
     analyze.add_argument("--exclude", default="covid,corona virus")
 
-    sub.add_parser("selftest", help="gradient checks and oracle suites")
+    sub.add_parser("selftest", help="gradient checks")
     return parser
 
 
@@ -219,8 +219,7 @@ def _cmd_analyze(args) -> int:
         table = analysis.histograms_to_csv(analysis.attribute_histograms(labeled))
         path = out_dir / "attributes.csv"
     elif args.kind == "topics":
-        exclude = tuple(k.strip() for k in args.exclude.split(",") if k.strip())
-        tables = analysis.monthly_top_terms(labeled, exclude, args.top_n)
+        tables = analysis.monthly_top_terms(labeled, args.exclude.split(","), args.top_n)
         table = analysis.terms_to_csv(tables)
         path = out_dir / "topics.csv"
     else:

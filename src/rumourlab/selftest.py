@@ -1,16 +1,13 @@
-"""Built-in verification suites: gradient checks for every primitive and
-for the full models, plus quick independent-oracle comparisons."""
+"""Built-in gradient checks: a finite-difference check of every engine
+primitive, and of the full LSTM and Bi-GCN losses on toy threads. The
+feature, metric and resampling oracles live in tests/test_acceptance.py."""
 
 from __future__ import annotations
-
-import math
-from collections import Counter
 
 import numpy as np
 
 from .config import RunConfig
-from .evalrun import compute_report, run_model
-from .featurize import fit_tfidf, smote_oversample, transform_tfidf
+from .evalrun import run_model
 from .gradengine import (
     SparseMatrix,
     Tensor,
@@ -33,10 +30,6 @@ from .gradengine import (
     tanh,
     weighted_ce_loss,
 )
-from .ingest import NONRUMOUR, RUMOUR
-from .models.data import tweet_docs
-from .proptree import build_tree, drop_edge, to_graph_batch
-from .analyze import score_sentiment
 from .synthetic import make_planted_threads
 
 GRAD_TOLERANCE = 1e-4
@@ -135,115 +128,11 @@ def check_model_gradients(kind: str, seed: int) -> float:
     return error
 
 
-def check_tfidf_oracle() -> None:
-    docs = [
-        "the cat sat on the mat".split(),
-        "the dog sat".split(),
-        "a cat and a dog".split(),
-        "mat on mat".split(),
-        "the the the cat".split(),
-    ]
-    model = fit_tfidf(docs, top_k=50)
-    n = len(docs)
-    for doc in docs:
-        got = dict(transform_tfidf(model, doc).entries)
-        counts = Counter(doc)
-        raw = {}
-        for term, count in counts.items():
-            df = sum(1 for d in docs if term in d)
-            position = model.vocab.content_index(term)
-            raw[position] = count * (math.log((1 + n) / (1 + df)) + 1.0)
-        norm = math.sqrt(sum(v * v for v in raw.values()))
-        expected = {i: v / norm for i, v in raw.items()}
-        if set(got) != set(expected):
-            raise AssertionError("tfidf oracle: index sets differ")
-        for index, value in expected.items():
-            if abs(got[index] - value) > 1e-12:
-                raise AssertionError(f"tfidf oracle: entry {index} differs")
-
-
-def check_metrics_oracle(seed: int = 17) -> None:
-    rng = np.random.default_rng(seed)
-    labels = (RUMOUR, NONRUMOUR)
-    predictions = [labels[i] for i in rng.integers(0, 2, size=1000)]
-    truth = [labels[i] for i in rng.integers(0, 2, size=1000)]
-    report = compute_report(predictions, truth)
-    tp = sum(1 for p, t in zip(predictions, truth) if p == RUMOUR and t == RUMOUR)
-    fp = sum(1 for p, t in zip(predictions, truth) if p == RUMOUR and t != RUMOUR)
-    fn = sum(1 for p, t in zip(predictions, truth) if p != RUMOUR and t == RUMOUR)
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    row = report.rows[RUMOUR]
-    if abs(row.precision - precision) > 1e-12 or abs(row.recall - recall) > 1e-12:
-        raise AssertionError("metrics oracle: precision/recall differ")
-    f1 = 2 * precision * recall / (precision + recall)
-    if abs(row.f1 - f1) > 1e-12:
-        raise AssertionError("metrics oracle: f1 differs")
-
-
-def check_smote_convexity(seed: int = 19) -> None:
-    rng = np.random.default_rng(seed)
-    points = rng.normal(size=(12, 4))
-    synthetic = smote_oversample(points, k=3, n_new=40, seed=seed)
-    for s in synthetic:
-        ok = False
-        for i in range(len(points)):
-            for j in range(len(points)):
-                if i == j:
-                    continue
-                diff = points[j] - points[i]
-                live = np.abs(diff) > 1e-12
-                if not live.any():
-                    continue
-                u = (s - points[i])[live] / diff[live]
-                if (np.abs(u - u[0]) < 1e-9).all() and -1e-9 <= u[0] <= 1 + 1e-9 \
-                        and np.abs((s - points[i])[~live]) .max(initial=0.0) < 1e-9:
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            raise AssertionError("smote: point is not a convex combination")
-
-
-def check_dropedge_stats(seed: int = 23) -> None:
-    threads = make_planted_threads(n_threads=40, seed=seed, max_replies=3)
-    tfidf = fit_tfidf(tweet_docs(threads), top_k=30)
-    trees = [build_tree(t, tfidf) for t in threads]
-    batch = to_graph_batch(trees, tfidf.vocab.content_size)
-    if len(batch.td_edges) == 0:
-        raise AssertionError("dropedge: no edges to test")
-    dropped = drop_edge(batch, 0.5, seed=seed)
-    if drop_edge(batch, 0.0, seed=seed) is not batch:
-        raise AssertionError("dropedge: rate 0 must be the identity")
-    retained = len(dropped.td_edges) / len(batch.td_edges)
-    if not 0.2 < retained < 0.8:
-        raise AssertionError(f"dropedge: retained fraction {retained:.2f} implausible")
-
-
-def check_sentiment_bounds(seed: int = 29) -> None:
-    rng = np.random.default_rng(seed)
-    words = ["good", "bad", "not", "very", "terrible", "great", "the", "virus", "!"]
-    for _ in range(500):
-        n = int(rng.integers(0, 8))
-        text = " ".join(rng.choice(words, size=n))
-        scores = score_sentiment(text)
-        if not -1.0 < scores.compound < 1.0:
-            raise AssertionError("sentiment: compound out of bounds")
-        if abs(scores.pos + scores.neu + scores.neg - 1.0) > 1e-6:
-            raise AssertionError("sentiment: shares do not sum to 1")
-
-
 def run_selftest(emit=print) -> int:
     suites = [
         ("primitive gradients", check_primitive_gradients),
         ("lstm gradients", lambda: check_model_gradients("lstm", seed=11)),
         ("bigcn gradients", lambda: check_model_gradients("bigcn", seed=13)),
-        ("tfidf oracle", check_tfidf_oracle),
-        ("metrics oracle", check_metrics_oracle),
-        ("smote convexity", check_smote_convexity),
-        ("dropedge statistics", check_dropedge_stats),
-        ("sentiment bounds", check_sentiment_bounds),
     ]
     failures = 0
     for name, check in suites:

@@ -264,6 +264,12 @@ class TestMonthlyTopTerms:
             [(record, "rumour")], exclude=("covid", "corona virus"), top_n=10)
         assert table.ranked["rumour"] == (("beer", 1), ("corona", 1))
 
+    def test_wordless_keywords_exclude_nothing(self):
+        labeled = [(make_record("a", text="covid lab corona virus #covid"), "rumour"),
+                   (make_record("b", text="lab theory covid"), "nonrumour")]
+        tables = monthly_top_terms(labeled, exclude=("covid", " ", ""), top_n=10)
+        assert tables == monthly_top_terms(labeled, exclude=("covid",), top_n=10)
+
     def test_stopwords_never_appear(self):
         record = make_record("a", text="the and of lab")
         (table,) = monthly_top_terms([(record, "nonrumour")], top_n=10)

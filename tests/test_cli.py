@@ -131,9 +131,23 @@ class TestDispatch:
 
     def test_selftest_passes_and_prints_per_suite(self, capsys):
         assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("ok ") >= 8
-        assert "FAIL" not in out
+        assert capsys.readouterr().out.splitlines() == [
+            "ok primitive gradients", "ok lstm gradients", "ok bigcn gradients"]
+
+    def test_selftest_failure_exits_one_and_runs_later_suites(self, monkeypatch, capsys):
+        from rumourlab import selftest
+
+        check_model_gradients = selftest.check_model_gradients
+
+        def failing(kind, seed):
+            if kind == "lstm":
+                raise AssertionError("boom")
+            return check_model_gradients(kind, seed)
+
+        monkeypatch.setattr(selftest, "check_model_gradients", failing)
+        assert main(["selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "ok primitive gradients", "FAIL lstm gradients: boom", "ok bigcn gradients"]
 
 
 @pytest.fixture

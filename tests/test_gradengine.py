@@ -434,6 +434,30 @@ class TestGradCheck:
     def test_every_primitive_under_tolerance(self):
         assert check_primitive_gradients(seed=7) < 1e-4
 
+    def test_every_differentiable_export_is_checked(self, monkeypatch):
+        """Each differentiable name the engine exports is reached while the
+        primitive check runs, wrapped wherever it is looked up."""
+        from rumourlab import gradengine, selftest
+        from rumourlab.gradengine import losses, tensor
+
+        plumbing = {"CKPT_FORMAT_VERSION", "OptimizerState", "SparseMatrix", "Tensor",
+                    "backward", "collect_grads", "grad_check", "load_checkpoint",
+                    "optimizer_step", "parameter", "save_checkpoint", "zero_grads"}
+        differentiable = set(gradengine.__all__) - plumbing
+        reached = set()
+        for name in differentiable:
+            original = getattr(gradengine, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                reached.add(_name)
+                return _original(*args, **kwargs)
+
+            for module in (selftest, tensor, losses):
+                if module.__dict__.get(name) is original:
+                    monkeypatch.setattr(module, name, counted)
+        check_primitive_gradients(seed=7)
+        assert sorted(differentiable - reached) == []
+
     def test_gradient_wrong_at_one_coordinate_fails(self, monkeypatch):
         """Every coordinate is checked: a relu whose gradient is off only at
         flat input coordinate 8 of its 3x4 case fails, although a sample of
