@@ -72,8 +72,7 @@ def _build_parser() -> _Parser:
     predict.add_argument("--data", required=True)
 
     analyze = sub.add_parser("analyze", help="write analysis tables")
-    analyze.add_argument("--kind", required=True,
-                         choices=("attributes", "topics", "emotion", "sentiment"))
+    analyze.add_argument("--kind", required=True, choices=tuple(_ANALYSES))
     analyze.add_argument("--data", required=True)
     analyze.add_argument("--out", required=True)
     analyze.add_argument("--run", help="run directory used to predict missing labels")
@@ -208,6 +207,25 @@ def _labeled_sources(threads, run_dir):
     return [(t.source, t.label if t.label is not None else next(predicted)) for t in threads]
 
 
+def _monthly_scores_csv(labeled, score) -> str:
+    scored = [(record, label, score(record.text)) for record, label in labeled]
+    return analysis.timeseries_to_csv(analysis.monthly_average_scores(scored))
+
+
+# Analysis kind -> CSV builder over the labeled sources and the command's
+# arguments. The keys are the --kind choices; each kind writes <kind>.csv.
+_ANALYSES = {
+    "attributes": lambda labeled, args: analysis.histograms_to_csv(
+        analysis.attribute_histograms(labeled)),
+    "topics": lambda labeled, args: analysis.terms_to_csv(
+        analysis.monthly_top_terms(labeled, args.exclude.split(","), args.top_n)),
+    "emotion": lambda labeled, args: _monthly_scores_csv(
+        labeled, lambda text: analysis.score_emotions(text).as_dict()),
+    "sentiment": lambda labeled, args: _monthly_scores_csv(
+        labeled, lambda text: {"compound": analysis.score_sentiment(text).compound}),
+}
+
+
 def _cmd_analyze(args) -> int:
     if args.top_n < 1:
         raise ValidationError(f"--top-n must be at least 1, got {args.top_n}")
@@ -215,22 +233,8 @@ def _cmd_analyze(args) -> int:
     labeled = _labeled_sources(threads, args.run)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.kind == "attributes":
-        table = analysis.histograms_to_csv(analysis.attribute_histograms(labeled))
-        path = out_dir / "attributes.csv"
-    elif args.kind == "topics":
-        tables = analysis.monthly_top_terms(labeled, args.exclude.split(","), args.top_n)
-        table = analysis.terms_to_csv(tables)
-        path = out_dir / "topics.csv"
-    else:
-        def dimensions(text):
-            if args.kind == "emotion":
-                return analysis.score_emotions(text).as_dict()
-            return {"compound": analysis.score_sentiment(text).compound}
-
-        scored = [(record, label, dimensions(record.text)) for record, label in labeled]
-        table = analysis.timeseries_to_csv(analysis.monthly_average_scores(scored))
-        path = out_dir / f"{args.kind}.csv"
+    table = _ANALYSES[args.kind](labeled, args)
+    path = out_dir / f"{args.kind}.csv"
     path.write_text(table, encoding="utf-8")
     _progress(f"wrote {path}")
     return 0

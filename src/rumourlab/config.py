@@ -191,16 +191,16 @@ def _parse_line(line: str, where: str, updates: dict) -> Optional[str]:
     return name
 
 
-def parse_config_text(text: str, base: Optional[RunConfig] = None,
-                      source: str = "config") -> RunConfig:
-    """Apply config text to `base`; errors name `source` and the line. No key may repeat."""
+def parse_config_text(text: str, source: str = "config") -> RunConfig:
+    """Apply config text over `RunConfig()`; errors name `source` and the line.
+    No key may repeat."""
     updates, first_line = {}, {}
     for line_no, line in enumerate(split_lines(text), start=1):
         name = _parse_line(line, f"{source} line {line_no}", updates)
         if name is not None and first_line.setdefault(name, line_no) != line_no:
             raise ValidationError(f"{source} line {line_no}: config key {name!r} repeated "
                                   f"(first given on line {first_line[name]})")
-    return replace(base or RunConfig(), **updates)
+    return RunConfig(**updates)
 
 
 def apply_settings(settings: Sequence[str], base: RunConfig) -> RunConfig:
@@ -214,11 +214,11 @@ def apply_settings(settings: Sequence[str], base: RunConfig) -> RunConfig:
     return replace(base, **updates)
 
 
-def load_config(path, base: Optional[RunConfig] = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    return parse_config_text(read_utf8(path), base, source=str(path))
+    return parse_config_text(read_utf8(path), source=str(path))
 
 
 def load_run_config(path) -> RunConfig:

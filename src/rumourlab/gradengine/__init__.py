@@ -9,7 +9,6 @@ from .tensor import (
     Tensor,
     add,
     backward,
-    collect_grads,
     concat,
     gather_rows,
     lstm_layer,
@@ -30,7 +29,7 @@ from .tensor import (
 
 __all__ = [
     "CKPT_FORMAT_VERSION", "OptimizerState", "SparseMatrix", "Tensor",
-    "add", "backward", "bce_loss", "collect_grads", "concat", "gather_rows",
+    "add", "backward", "bce_loss", "concat", "gather_rows",
     "grad_check", "hinge_loss", "load_checkpoint", "lstm_layer", "mask_mul",
     "matmul", "mean_all", "mul", "optimizer_step", "parameter", "relu",
     "save_checkpoint", "segment_mean", "sigmoid", "softmax_rows", "spmm",

@@ -1,4 +1,5 @@
-"""Adam parameter updates with bias correction and decoupled weight decay."""
+"""Adam parameter updates with bias correction and decoupled weight decay.
+Each step consumes the gradients that backward left on the parameters."""
 
 from __future__ import annotations
 
@@ -32,17 +33,15 @@ class OptimizerState:
             raise ValidationError("learning rate must be positive")
 
 
-def optimizer_step(
-    state: OptimizerState,
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-) -> None:
-    """One update over all parameters; mutates params and state in place."""
+def optimizer_step(state: OptimizerState, params: dict[str, Tensor]) -> None:
+    """One update over all parameters from their `.grad` (None for a
+    parameter the loss never reached, which steps as zeros); mutates params
+    and state in place and consumes each gradient, setting `.grad` to None."""
     state.t += 1
     bias1 = 1.0 - state.beta1 ** state.t
     bias2 = 1.0 - state.beta2 ** state.t
     for name, param in params.items():
-        grad = grads[name]
+        grad = np.zeros_like(param.values) if param.grad is None else param.grad
         if grad.shape != param.values.shape:
             raise ValidationError(
                 f"gradient shape {grad.shape} does not match parameter "
@@ -54,6 +53,7 @@ def optimizer_step(
             state.m[name] = np.zeros_like(param.values)
             state.v[name] = np.zeros_like(param.values)
         _update(state, param.values, state.m[name], state.v[name], grad, bias1, bias2)
+        param.grad = None
 
 
 def _update(state: OptimizerState, values: np.ndarray, m: np.ndarray, v: np.ndarray,

@@ -425,15 +425,6 @@ def backward(loss: Tensor) -> None:
         node.grad, node._parents, node._backward = None, (), _consumed
 
 
-def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Gradients per named parameter; zeros for parameters the loss never
-    touched."""
-    return {
-        name: (p.grad if p.grad is not None else np.zeros_like(p.values)).copy()
-        for name, p in params.items()
-    }
-
-
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None

@@ -33,8 +33,7 @@ from ..gradengine import (
 from ..ingest import NONRUMOUR, RUMOUR, Thread
 from ..proptree import GraphBatch, PropTree, build_tree, drop_edge, to_graph_batch
 from .data import TokenTable, labels01, tweet_docs
-from .init import xavier_uniform
-from .trainer import GradientModel
+from .trainer import GradientModel, xavier_uniform
 
 DIRECTIONS = ("td", "bu")
 CLASS_ORDER = (RUMOUR, NONRUMOUR)

@@ -136,7 +136,8 @@ def _gradient_fit(
             gw += l2 * w.values
         gb = g.sum(axis=0, keepdims=True)
         if kind == "logreg":
-            optimizer_step(state, {"w": w, "b": b}, {"w": gw, "b": gb})
+            w.grad, b.grad = gw, gb
+            optimizer_step(state, {"w": w, "b": b})
         else:
             w.values -= config.classic_lr * gw
             b.values -= config.classic_lr * gb

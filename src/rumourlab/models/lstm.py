@@ -31,8 +31,7 @@ from ..gradengine import (
 )
 from ..ingest import NONRUMOUR, RUMOUR, Thread
 from .data import TokenTable, labels01, lstm_inputs
-from .init import xavier_uniform
-from .trainer import GradientModel
+from .trainer import GradientModel, xavier_uniform
 
 GATES = ("i", "f", "o", "c")
 

@@ -1,14 +1,15 @@
 """Mini-batch training loop shared by the LSTM and Bi-GCN models:
-seeded shuffling and initialization, early stopping on dev loss with
+seeded shuffling and Xavier initialization, early stopping on dev loss with
 best-parameter restore. Both entry points take the model's own prepared
 data (`model.prepare(threads)`), so a caller prepares each split once.
-A parameter's gradient lives from `backward` until `fit` clears it right
-after the Adam step, so the epoch's evaluation and `fit`'s caller see none.
+A parameter's gradient lives from `backward` to the Adam step that
+consumes it, so the epoch's evaluation and `fit`'s caller see none.
 `GradientModel` gives both models the run operations over this loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Optional
@@ -21,11 +22,9 @@ from ..gradengine import (
     OptimizerState,
     Tensor,
     backward,
-    collect_grads,
     load_checkpoint,
     optimizer_step,
     save_checkpoint,
-    zero_grads,
 )
 from ..ingest import RUMOUR
 
@@ -44,6 +43,13 @@ class FitResult:
     params: dict[str, Tensor]
     history: tuple[EpochRecord, ...]
     best_epoch: int
+
+
+def xavier_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Uniform in +/- sqrt(6 / (fan_in + fan_out))."""
+    fan_in, fan_out = shape[0], shape[-1]
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def _batch_indices(n: int, batch_size: int,
@@ -105,8 +111,7 @@ def fit(model, train_data, dev_data, config: RunConfig, seed: int) -> FitResult:
                     f"batch {batch_no}"
                 )
             backward(loss)
-            optimizer_step(state, params, collect_grads(params))
-            zero_grads(params.values())
+            optimizer_step(state, params)
         train_loss, train_acc = _evaluate(model, params, train_data, config.batch_size)
         dev_loss, dev_acc = _evaluate(model, params, dev_data, config.batch_size)
         history.append(EpochRecord(

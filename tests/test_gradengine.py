@@ -17,7 +17,6 @@ from rumourlab.gradengine import (
     Tensor,
     backward,
     bce_loss,
-    collect_grads,
     concat,
     gather_rows,
     grad_check,
@@ -44,6 +43,14 @@ from rumourlab.gradengine.tensor import _sigmoid_values
 from rumourlab.selftest import check_primitive_gradients
 
 from conftest import oracle_lstm_sequence, oracle_optimizer_step, oracle_sigmoid_values
+
+
+def step_with(state, params, grads):
+    """`optimizer_step` after handing each parameter its gradient array
+    itself, not a copy, as backward would."""
+    for name, param in params.items():
+        param.grad = grads[name]
+    optimizer_step(state, params)
 
 
 class TestForward:
@@ -134,9 +141,14 @@ class TestBackward:
         x = parameter(np.ones(3), "x")
         unused = parameter(np.ones(2), "unused")
         backward(sum_all(x * x))
-        grads = collect_grads({"x": x, "unused": unused})
-        assert grads["x"].tolist() == [2.0, 2.0, 2.0]
-        assert grads["unused"].tolist() == [0.0, 0.0]
+        assert x.grad.tolist() == [2.0, 2.0, 2.0]
+        assert unused.grad is None
+        want = {"x": parameter(np.ones(3), "x"), "unused": parameter(np.ones(2), "unused")}
+        oracle_optimizer_step(OptimizerState(lr=0.1, weight_decay=0.01), want,
+                              {"x": np.full(3, 2.0), "unused": np.zeros(2)})
+        optimizer_step(OptimizerState(lr=0.1, weight_decay=0.01), {"x": x, "unused": unused})
+        assert unused.values.tobytes() == want["unused"].values.tobytes()
+        assert x.values.tobytes() == want["x"].values.tobytes()
 
     def test_reused_node_accumulates(self):
         x = parameter(np.array([3.0]), "x")
@@ -248,27 +260,31 @@ class TestOptimizer:
     def test_zero_gradients_leave_adam_parameters(self):
         p = parameter(np.array([1.0, -2.0]), "p")
         state = OptimizerState(lr=0.1)
-        optimizer_step(state, {"p": p}, {"p": np.zeros(2)})
+        p.grad = np.zeros(2)
+        optimizer_step(state, {"p": p})
         assert p.values.tolist() == [1.0, -2.0]
         assert state.t == 1
 
     def test_adamw_decoupled_decay(self):
         p = parameter(np.array([1.0, -2.0]), "p")
         state = OptimizerState(lr=0.1, weight_decay=0.01)
-        optimizer_step(state, {"p": p}, {"p": np.zeros(2)})
+        p.grad = np.zeros(2)
+        optimizer_step(state, {"p": p})
         assert p.values == pytest.approx(np.array([0.999, -1.998]), abs=1e-15)
 
     def test_non_finite_gradient_names_parameter(self):
         p = parameter(np.ones(2), "offender")
         state = OptimizerState(lr=0.1)
+        p.grad = np.array([1.0, np.nan])
         with pytest.raises(ValidationError, match="offender"):
-            optimizer_step(state, {"offender": p}, {"offender": np.array([1.0, np.nan])})
+            optimizer_step(state, {"offender": p})
 
     def test_shape_mismatch_rejected(self):
         p = parameter(np.ones(2), "p")
         state = OptimizerState(lr=0.1)
+        p.grad = np.ones(3)
         with pytest.raises(ValidationError, match="shape"):
-            optimizer_step(state, {"p": p}, {"p": np.ones(3)})
+            optimizer_step(state, {"p": p})
 
     def test_deterministic_from_identical_snapshots(self):
         rng = np.random.default_rng(5)
@@ -278,7 +294,7 @@ class TestOptimizer:
             p = parameter(np.ones(4), "p")
             state = OptimizerState(lr=0.05, weight_decay=0.1)
             for _ in range(10):
-                optimizer_step(state, {"p": p}, grads)
+                step_with(state, {"p": p}, grads)
             return p.values
 
         assert np.array_equal(run(), run())
@@ -289,7 +305,7 @@ class TestOptimizer:
         start = {"w": rng.normal(size=(30, 7)), "b": rng.normal(size=(1, 7)),
                  "s": rng.normal(size=())}
         runs = []
-        for step in (optimizer_step, oracle_optimizer_step):
+        for step in (step_with, oracle_optimizer_step):
             params = {name: parameter(values.copy(), name) for name, values in start.items()}
             state = OptimizerState(lr=0.05, weight_decay=weight_decay)
             grad_rng = np.random.default_rng(8)
@@ -323,19 +339,44 @@ class TestOptimizer:
                 tracemalloc.stop()
             return (peak - start) / (size * 8)
 
-        assert peak_sizes(optimizer_step) <= 2.5
+        assert peak_sizes(step_with) <= 2.5
         assert peak_sizes(oracle_optimizer_step) > 3.5
 
     def test_adam_matches_reference_formula(self):
         p = parameter(np.array([1.0]), "p")
         state = OptimizerState(lr=0.1, beta1=0.9, beta2=0.999,
                                epsilon=1e-8)
-        grad = np.array([0.5])
-        optimizer_step(state, {"p": p}, {"p": grad})
+        p.grad = np.array([0.5])
+        optimizer_step(state, {"p": p})
         m_hat = (0.1 * 0.5) / (1 - 0.9)
         v_hat = (0.001 * 0.25) / (1 - 0.999)
         expected = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
         assert p.values[0] == pytest.approx(expected, abs=1e-15)
+
+    def test_step_consumes_gradients_and_steps_none_as_zeros(self):
+        rng = np.random.default_rng(9)
+        start = {"w": rng.normal(size=(6, 3)), "b": rng.normal(size=(1, 3))}
+        grads = {name: rng.normal(size=values.shape) for name, values in start.items()}
+        zeros = {name: np.zeros_like(values) for name, values in start.items()}
+
+        def fresh():
+            return ({name: parameter(values.copy(), name) for name, values in start.items()},
+                    OptimizerState(lr=0.05, weight_decay=0.01))
+
+        def state_bytes(params, state):
+            return [a.tobytes() for name in start
+                    for a in (params[name].values, state.m[name], state.v[name])]
+
+        params, state = fresh()
+        step_with(state, params, grads)
+        assert [p.grad for p in params.values()] == [None, None]
+        assert all(m.any() for m in state.m.values())
+        optimizer_step(state, params)
+        assert [p.grad for p in params.values()] == [None, None]
+        want_params, want_state = fresh()
+        oracle_optimizer_step(want_state, want_params, grads)
+        oracle_optimizer_step(want_state, want_params, zeros)
+        assert state_bytes(params, state) == state_bytes(want_params, want_state)
 
 
 class TestLstmSequence:
@@ -441,7 +482,7 @@ class TestGradCheck:
         from rumourlab.gradengine import losses, tensor
 
         plumbing = {"CKPT_FORMAT_VERSION", "OptimizerState", "SparseMatrix", "Tensor",
-                    "backward", "collect_grads", "grad_check", "load_checkpoint",
+                    "backward", "grad_check", "load_checkpoint",
                     "optimizer_step", "parameter", "save_checkpoint", "zero_grads"}
         differentiable = set(gradengine.__all__) - plumbing
         reached = set()
