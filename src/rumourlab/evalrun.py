@@ -247,7 +247,7 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     if _reads_text(config):
         tokens = stage("featurize", lambda: token_table(split.train))
     model = stage("featurize", lambda: run_model(config, split.train, tokens))
-    train = stage("featurize", lambda: model.prepare(split.train, tokens))
+    train = stage("featurize", lambda: model.prepare(split.train, tokens, fit=True))
     del tokens
     dev, test = stage("featurize", lambda: [
         model.prepare(part) for part in (split.dev, split.test)])

@@ -187,34 +187,91 @@ def extract_handcrafted(tweet: TweetRecord) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-column z-score statistics fitted on training data."""
+    """Per-column z-score statistics fitted on training data. The first
+    `scaled` columns (all when None) carry fitted statistics; the rest
+    keep mean 0 and std 1, and the transforms copy them."""
 
     mean: np.ndarray
     std: np.ndarray
+    scaled: Optional[int] = None
+
+    def __post_init__(self):
+        if self.scaled is None:
+            object.__setattr__(self, "scaled", len(self.mean))
 
     @classmethod
     def fit(cls, matrix: np.ndarray, n_scaled: Optional[int] = None) -> "Standardizer":
-        """Fit column statistics; columns at or past n_scaled keep
-        identity statistics (already-normalized blocks stay untouched)."""
-        mean = matrix.mean(axis=0)
-        std = matrix.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
-        if n_scaled is not None:
-            mean[n_scaled:] = 0.0
-            std[n_scaled:] = 1.0
-        return cls(mean=mean, std=std)
+        """Fit the statistics of the columns before n_scaled (all when None);
+        columns at or past it keep identity statistics (already-normalized
+        blocks stay untouched). The bytes equal those of a full-width fit."""
+        width = matrix.shape[1]
+        scaled = matrix[:, :n_scaled].shape[1]
+        # numpy sums a lone column pairwise but each column of a wider block
+        # row by row, as it does over the full width: take at least two.
+        block = matrix[:, :max(scaled, min(width, 2))]
+        mean, std = np.zeros(width), np.ones(width)
+        mean[:scaled] = block.mean(axis=0)[:scaled]
+        spread = block.std(axis=0)[:scaled]
+        std[:scaled] = np.where(spread > 0, spread, 1.0)
+        return cls(mean=mean, std=std, scaled=scaled)
 
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
-        return (matrix - self.mean) / self.std
+    def transform(self, matrix: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(matrix - mean) / std, written into `out` when given."""
+        n = self.scaled
+        out = np.empty(np.shape(matrix)) if out is None else out
+        np.subtract(matrix[..., :n], self.mean[:n], out=out[..., :n])
+        out[..., :n] /= self.std[:n]
+        out[..., n:] = matrix[..., n:]
+        return out
 
-    def inverse(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix * self.std + self.mean
+    def inverse(self, matrix: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """matrix * std + mean, written into `out` (which may be `matrix`) when given."""
+        n = self.scaled
+        out = np.empty(np.shape(matrix)) if out is None else out
+        np.multiply(matrix[..., :n], self.std[:n], out=out[..., :n])
+        out[..., :n] += self.mean[:n]
+        # Adding 0.0 turns -0.0 into 0.0, as x * 1.0 + 0.0 does; a copy would not.
+        np.add(matrix[..., n:], 0.0, out=out[..., n:])
+        return out
 
 
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Euclidean distances between rows, one row at a time so that no
-    m x m x d difference tensor is made."""
-    return np.stack([np.linalg.norm(p - points, axis=1) for p in points])
+    """Euclidean distances between rows, one row against the later rows at
+    a time, so that no m x m x d difference tensor is made. Each pair is
+    computed once and mirrored: p_i - p_j is exactly -(p_j - p_i)."""
+    distances = np.zeros((len(points), len(points)))
+    for i in range(len(points) - 1):
+        distances[i, i + 1:] = np.linalg.norm(points[i] - points[i + 1:], axis=1)
+        distances[i + 1:, i] = distances[i, i + 1:]
+    return distances
+
+
+def smote_neighbours(points: np.ndarray, k: int) -> np.ndarray:
+    """The (m, k) table of each point's k nearest other points by
+    Euclidean distance, nearest first, ties resolved by point index."""
+    distances = _pairwise_distances(points)
+    np.fill_diagonal(distances, np.inf)
+    return np.argsort(distances, axis=1, kind="stable")[:, :k]
+
+
+def smote_points(points: np.ndarray, neighbours: np.ndarray, n_new: int, seed: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """n_new synthetic rows x + u * (nn - x), written into `out` when given.
+    Each row draws its base point x, then which of x's neighbours is nn,
+    then u uniform in [0, 1), from one default_rng(seed) in that order."""
+    rng = np.random.default_rng(seed)
+    base, slot = np.empty(n_new, dtype=np.intp), np.empty(n_new, dtype=np.intp)
+    u = np.empty((n_new, 1))
+    for i in range(n_new):
+        base[i] = rng.integers(len(points))
+        slot[i] = rng.integers(neighbours.shape[1])
+        u[i] = rng.random()
+    out = np.empty((n_new, points.shape[1])) if out is None else out
+    origin = points[base]
+    np.subtract(points[neighbours[base, slot]], origin, out=out)
+    out *= u
+    out += origin
+    return out
 
 
 def smote_oversample(
@@ -233,18 +290,7 @@ def smote_oversample(
         )
     if n_new < 0:
         raise ValidationError("n_new must be non-negative")
-    # Neighbour lists are precomputed; ties resolve by point index.
-    distances = _pairwise_distances(points)
-    np.fill_diagonal(distances, np.inf)
-    neighbours = np.argsort(distances, axis=1, kind="stable")[:, :k]
-    rng = np.random.default_rng(seed)
-    synthetic: list[np.ndarray] = []
-    for _ in range(n_new):
-        base = rng.integers(len(points))
-        partner = neighbours[base][rng.integers(k)]
-        u = rng.random()
-        synthetic.append(points[base] + u * (points[partner] - points[base]))
-    return synthetic
+    return list(smote_points(points, smote_neighbours(points, k), n_new, seed))
 
 
 def compute_class_weights(

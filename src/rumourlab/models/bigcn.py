@@ -69,7 +69,9 @@ class BiGcnModel(GradientModel):
         params["cls_b"] = parameter(np.zeros((1, 2)), "cls_b")
         return params
 
-    def prepare(self, threads: Sequence[Thread], tokens: TokenTable | None = None) -> TreeData:
+    def prepare(self, threads: Sequence[Thread], tokens: TokenTable | None = None,
+                fit: bool = False) -> TreeData:
+        """The threads' model input; `fit` changes nothing, as seeds share no fitted state."""
         rows = iter(row_vectors(tfidf_rows(self.tfidf, tweet_docs(threads, tokens),
                                            use_raw_counts=self.config.tree_raw_counts)))
         trees = tuple(build_tree(thread, self.tfidf, self.config.keep_reply_links,

@@ -7,7 +7,9 @@ engine graph's bit for bit (tests/test_models.py, TestLinearFitMatchesGraph).
 Gradient-trained kinds consume z-scored features (statistics fitted on
 the training matrix and stored with the model); the forest consumes raw
 values. SMOTE, when requested, balances the class counts exactly before
-fitting, with neighbour distances measured in standardized space.
+fitting, with neighbour distances measured in standardized space. A run
+fits the statistics and SMOTE's neighbour table once (`fit_run`); each
+seed draws its synthetic rows and fits on one training matrix.
 `ClassicLearner` gives the three kinds the run operations.
 """
 
@@ -27,7 +29,8 @@ from ..featurize import (
     Standardizer,
     TfidfModel,
     compute_class_weights,
-    smote_oversample,
+    smote_neighbours,
+    smote_points,
 )
 from ..gradengine import (
     OptimizerState,
@@ -78,25 +81,71 @@ def _check_training_input(features: np.ndarray, labels: Sequence[str]) -> None:
         )
 
 
+@dataclass(frozen=True)
+class SmotePlan:
+    """SMOTE's part of a run: the minority label, its rows in the training
+    matrix, how many synthetic rows balance the classes, and each minority
+    row's nearest minority rows (positions within `rows`)."""
+
+    minority: str
+    rows: np.ndarray
+    n_new: int
+    neighbours: np.ndarray
+
+
+@dataclass(frozen=True)
+class RunFit:
+    """What every seed of a run shares: the z-score statistics and, with
+    SMOTE on imbalanced classes, its plan."""
+
+    standardizer: Standardizer
+    smote: Optional[SmotePlan]
+
+
+def _smote_plan(x: np.ndarray, labels: list[str], k: int,
+                standardizer: Optional[Standardizer] = None) -> Optional[SmotePlan]:
+    """The plan that balances `labels` exactly, None when they are
+    balanced. Neighbour distances are measured between rows of x, z-scored
+    by `standardizer` when given."""
+    counts = {c: labels.count(c) for c in (RUMOUR, NONRUMOUR)}
+    minority = min(counts, key=counts.get)
+    majority = max(counts, key=counts.get)
+    n_new = counts[majority] - counts[minority]
+    if n_new == 0:
+        return None
+    rows = np.array([i for i, c in enumerate(labels) if c == minority])
+    if len(rows) < 2:
+        raise ValidationError("SMOTE needs at least two minority examples")
+    points = x[rows] if standardizer is None else standardizer.transform(x[rows])
+    return SmotePlan(minority=minority, rows=rows, n_new=n_new,
+                     neighbours=smote_neighbours(points, min(k, len(rows) - 1)))
+
+
 def smote_balance(
     x_std: np.ndarray, labels: list[str], k: int, seed: int
 ) -> tuple[np.ndarray, list[str]]:
     """Balance class counts exactly with synthetic minority points
     (neighbour search in the given space). Returns the augmented matrix
     and labels."""
-    counts = {c: labels.count(c) for c in (RUMOUR, NONRUMOUR)}
-    minority = min(counts, key=counts.get)
-    majority = max(counts, key=counts.get)
-    n_new = counts[majority] - counts[minority]
-    if n_new == 0:
+    x = np.asarray(x_std, dtype=float)
+    plan = _smote_plan(x, labels, k)
+    if plan is None:
         return x_std, labels
-    minority_rows = x_std[[i for i, c in enumerate(labels) if c == minority]]
-    if len(minority_rows) < 2:
-        raise ValidationError("SMOTE needs at least two minority examples")
-    k = min(k, len(minority_rows) - 1)
-    synthetic = smote_oversample(minority_rows, k=k, n_new=n_new, seed=seed)
-    augmented = np.vstack([x_std] + [s[None, :] for s in synthetic])
-    return augmented, labels + [minority] * n_new
+    synthetic = smote_points(x[plan.rows], plan.neighbours, plan.n_new, seed)
+    return np.vstack([x, synthetic]), labels + [plan.minority] * plan.n_new
+
+
+def fit_run(features: np.ndarray, labels: Sequence[str], config: RunConfig) -> RunFit:
+    """The z-score statistics of `features` and, with `config.smote`, the
+    SMOTE plan over them: the part of `train_classic` that does not read
+    the seed. Only the handcrafted block (the first HANDCRAFTED_WIDTH
+    columns, absent when `config.features` is tfidf) is z-scored: TF-IDF
+    rows are already unit-norm."""
+    x = np.asarray(features, dtype=float)
+    scaled = 0 if config.features == "tfidf" else HANDCRAFTED_WIDTH
+    standardizer = Standardizer.fit(x, scaled)
+    smote = _smote_plan(x, list(labels), config.smote_k, standardizer) if config.smote else None
+    return RunFit(standardizer=standardizer, smote=smote)
 
 
 def _gradient_fit(
@@ -231,35 +280,46 @@ def train_classic(
     labels: Sequence[str],
     config: RunConfig,
     seed: int,
+    fitted: Optional[RunFit] = None,
 ) -> ClassicModel:
     """Fit one classical model with the classic settings of `config`;
-    deterministic for a given seed. Only the handcrafted block (the first
-    HANDCRAFTED_WIDTH columns, absent when `config.features` is tfidf) is
-    z-scored: TF-IDF rows are already unit-norm."""
+    deterministic for a given seed. `fitted` is `fit_run(features, labels,
+    config)`, computed here when None, so that a run's seeds can share it.
+    Each seed draws SMOTE's rows and fits on one matrix: the real rows
+    (z-scored for logreg and svm, raw for the forest), then the synthetic
+    rows (mapped back from z-scores for the forest)."""
     if kind not in CLASSIC_KINDS:
         raise ValidationError(f"unknown classic model kind {kind!r}")
     x = np.asarray(features, dtype=float)
     labels = list(labels)
     _check_training_input(x, labels)
-    scaled = 0 if config.features == "tfidf" else HANDCRAFTED_WIDTH
-    standardizer = Standardizer.fit(x, scaled)
-    x_std = standardizer.transform(x)
-    if config.smote:
-        x_std, labels = smote_balance(x_std, labels, config.smote_k, seed)
+    if fitted is None:
+        fitted = fit_run(x, labels, config)
+    standardizer, plan = fitted.standardizer, fitted.smote
+    n = len(x)
+    x_fit = np.empty((n + (0 if plan is None else plan.n_new), x.shape[1]))
+    if kind == "rf":
+        x_fit[:n] = x
+    else:
+        standardizer.transform(x, out=x_fit[:n])
+    if plan is not None:
+        synthetic = smote_points(standardizer.transform(x[plan.rows]), plan.neighbours,
+                                 plan.n_new, seed, out=x_fit[n:])
+        if kind == "rf":
+            standardizer.inverse(synthetic, out=synthetic)
+        labels += [plan.minority] * plan.n_new
     row_weights = None
     if config.class_weights:
         per_class = compute_class_weights(labels, classes=(NONRUMOUR, RUMOUR))
         row_weights = np.array([per_class[c] for c in labels])
     if kind in ("logreg", "svm"):
-        weights, bias = _gradient_fit(kind, x_std, labels, config, row_weights)
+        weights, bias = _gradient_fit(kind, x_fit, labels, config, row_weights)
         return ClassicModel(kind=kind, weights=weights, bias=bias,
                             standardizer=standardizer)
-    # Forest: raw feature values; only SMOTE's synthetic rows need inverting.
-    x_raw = np.vstack([x, standardizer.inverse(x_std[len(x):])])
     y = np.array([1 if c == RUMOUR else 0 for c in labels])
     if row_weights is None:
         row_weights = np.ones(len(labels))
-    n_features = x_raw.shape[1]
+    n_features = x_fit.shape[1]
     if config.rf_feature_subsample == "sqrt":
         n_candidates = max(1, math.isqrt(n_features))
     else:
@@ -267,8 +327,8 @@ def train_classic(
     rng = np.random.default_rng(seed)
     forest = []
     for _ in range(config.rf_trees):
-        rows = rng.integers(0, len(x_raw), size=len(x_raw))
-        forest.append(_grow_tree(x_raw, rows, y, row_weights, rng, config.rf_max_depth,
+        rows = rng.integers(0, len(x_fit), size=len(x_fit))
+        forest.append(_grow_tree(x_fit, rows, y, row_weights, rng, config.rf_max_depth,
                                  n_candidates))
     return ClassicModel(kind="rf", forest=forest, forest_dim=n_features)
 
@@ -372,6 +432,17 @@ def forest_from_text(text: str, source: str = "forest",
     return ClassicModel(kind="rf", forest=forest, forest_dim=feature_dim)
 
 
+@dataclass(frozen=True)
+class ClassicData:
+    """A split as the classic kinds take it: the handcrafted and/or TF-IDF
+    matrix, the labels and, for the split a run trains on, the `fit_run`
+    state that its seeds share."""
+
+    features: np.ndarray
+    labels: list[str]
+    fitted: Optional[RunFit] = None
+
+
 class ClassicLearner:
     """The run operations of logreg, svm and rf over a run's config and
     TF-IDF (None without a TF-IDF block); the payload is a ClassicModel."""
@@ -387,25 +458,29 @@ class ClassicLearner:
         and take full-batch steps."""
         return self.config.model == "rf" or self.config.smote
 
-    def prepare(self, threads: Sequence[Thread],
-                tokens: TokenTable | None = None) -> tuple[np.ndarray, list]:
-        """The handcrafted and/or TF-IDF matrix of `threads`, and their labels."""
+    def prepare(self, threads: Sequence[Thread], tokens: TokenTable | None = None,
+                fit: bool = False) -> ClassicData:
+        """The threads' feature matrix and labels; with `fit`, also the
+        `fit_run` state of a run trained on them (so a train split SMOTE
+        cannot balance is refused here)."""
         blocks = []
         if self.config.features in ("handcrafted", "both"):
             blocks.append(handcrafted_matrix(threads))
         if self.config.features in ("tfidf", "both"):
             blocks.append(tfidf_matrix(self.tfidf, threads, tokens))
-        return np.hstack(blocks), [t.label for t in threads]
+        features, labels = np.hstack(blocks), [t.label for t in threads]
+        fitted = fit_run(features, labels, self.config) if fit else None
+        return ClassicData(features=features, labels=labels, fitted=fitted)
 
-    def train(self, train_data, dev_data, seed: int):
-        model = train_classic(self.config.model, *train_data, self.config, seed)
-        dev_x, dev_labels = dev_data
-        predicted, _ = predict_classic(model, dev_x)
-        accuracy = float(np.mean([p == t for p, t in zip(predicted, dev_labels)]))
+    def train(self, train_data: ClassicData, dev_data: ClassicData, seed: int):
+        model = train_classic(self.config.model, train_data.features, train_data.labels,
+                              self.config, seed, fitted=train_data.fitted)
+        predicted, _ = predict_classic(model, dev_data.features)
+        accuracy = float(np.mean([p == t for p, t in zip(predicted, dev_data.labels)]))
         return model, f"dev_accuracy = {accuracy!r}\n", f"dev accuracy {accuracy:.3f}"
 
-    def predict(self, model: ClassicModel, data) -> tuple[list[str], np.ndarray]:
-        return predict_classic(model, data[0])
+    def predict(self, model: ClassicModel, data: ClassicData) -> tuple[list[str], np.ndarray]:
+        return predict_classic(model, data.features)
 
     def save(self, model: ClassicModel, run_dir: Path, seed: int) -> None:
         if self.config.model == "rf":

@@ -82,7 +82,9 @@ class LstmModel(GradientModel):
         params["b_out"] = parameter(np.zeros((1, 1)), "b_out")
         return params
 
-    def prepare(self, threads: Sequence[Thread], tokens: TokenTable | None = None) -> LstmBatch:
+    def prepare(self, threads: Sequence[Thread], tokens: TokenTable | None = None,
+                fit: bool = False) -> LstmBatch:
+        """The threads' model input; `fit` changes nothing, as seeds share no fitted state."""
         ids, mask = lstm_inputs(threads, self.vocab, self.config.max_len, tokens)
         return LstmBatch(ids=ids, mask=mask, targets=labels01(threads))
 

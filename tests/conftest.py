@@ -228,3 +228,73 @@ def oracle_tokenize(text):
             tokens.append(chunk[:end])
         tokens.extend(chunk[end:])
     return tokens
+
+
+def oracle_standardizer_stats(matrix, n_scaled=None):
+    """The full-width fit that `featurize.Standardizer.fit` must match:
+    every column's mean and std, then identity statistics written over the
+    columns at or past n_scaled."""
+    mean = matrix.mean(axis=0)
+    std = matrix.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    if n_scaled is not None:
+        mean[n_scaled:] = 0.0
+        std[n_scaled:] = 1.0
+    return mean, std
+
+
+def oracle_smote_balance(x_std, labels, k, seed):
+    """SMOTE with a fresh neighbour search per call, distances one row
+    against all rows, and one row per draw stacked under x_std: the
+    per-seed form that the once-per-run neighbour table must match."""
+    counts = {c: labels.count(c) for c in ("rumour", "nonrumour")}
+    minority = min(counts, key=counts.get)
+    n_new = max(counts.values()) - counts[minority]
+    if n_new == 0:
+        return x_std, labels
+    points = x_std[[i for i, c in enumerate(labels) if c == minority]]
+    k = min(k, len(points) - 1)
+    distances = np.stack([np.linalg.norm(p - points, axis=1) for p in points])
+    np.fill_diagonal(distances, np.inf)
+    neighbours = np.argsort(distances, axis=1, kind="stable")[:, :k]
+    rng = np.random.default_rng(seed)
+    synthetic = []
+    for _ in range(n_new):
+        base = rng.integers(len(points))
+        partner = neighbours[base][rng.integers(k)]
+        u = rng.random()
+        synthetic.append(points[base] + u * (points[partner] - points[base]))
+    return np.vstack([x_std] + [s[None, :] for s in synthetic]), labels + [minority] * n_new
+
+
+def oracle_train_classic(kind, features, labels, config, seed):
+    """One seed's classic fit with every step redone for that seed: the
+    full-width statistics, the z-scored train matrix, `oracle_smote_balance`
+    and, for the forest, the raw rows stacked over the inverse of the
+    synthetic rows. `classic.train_classic` must give the same bytes."""
+    from rumourlab.featurize import HANDCRAFTED_WIDTH, compute_class_weights
+    from rumourlab.models import classic
+
+    x = np.asarray(features, dtype=float)
+    scaled = 0 if config.features == "tfidf" else HANDCRAFTED_WIDTH
+    mean, std = oracle_standardizer_stats(x, scaled)
+    x_std, labels = (x - mean) / std, list(labels)
+    if config.smote:
+        x_std, labels = oracle_smote_balance(x_std, labels, config.smote_k, seed)
+    row_weights = None
+    if config.class_weights:
+        per_class = compute_class_weights(labels, classes=("nonrumour", "rumour"))
+        row_weights = np.array([per_class[c] for c in labels])
+    if kind in ("logreg", "svm"):
+        weights, bias = classic._gradient_fit(kind, x_std, labels, config, row_weights)
+        return classic.ClassicModel(kind=kind, weights=weights, bias=bias)
+    x_raw = np.vstack([x, x_std[len(x):] * std + mean])
+    y = np.array([1 if c == "rumour" else 0 for c in labels])
+    row_weights = np.ones(len(labels)) if row_weights is None else row_weights
+    n_candidates = max(1, math.isqrt(x.shape[1])) \
+        if config.rf_feature_subsample == "sqrt" else x.shape[1]
+    rng = np.random.default_rng(seed)
+    forest = [classic._grow_tree(x_raw, rng.integers(0, len(x_raw), size=len(x_raw)), y,
+                                 row_weights, rng, config.rf_max_depth, n_candidates)
+              for _ in range(config.rf_trees)]
+    return classic.ClassicModel(kind="rf", forest=forest, forest_dim=x.shape[1])

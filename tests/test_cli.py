@@ -630,6 +630,22 @@ class TestTrainPredictEvaluate:
         # The trees train nothing, so they still build.
         assert main(["build-trees", "--data", str(data), "--out", str(tmp_path / "t.txt")]) == 0
 
+    @pytest.mark.parametrize("model", ["logreg", "svm", "rf"])
+    def test_train_split_smote_cannot_balance_writes_nothing(self, tmp_path, capsys, model):
+        """Three rumour threads split one to each part, and SMOTE needs two
+        in the train split: the refusal comes before the run directory."""
+        data = tmp_path / "rare.jsonl"
+        save_tweets(make_planted_records(30, rumour_rate=0.1, seed=1, max_replies=1), data)
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(data), "--model", model, "--out-dir", str(out),
+                     "--set", "smote = true", "--set", "ratios = 0.4,0.3,0.3"]) == 1
+        assert capsys.readouterr().err == \
+            "error: [stage: featurize] SMOTE needs at least two minority examples\n"
+        assert not out.exists()
+        # Without SMOTE the same split trains.
+        assert main(["train", "--data", str(data), "--model", model, "--out-dir", str(out),
+                     "--set", "ratios = 0.4,0.3,0.3", "--set", "rf_trees = 2"]) == 0
+
     @pytest.mark.parametrize("model", ["lstm", "logreg"])
     @pytest.mark.parametrize("ratios,empty", [("0.7,0.05,0.25", "dev"),
                                               ("0.8,0.1,0.1", "test")])

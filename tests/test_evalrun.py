@@ -18,8 +18,16 @@ from rumourlab.evalrun import (
     report_to_text,
     run_experiment,
 )
+from rumourlab.featurize import Standardizer
 from rumourlab.ingest import save_tweets
-from rumourlab.models import BiGcnModel, ClassicLearner, GradientModel, LstmModel, trainer
+from rumourlab.models import (
+    BiGcnModel,
+    ClassicLearner,
+    GradientModel,
+    LstmModel,
+    classic,
+    trainer,
+)
 from rumourlab.synthetic import make_planted_records
 
 
@@ -385,6 +393,57 @@ class TestRunExperiment:
         assert every_seed[0] == [2, 4, 9]
         assert files == every_seed[2]
         assert {f"ckpt_seed{seed}.txt" for seed in (4, 2, 9)} <= {p.name for p in files}
+
+    @pytest.fixture(scope="class")
+    def imbalanced_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("data") / "imbalanced.jsonl"
+        save_tweets(make_planted_records(n_threads=60, rumour_rate=0.2, seed=5,
+                                         max_replies=2), path)
+        return path
+
+    @pytest.mark.parametrize("model", ["logreg", "svm", "rf"])
+    def test_smote_run_fits_statistics_and_neighbours_once(self, imbalanced_file, tmp_path,
+                                                           monkeypatch, model):
+        calls = {"fit": 0, "neighbours": 0, "draws": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(Standardizer, "fit",
+                            classmethod(counted("fit", Standardizer.fit.__func__)))
+        monkeypatch.setattr(classic, "smote_neighbours",
+                            counted("neighbours", classic.smote_neighbours))
+        monkeypatch.setattr(classic, "smote_points", counted("draws", classic.smote_points))
+        run_experiment(self._config(imbalanced_file, tmp_path, model=model, smote=True,
+                                    seeds=(1, 2, 3), **{**self.SIZES[model], "features": "both"}))
+        assert calls == {"fit": 1, "neighbours": 1, "draws": 3}
+
+    @pytest.mark.parametrize("model,smote", [("logreg", False), ("logreg", True),
+                                             ("svm", True), ("rf", False), ("rf", True)])
+    def test_no_training_matrix_outlives_the_run(self, imbalanced_file, tmp_path, monkeypatch,
+                                                 no_cycle_collector, model, smote):
+        refs = []
+
+        def watched(self, threads, tokens=None, fit=False, _prepare=ClassicLearner.prepare):
+            data = _prepare(self, threads, tokens, fit)
+            refs.extend(weakref.ref(item) for item in (self, data, data.features))
+            return data
+
+        def fit_watched(fit, at):  # args[at] is the matrix the fit trains on
+            def call(*args):
+                refs.append(weakref.ref(args[at]))
+                return fit(*args)
+            return call
+
+        monkeypatch.setattr(ClassicLearner, "prepare", watched)
+        monkeypatch.setattr(classic, "_gradient_fit", fit_watched(classic._gradient_fit, 1))
+        monkeypatch.setattr(classic, "_grow_tree", fit_watched(classic._grow_tree, 0))
+        run_experiment(self._config(imbalanced_file, tmp_path, model=model, smote=smote,
+                                    seeds=(1, 2), **{**self.SIZES[model], "features": "both"}))
+        assert len(refs) > 9 and [ref() for ref in refs] == [None] * len(refs)
 
     def test_classic_fit_weighs_classes(self, tmp_path):
         # train_classic weighs rows by class whenever class_weights is set.

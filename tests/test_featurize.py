@@ -27,7 +27,7 @@ from rumourlab.featurize import (
     transform_tfidf,
 )
 
-from conftest import make_record, oracle_transform_tfidf
+from conftest import make_record, oracle_standardizer_stats, oracle_transform_tfidf
 
 
 def brute_force_tfidf(docs, doc, vocab):
@@ -351,6 +351,30 @@ class TestStandardizer:
         matrix = np.array([[2.0], [2.0]])
         scaler = Standardizer.fit(matrix)
         assert np.allclose(scaler.transform(matrix), 0.0)
+
+    @pytest.mark.parametrize("rows,width", [(1, 1), (2, 3), (9, 1), (40, 12), (168, 300),
+                                            (3000, 20), (10000, 9)])
+    @pytest.mark.parametrize("n_scaled", [None, 0, 1, 2, 8, -3, 50])
+    def test_sliced_fit_and_transforms_match_full_width(self, rows, width, n_scaled):
+        # The full-width statistics and (x - mean) / std, x * std + mean
+        # are the oracle, byte for byte; constant columns, zeros and
+        # negative zeros included.
+        rng = np.random.default_rng(rows * width)
+        matrix = rng.normal(size=(rows, width)) * rng.choice([1e-3, 1.0, 1e6], size=width)
+        matrix[:, rng.random(width) < 0.3] = 2.5
+        matrix[rng.random((rows, width)) < 0.3] = 0.0
+        matrix[rng.random((rows, width)) < 0.1] = -0.0
+        scaler = Standardizer.fit(matrix, n_scaled)
+        mean, std = oracle_standardizer_stats(matrix, n_scaled)
+        assert scaler.mean.tobytes() == mean.tobytes() and scaler.std.tobytes() == std.tobytes()
+        assert scaler.transform(matrix).tobytes() == ((matrix - mean) / std).tobytes()
+        assert scaler.inverse(matrix).tobytes() == (matrix * std + mean).tobytes()
+        loaded = Standardizer(mean=mean, std=std)  # as a checkpoint gives it back
+        assert loaded.transform(matrix).tobytes() == scaler.transform(matrix).tobytes()
+        out = np.empty_like(matrix)  # the in-place forms train_classic uses
+        assert scaler.transform(matrix, out=out) is out
+        expected = (out * std + mean).tobytes()
+        assert scaler.inverse(out, out=out) is out and out.tobytes() == expected
 
 
 class TestPersistence:

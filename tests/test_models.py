@@ -56,7 +56,12 @@ from rumourlab.proptree import to_graph_batch
 from rumourlab.synthetic import make_planted_threads
 from rumourlab.textproc import normalize, tokenize
 
-from conftest import make_thread, oracle_backward
+from conftest import (
+    make_thread,
+    oracle_backward,
+    oracle_standardizer_stats,
+    oracle_train_classic,
+)
 
 
 @pytest.fixture(scope="module")
@@ -738,7 +743,7 @@ def uneven_threads():
 
 def _learner_and_data(threads, **settings):
     """A ClassicLearner over TF-IDF fitted on `threads` (none for handcrafted
-    features) and its prepared matrix and labels of `threads`."""
+    features) and its prepared `threads` (no `fit_run` state)."""
     config = RunConfig(classic_iters=60, svm_iters=60, rf_trees=3, tfidf_top_k=40, **settings)
     tfidf = None
     if config.features != "handcrafted":
@@ -758,10 +763,10 @@ class TestSeedUse:
     ])
     def test_linear_fits_without_smote_ignore_the_seed(self, uneven_threads, features,
                                                        model, settings):
-        learner, (x, labels) = _learner_and_data(uneven_threads, model=model,
-                                                 features=features, **settings)
+        learner, data = _learner_and_data(uneven_threads, model=model, features=features,
+                                          **settings)
         assert learner.reads_seed is False
-        first, second = (train_classic(model, x, labels, learner.config, seed)
+        first, second = (train_classic(model, data.features, data.labels, learner.config, seed)
                          for seed in (1, 2))
         assert np.abs(first.weights).max() > 0.0
         assert first.weights.tobytes() == second.weights.tobytes()
@@ -784,6 +789,34 @@ class TestSeedUse:
     def test_gradient_models_read_the_seed(self, lstm_setup, bigcn_setup):
         assert lstm_setup[0].reads_seed is True and bigcn_setup[0].reads_seed is True
 
+
+
+class TestRunFitMatchesPerSeedPath:
+    """Statistics and SMOTE neighbours fitted once per run, and one training
+    matrix per seed, give the bytes of redoing every step for each seed."""
+
+    @pytest.mark.parametrize("class_weights", [False, True])
+    @pytest.mark.parametrize("features", ["handcrafted", "tfidf", "both"])
+    @pytest.mark.parametrize("smote", [False, True])
+    @pytest.mark.parametrize("model", ["logreg", "svm", "rf"])
+    def test_seeds_match_oracle(self, uneven_threads, model, smote, features, class_weights):
+        learner, data = _learner_and_data(uneven_threads, model=model, smote=smote,
+                                          features=features, class_weights=class_weights)
+        train = learner.prepare(uneven_threads, fit=True)
+        assert (train.fitted.smote is not None) == smote
+        for seed in (1, 2, 3):
+            got = learner.train(train, data, seed)[0]
+            want = oracle_train_classic(model, data.features, data.labels, learner.config,
+                                        seed)
+            if model == "rf":
+                assert forest_to_text(got) == forest_to_text(want)
+                continue
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+            scaled = 0 if features == "tfidf" else 8
+            mean, std = oracle_standardizer_stats(data.features, scaled)
+            assert got.standardizer.mean.tobytes() == mean.tobytes()
+            assert got.standardizer.std.tobytes() == std.tobytes()
 
 FOREST_TEXT = """# rumourlab-forest v1
 n_trees = 2
