@@ -3,8 +3,9 @@
 Subcommands: ingest, stats, build-trees, train, evaluate, predict,
 analyze, selftest. Progress and summaries go to stderr; `predict` writes
 its tab-separated label stream to stdout; everything else lands in
-files. Exit codes: 0 success, 1 validation/usage error or a path that
-cannot be read or written, 2 internal error.
+files. Exit codes: 0 success, 1 validation/usage error, a path that
+cannot be read or written, or memory that cannot be allocated,
+2 internal error.
 """
 
 from __future__ import annotations
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
         return 1
     except (ValidationError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -169,7 +169,8 @@ def run_model(config: RunConfig, train: Optional[Sequence[Thread]] = None,
     predict, save and load (see README), over its features fitted on
     `train` or read from `run_dir`: the LSTM vocabulary, TF-IDF over
     tweets (Bi-GCN) or over threads (classic kinds with a TF-IDF block).
-    With class_weights set, the gradient kinds weigh classes by `train`."""
+    With class_weights set, the gradient kinds weigh classes by `train`.
+    A gradient model larger than its size bound is refused here, undrawn."""
     weights = None
     if config.class_weights and train is not None and config.model in ("lstm", "bigcn"):
         weights = compute_class_weights([t.label for t in train], classes=LABELS)
@@ -177,15 +178,18 @@ def run_model(config: RunConfig, train: Optional[Sequence[Thread]] = None,
         # Reserve three ids (pad/unk/sep) inside the configured cap.
         vocab = (load_terms(run_dir / "vocab.txt") if train is None
                  else build_vocabulary(thread_docs(train, tokens), config.vocab_cap - 3))
-        return LstmModel(config, vocab, weights)
-    tfidf = None
-    if _reads_text(config):
-        docs = tweet_docs if config.model == "bigcn" else thread_docs
-        tfidf = (load_vocabulary(run_dir / "vocab.txt", run_dir / "idf.txt") if train is None
-                 else fit_tfidf(docs(train, tokens), config.tfidf_top_k))
-    if config.model == "bigcn":
-        return BiGcnModel(config, tfidf, weights)
-    return ClassicLearner(config, tfidf)
+        model = LstmModel(config, vocab, weights)
+    else:
+        tfidf = None
+        if _reads_text(config):
+            docs = tweet_docs if config.model == "bigcn" else thread_docs
+            tfidf = (load_vocabulary(run_dir / "vocab.txt", run_dir / "idf.txt")
+                     if train is None else fit_tfidf(docs(train, tokens), config.tfidf_top_k))
+        if config.model != "bigcn":
+            return ClassicLearner(config, tfidf)
+        model = BiGcnModel(config, tfidf, weights)
+    model.check_size()
+    return model
 
 
 def _save_features(model, run_dir: Path) -> None:
@@ -223,6 +227,9 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     def stage(name: str, fn):
         try:
             return fn()
+        except MemoryError as exc:
+            # numpy's allocation error keeps (shape, dtype) as its arguments.
+            raise MemoryError(f"[stage: {name}] out of memory: {exc}") from exc
         except Exception as exc:
             # Prefix the message in place. Exceptions with structured arguments
             # (UnicodeDecodeError, OSError) cannot be rebuilt, so pass unchanged.

@@ -24,7 +24,6 @@ from .tensor import (
     spmm,
     sum_all,
     tanh,
-    zero_grads,
 )
 
 __all__ = [
@@ -33,5 +32,5 @@ __all__ = [
     "grad_check", "hinge_loss", "load_checkpoint", "lstm_layer", "mask_mul",
     "matmul", "mean_all", "mul", "optimizer_step", "parameter", "relu",
     "save_checkpoint", "segment_mean", "sigmoid", "softmax_rows", "spmm",
-    "sum_all", "tanh", "weighted_ce_loss", "zero_grads",
+    "sum_all", "tanh", "weighted_ce_loss",
 ]

@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor, backward, zero_grads
+from .tensor import Tensor, backward
 
 
 def grad_check(
@@ -23,7 +23,8 @@ def grad_check(
     deterministic. Relative error is |a - n| / max(1e-8, |a| + |n|).
     Analytic gradients are one backward's `.grad`, which forward calls leave alone.
     """
-    zero_grads(params.values())
+    for param in params.values():
+        param.grad = None
     backward(fn(params))
     rng = np.random.default_rng(seed)
     worst = 0.0

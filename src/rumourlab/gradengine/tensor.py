@@ -14,7 +14,7 @@ arithmetic is float64.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -423,8 +423,3 @@ def backward(loss: Tensor) -> None:
         if node.grad is not None:
             node._backward(node.grad)
         node.grad, node._parents, node._backward = None, (), _consumed
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None

@@ -23,7 +23,6 @@ from ..gradengine import (
     gather_rows,
     mask_mul,
     matmul,
-    parameter,
     relu,
     segment_mean,
     softmax_rows,
@@ -33,7 +32,7 @@ from ..gradengine import (
 from ..ingest import NONRUMOUR, RUMOUR, Thread
 from ..proptree import GraphBatch, PropTree, build_tree, drop_edge, to_graph_batch
 from .data import TokenTable, labels01, tweet_docs
-from .trainer import GradientModel, xavier_uniform
+from .trainer import GradientModel
 
 DIRECTIONS = ("td", "bu")
 CLASS_ORDER = (RUMOUR, NONRUMOUR)
@@ -57,17 +56,14 @@ class BiGcnModel(GradientModel):
         self.input_dim = tfidf.vocab.content_size
         self.class_weights = class_weights
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
+    def param_layout(self):
         hidden, out = self.config.bigcn_hidden_dim, self.config.bigcn_out_dim
-        params: dict[str, Tensor] = {}
+        layout = {}
         for direction in DIRECTIONS:
-            params[f"{direction}_w1"] = parameter(
-                xavier_uniform(rng, (self.input_dim, hidden)), f"{direction}_w1")
-            params[f"{direction}_w2"] = parameter(
-                xavier_uniform(rng, (2 * hidden, out)), f"{direction}_w2")
-        params["cls_w"] = parameter(xavier_uniform(rng, (4 * out, 2)), "cls_w")
-        params["cls_b"] = parameter(np.zeros((1, 2)), "cls_b")
-        return params
+            layout[f"{direction}_w1"] = ((self.input_dim, hidden), None)
+            layout[f"{direction}_w2"] = ((2 * hidden, out), None)
+        layout.update(cls_w=((4 * out, 2), None), cls_b=((1, 2), 0.0))
+        return layout
 
     def prepare(self, threads: Sequence[Thread], tokens: TokenTable | None = None,
                 fit: bool = False) -> TreeData:

@@ -25,13 +25,12 @@ from ..gradengine import (
     lstm_layer,
     mask_mul,
     matmul,
-    parameter,
     relu,
     sigmoid,
 )
 from ..ingest import NONRUMOUR, RUMOUR, Thread
 from .data import TokenTable, labels01, lstm_inputs
-from .trainer import GradientModel, xavier_uniform
+from .trainer import GradientModel
 
 GATES = ("i", "f", "o", "c")
 
@@ -56,31 +55,21 @@ class LstmModel(GradientModel):
         self.vocab = vocab
         self.class_weights = class_weights
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
+    def param_layout(self):
         cfg = self.config
         if self.vocab.size > cfg.vocab_cap:
             raise ValidationError(
                 f"vocabulary of {self.vocab.size} ids (terms plus reserved) "
-                f"exceeds vocab_cap {cfg.vocab_cap}"
-            )
-        params = {
-            "embed": parameter(
-                xavier_uniform(rng, (self.vocab.size, cfg.embed_dim)), "embed"),
-        }
+                f"exceeds vocab_cap {cfg.vocab_cap}")
+        embed, hidden, perc = cfg.embed_dim, cfg.hidden_dim, cfg.perceptron_dim
+        layout = {"embed": ((self.vocab.size, embed), None)}
         for gate in GATES:
-            params[f"w_x{gate}"] = parameter(
-                xavier_uniform(rng, (cfg.embed_dim, cfg.hidden_dim)), f"w_x{gate}")
-            params[f"w_h{gate}"] = parameter(
-                xavier_uniform(rng, (cfg.hidden_dim, cfg.hidden_dim)), f"w_h{gate}")
-            bias = np.ones((1, cfg.hidden_dim)) if gate == "f" else np.zeros((1, cfg.hidden_dim))
-            params[f"b_{gate}"] = parameter(bias, f"b_{gate}")
-        params["w_perc"] = parameter(
-            xavier_uniform(rng, (cfg.hidden_dim, cfg.perceptron_dim)), "w_perc")
-        params["b_perc"] = parameter(np.zeros((1, cfg.perceptron_dim)), "b_perc")
-        params["w_out"] = parameter(
-            xavier_uniform(rng, (cfg.perceptron_dim, 1)), "w_out")
-        params["b_out"] = parameter(np.zeros((1, 1)), "b_out")
-        return params
+            layout[f"w_x{gate}"] = ((embed, hidden), None)
+            layout[f"w_h{gate}"] = ((hidden, hidden), None)
+            layout[f"b_{gate}"] = ((1, hidden), 1.0 if gate == "f" else 0.0)
+        layout.update(w_perc=((hidden, perc), None), b_perc=((1, perc), 0.0),
+                      w_out=((perc, 1), None), b_out=((1, 1), 0.0))
+        return layout
 
     def prepare(self, threads: Sequence[Thread], tokens: TokenTable | None = None,
                 fit: bool = False) -> LstmBatch:

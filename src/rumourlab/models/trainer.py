@@ -24,9 +24,14 @@ from ..gradengine import (
     backward,
     load_checkpoint,
     optimizer_step,
+    parameter,
     save_checkpoint,
 )
 from ..ingest import RUMOUR
+
+# The most values a gradient model's parameters may hold: 2**28 float64
+# values take 2 GiB. A larger model is refused before its run directory exists.
+MAX_PARAM_VALUES = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -154,6 +159,22 @@ class GradientModel:
     # The seed drives initialization, shuffling, dropout and DropEdge.
     reads_seed = True
 
+    def init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
+        """Draw `param_layout` in order: Xavier-uniform where a fill is None, else the fill."""
+        return {name: parameter(xavier_uniform(rng, shape) if fill is None
+                                else np.full(shape, fill), name)
+                for name, (shape, fill) in self.param_layout().items()}
+
+    def check_size(self) -> None:
+        """Refuse a layout of more than MAX_PARAM_VALUES values before anything is drawn."""
+        layout = self.param_layout()
+        sizes = {name: math.prod(shape) for name, (shape, _) in layout.items()}
+        if sum(sizes.values()) > MAX_PARAM_VALUES:
+            largest = max(sizes, key=sizes.get)
+            raise ValidationError(
+                f"{sum(sizes.values())} parameter values exceed the bound of 2**28 = "
+                f"{MAX_PARAM_VALUES}; the largest is {largest} of shape {layout[largest][0]}")
+
     def train(self, train_data, dev_data, seed: int):
         """(parameters, history text, summary line) for one seed."""
         result = fit(self, train_data, dev_data, self.config, seed)
@@ -168,7 +189,7 @@ class GradientModel:
         save_checkpoint(params, run_dir / f"ckpt_seed{seed}.txt")
 
     def load(self, run_dir: Path, seed: int) -> dict[str, Tensor]:
-        """One seed's parameters, each of the shape `init_params` gives."""
-        shapes = {name: p.shape for name, p in self.init_params(np.random.default_rng(0)).items()}
+        """One seed's parameters, each of the shape `param_layout` gives."""
+        shapes = {name: shape for name, (shape, _) in self.param_layout().items()}
         arrays = load_checkpoint(run_dir / f"ckpt_seed{seed}.txt", shapes)
         return {name: Tensor(values) for name, values in arrays.items()}

@@ -298,3 +298,44 @@ def oracle_train_classic(kind, features, labels, config, seed):
                                  row_weights, rng, config.rf_max_depth, n_candidates)
               for _ in range(config.rf_trees)]
     return classic.ClassicModel(kind="rf", forest=forest, forest_dim=x.shape[1])
+
+
+def oracle_init_params(model, rng):
+    """Each gradient model's initialization as hand-written code, one draw
+    per weight matrix in this order and every bias a constant:
+    `GradientModel.init_params` over the model's `param_layout` must give
+    the same names, order and bytes."""
+    from rumourlab.gradengine import parameter
+    from rumourlab.models import BiGcnModel
+    from rumourlab.models.trainer import xavier_uniform
+
+    cfg = model.config
+    if isinstance(model, BiGcnModel):
+        hidden, out = cfg.bigcn_hidden_dim, cfg.bigcn_out_dim
+        params = {}
+        for direction in ("td", "bu"):
+            params[f"{direction}_w1"] = parameter(
+                xavier_uniform(rng, (model.input_dim, hidden)), f"{direction}_w1")
+            params[f"{direction}_w2"] = parameter(
+                xavier_uniform(rng, (2 * hidden, out)), f"{direction}_w2")
+        params["cls_w"] = parameter(xavier_uniform(rng, (4 * out, 2)), "cls_w")
+        params["cls_b"] = parameter(np.zeros((1, 2)), "cls_b")
+        return params
+    params = {
+        "embed": parameter(
+            xavier_uniform(rng, (model.vocab.size, cfg.embed_dim)), "embed"),
+    }
+    for gate in ("i", "f", "o", "c"):
+        params[f"w_x{gate}"] = parameter(
+            xavier_uniform(rng, (cfg.embed_dim, cfg.hidden_dim)), f"w_x{gate}")
+        params[f"w_h{gate}"] = parameter(
+            xavier_uniform(rng, (cfg.hidden_dim, cfg.hidden_dim)), f"w_h{gate}")
+        bias = np.ones((1, cfg.hidden_dim)) if gate == "f" else np.zeros((1, cfg.hidden_dim))
+        params[f"b_{gate}"] = parameter(bias, f"b_{gate}")
+    params["w_perc"] = parameter(
+        xavier_uniform(rng, (cfg.hidden_dim, cfg.perceptron_dim)), "w_perc")
+    params["b_perc"] = parameter(np.zeros((1, cfg.perceptron_dim)), "b_perc")
+    params["w_out"] = parameter(
+        xavier_uniform(rng, (cfg.perceptron_dim, 1)), "w_out")
+    params["b_out"] = parameter(np.zeros((1, 1)), "b_out")
+    return params

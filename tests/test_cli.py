@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import rumourlab
-from rumourlab import textproc
+from rumourlab import cli, textproc
 from rumourlab.cli import main
 from rumourlab.config import load_config
 from rumourlab.featurize import load_vocabulary
 from rumourlab.ingest import assemble_threads, load_tweets, save_tweets
 from rumourlab.models import BiGcnModel
+from rumourlab.models import lstm as lstm_module
 from rumourlab.proptree import PropNode, PropTree, read_tree_corpus, write_tree_corpus
 from rumourlab.synthetic import make_planted_records
 from rumourlab.textproc import normalize, tokenize
@@ -691,6 +692,47 @@ class TestTrainPredictEvaluate:
         key = setting.split(" =")[0]
         assert capsys.readouterr().err.startswith(f"error: --set {setting!r}: {key} must be ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("model,setting,largest", [
+        ("lstm", "hidden_dim=1000000000", "w_hi of shape (1000000000, 1000000000)"),
+        ("bigcn", "bigcn_hidden_dim=1000000000", "td_w2 of shape (2000000000, 64)"),
+    ])
+    def test_oversized_model_exits_one_and_writes_nothing(self, planted_file, tmp_path, capsys,
+                                                         model, setting, largest):
+        """The parameter count is checked from the layout before any draw or
+        write; the LSTM case used to end in an internal MemoryError with a
+        run directory left behind."""
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(planted_file), "--model", model,
+                     "--out-dir", str(out), "--set", setting]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [stage: featurize] ")
+        assert err.endswith(" parameter values exceed the bound of 2**28 = 268435456; "
+                            f"the largest is {largest}\n")
+        assert not out.exists()
+
+    def test_memory_error_in_a_stage_exits_one_naming_it(self, planted_file, tmp_path,
+                                                         capsys, monkeypatch):
+        """numpy's allocation error carries (shape, dtype) as two arguments,
+        so the stage is named in a new error."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError((28, 10 ** 9), "int64")
+
+        monkeypatch.setattr(lstm_module, "lstm_inputs", no_memory)
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(planted_file), "--model", "lstm",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: [stage: featurize] out of memory: ((28, 1000000000), 'int64')\n"
+        assert not out.exists()
+
+    def test_memory_error_outside_a_stage_exits_one(self, planted_file, capsys, monkeypatch):
+        def no_memory(path):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "load_tweets", no_memory)
+        assert main(["stats", "--data", str(planted_file)]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize("source,text,message", [
         ("--config", "seeds 1\n", "{config} line 1: expected key = value"),

@@ -25,7 +25,9 @@ from rumourlab.models import (
     ClassicLearner,
     GradientModel,
     LstmModel,
+    bigcn,
     classic,
+    lstm,
     trainer,
 )
 from rumourlab.synthetic import make_planted_records
@@ -336,6 +338,25 @@ class TestRunExperiment:
                 trained_model.load(result.run_dir, seed), data)
             assert loaded_labels == fresh_labels
             assert np.asarray(loaded_scores).tobytes() == np.asarray(fresh_scores).tobytes()
+
+    @pytest.mark.parametrize("model", ["lstm", "bigcn"])
+    def test_predictor_loads_without_a_draw(self, planted_file, tmp_path, monkeypatch, model):
+        """`load` reads the shapes from the parameter layout: a run loads and
+        predicts its own test split with the initializer gone from every
+        module of the models package that binds it."""
+        result = run_experiment(self._config(planted_file, tmp_path, model=model, seeds=(1, 2),
+                                             **self.SIZES[model]))
+
+        def no_draw(rng, shape):
+            raise AssertionError(f"drew a {shape} parameter")
+
+        for module in (trainer, lstm, bigcn):
+            if hasattr(module, "xavier_uniform"):
+                monkeypatch.setattr(module, "xavier_uniform", no_draw)
+        labels, scores = RunPredictor(result.run_dir).predict(result.split.test)
+        lines = [f"{thread.id}\t{label}\t{score:.6g}"
+                 for thread, label, score in zip(result.split.test, labels, scores)]
+        assert "\n".join(lines) + "\n" == (result.run_dir / "predictions.txt").read_text()
 
     @pytest.mark.parametrize("model,settings", [
         ("rf", {}), ("rf", {"smote": True}), ("logreg", {"smote": True}),

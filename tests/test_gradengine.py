@@ -36,7 +36,6 @@ from rumourlab.gradengine import (
     sum_all,
     tanh,
     weighted_ce_loss,
-    zero_grads,
 )
 from rumourlab.gradengine.sparse import scatter_rows
 from rumourlab.gradengine.tensor import _sigmoid_values
@@ -190,12 +189,6 @@ class TestBackward:
             np.add.at(full, ids, upstream)
             expected += full
             assert table.grad.tobytes() == expected.tobytes()
-
-    def test_zero_grads(self):
-        x = parameter(np.ones(2), "x")
-        backward(sum_all(x))
-        zero_grads([x])
-        assert x.grad is None
 
     def test_backward_frees_intermediates(self):
         x = parameter(np.array([1.0, -2.0]), "x")
@@ -483,7 +476,7 @@ class TestGradCheck:
 
         plumbing = {"CKPT_FORMAT_VERSION", "OptimizerState", "SparseMatrix", "Tensor",
                     "backward", "grad_check", "load_checkpoint",
-                    "optimizer_step", "parameter", "save_checkpoint", "zero_grads"}
+                    "optimizer_step", "parameter", "save_checkpoint"}
         differentiable = set(gradengine.__all__) - plumbing
         reached = set()
         for name in differentiable:

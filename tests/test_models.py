@@ -26,7 +26,6 @@ from rumourlab.gradengine import (
     sigmoid,
     sum_all,
     tanh,
-    zero_grads,
 )
 from rumourlab.gradengine.tensor import _topological_order
 from rumourlab.models import (
@@ -59,6 +58,7 @@ from rumourlab.textproc import normalize, tokenize
 from conftest import (
     make_thread,
     oracle_backward,
+    oracle_init_params,
     oracle_standardizer_stats,
     oracle_train_classic,
 )
@@ -206,7 +206,8 @@ def _grads(params):
 
 
 def _probs_and_grads(forward, params, weights):
-    zero_grads(params.values())
+    for p in params.values():
+        p.grad = None
     probs = forward()
     backward(sum_all(probs * Tensor(weights)))
     return probs.values, _grads(params)
@@ -315,6 +316,47 @@ class TestBiGcn:
         batch = to_graph_batch(data.trees, model.input_dim + 3)
         with pytest.raises(ValidationError, match="incompatible"):
             model.forward(params, batch)
+
+
+def _gradient_model(kind, threads, **sizes):
+    if kind == "lstm":
+        return LstmModel(RunConfig(**sizes), build_vocabulary(thread_docs(threads), cap=80))
+    return BiGcnModel(RunConfig(**sizes), fit_tfidf(tweet_docs(threads), top_k=50))
+
+
+class _Declared(trainer.GradientModel):
+    def __init__(self, layout):
+        self.layout = layout
+
+    def param_layout(self):
+        return self.layout
+
+
+class TestParamLayout:
+    @pytest.mark.parametrize("kind,sizes", [
+        ("lstm", {}), ("lstm", {"embed_dim": 1}), ("lstm", {"hidden_dim": 1}),
+        ("lstm", {"embed_dim": 3, "hidden_dim": 2, "perceptron_dim": 1}),
+        ("bigcn", {}), ("bigcn", {"bigcn_hidden_dim": 1}), ("bigcn", {"bigcn_out_dim": 1}),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_init_params_are_the_hand_written_draws(self, toy_threads, kind, sizes, seed):
+        model = _gradient_model(kind, toy_threads, **sizes)
+        drawn = model.init_params(np.random.default_rng(seed))
+        expected = oracle_init_params(model, np.random.default_rng(seed))
+        assert list(drawn) == list(expected) == list(model.param_layout())
+        for name, param in drawn.items():
+            assert (param.name, param.requires_grad) == (name, True)
+            assert param.values.dtype == expected[name].values.dtype
+            assert param.shape == expected[name].shape == model.param_layout()[name][0]
+            assert param.values.tobytes() == expected[name].values.tobytes()
+
+    def test_size_bound_counts_every_value(self):
+        _Declared({"w": ((2 ** 14, 2 ** 14), None)}).check_size()
+        over = _Declared({"w": ((2 ** 14, 2 ** 14), None), "b": ((1, 1), 0.0)})
+        with pytest.raises(ValidationError, match=r"^268435457 parameter values exceed the "
+                                                  r"bound of 2\*\*28 = 268435456; the largest "
+                                                  r"is w of shape \(16384, 16384\)$"):
+            over.check_size()
 
 
 class _StubBatch:
@@ -429,7 +471,8 @@ class TestConsumedGraph:
         params = model.init_params(np.random.default_rng(2))
 
         def grads(walk):
-            zero_grads(params.values())
+            for p in params.values():
+                p.grad = None
             loss, _, _ = model.loss_and_predictions(params, model.slice(data, np.arange(8)),
                                                     train=True, rng=np.random.default_rng(3))
             walk(loss)
@@ -664,7 +707,8 @@ def graph_gradient_fit(kind, x, labels, config, row_weights):
     ypm = 2.0 * y01 - 1.0
     state = OptimizerState(lr=config.classic_lr)
     for _ in range(config.classic_iters if kind == "logreg" else config.svm_iters):
-        zero_grads(params.values())
+        for p in params.values():
+            p.grad = None
         scores = matmul(xt, w) + b
         if kind == "logreg":
             loss = bce_loss(sigmoid(scores), y01, sample_weights)
