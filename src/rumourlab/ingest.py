@@ -5,9 +5,11 @@ field names documented in the README (`id`, `text`, `created_at`,
 optional `parent_id`, optional `label`, plus user and engagement
 metadata). Timestamps are ISO-8601 with an explicit UTC offset.
 
-Each line is decoded on its own and accepted by one combined test; only
-a refused line walks the schema to name its first bad field. A record is
-a checked named tuple, equal to the plain tuple of its values.
+Lines stream through the C scanner, and one fused test of each line's
+values accepts it; only a refused line goes through `json.loads` and the
+schema walk, which name its first fault. Records are checked named
+tuples, equal to the plain tuples of their values. Assembly remembers
+the source of every id it resolves, so it walks no parent link twice.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import reduce
-from operator import itemgetter, or_
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -41,14 +42,12 @@ _SCHEMA = {
     "followers": int, "following": int, "tweet_count": int, "listed_count": int,
     "account_created_year": int, "retweet_count": int, "like_count": int,
 }
-_TYPES = tuple(_SCHEMA.values())
 _KIND_NAMES = {str: "a string", bool: "true or false", int: "a non-negative integer"}
 # Fields that may be absent or null, else strings.
 _OPTIONAL = ("parent_id", "label")
-_OPTIONAL_TYPES = (type(None), str)
 # Run files hold ids one per line and beside tabs.
 _has_break = re.compile("[\t\n\r]").search
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 _schema_values = itemgetter(*_SCHEMA)
 
 
@@ -61,15 +60,9 @@ class TweetRecord(namedtuple("TweetRecord", [*_SCHEMA, *_OPTIONAL], defaults=(No
     __slots__ = ()
 
     def __new__(cls, *args, current_year: Optional[int] = None, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if current_year is None:
             current_year = datetime.now(timezone.utc).year
-        return super().__new__(cls, *args, **kwargs)._checked(current_year)
-
-    @classmethod
-    def _make(cls, iterable) -> TweetRecord:
-        return cls(*iterable)
-
-    def _checked(self, current_year: int) -> TweetRecord:
         if not MIN_ACCOUNT_YEAR <= self.account_created_year <= current_year:
             raise ValidationError(f"account_created_year {self.account_created_year} outside "
                                   f"[{MIN_ACCOUNT_YEAR}, {current_year}]")
@@ -81,9 +74,9 @@ class TweetRecord(namedtuple("TweetRecord", [*_SCHEMA, *_OPTIONAL], defaults=(No
             raise ValidationError(f"tweet {self.id} has unknown label {self.label!r}")
         return self
 
-    @property
-    def is_source(self) -> bool:
-        return self.parent_id is None
+    @classmethod
+    def _make(cls, iterable) -> TweetRecord:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -94,14 +87,12 @@ class Thread:
     replies: tuple[TweetRecord, ...]
 
     def __post_init__(self):
-        if not self.source.is_source:
+        if self.source.parent_id is not None:
             raise ValidationError(f"thread source {self.source.id} has a parent")
         previous = self.source.created_at
         for reply in self.replies:
             if reply.created_at < self.source.created_at:
-                raise ValidationError(
-                    f"reply {reply.id} predates source {self.source.id}"
-                )
+                raise ValidationError(f"reply {reply.id} predates source {self.source.id}")
             if reply.created_at < previous:
                 raise ValidationError("replies not sorted by created_at")
             previous = reply.created_at
@@ -154,8 +145,23 @@ def _parse_timestamp(raw: str) -> datetime:
         raise ValidationError(f"created_at {raw!r} is out of range") from None
 
 
-def _refuse(fields: dict) -> None:
-    """Raise for the first field, in file order, that breaks the schema."""
+def _refuse(raw: bytes, current_year: int) -> Optional[TweetRecord]:
+    """Raise for the first fault, in file order, of a line the fused test
+    refused; a blank line gives None, and any other line its record."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"invalid UTF-8: {exc.reason}") from None
+    if not line:
+        return None
+    try:
+        fields = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # A JSONDecodeError has .msg; an over-long integer or a too-deep
+        # nesting raises a plain ValueError or RecursionError.
+        raise ValidationError(f"invalid record: {getattr(exc, 'msg', exc)}") from None
+    if type(fields) is not dict:
+        raise ValidationError("record is not a key-value object")
     for name, kind in _SCHEMA.items():
         value = fields.get(name)
         if type(value) is not kind or kind is int and not 0 <= value < 2**63:
@@ -171,43 +177,9 @@ def _refuse(fields: dict) -> None:
     for name in ("id", "parent_id"):
         if _has_break(fields.get(name) or ""):
             raise ValidationError(f"{name} must not hold a tab or line break")
-
-
-def _record_from_line(raw: bytes, current_year: int) -> Optional[TweetRecord]:
-    """The record on one line, or None for a blank line."""
-    try:
-        line = raw.decode("utf-8").strip()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"invalid UTF-8: {exc.reason}") from None
-    if not line:
-        return None
-    try:
-        fields, end = _raw_decode(line)
-        if end != len(line):
-            raise ValueError
-    except (ValueError, RecursionError):
-        try:  # json.loads, which refuses what raw_decode did, for its message
-            fields = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            # A JSONDecodeError has .msg; an over-long integer or a too-deep
-            # nesting raises a plain ValueError or RecursionError.
-            raise ValidationError(f"invalid record: {getattr(exc, 'msg', exc)}") from None
-    if type(fields) is not dict:
-        raise ValidationError("record is not a key-value object")
-    try:
-        values = _schema_values(fields)
-    except KeyError:
-        _refuse(fields)
-        raise
-    parent_id, label = fields.get("parent_id"), fields.get("label")
-    # values[4:] are the integers; OR-ed, they lie in [0, 2**63) only if each does.
-    if (tuple(map(type, values)) != _TYPES or not 0 <= reduce(or_, values[4:]) < 2**63
-            or type(parent_id) not in _OPTIONAL_TYPES or type(label) not in _OPTIONAL_TYPES
-            or _has_break(values[0]) or parent_id is not None and _has_break(parent_id)):
-        _refuse(fields)
-    # Checked without the generated constructor, whose argument handling costs 0.7 µs.
-    return tuple.__new__(TweetRecord, (values[0], values[1], _parse_timestamp(values[2]),
-                                       *values[3:], parent_id, label))._checked(current_year)
+    values = _schema_values(fields)
+    return TweetRecord(*values[:2], _parse_timestamp(values[2]), *values[3:],
+                       fields.get("parent_id"), fields.get("label"), current_year=current_year)
 
 
 def load_tweets(path) -> list[TweetRecord]:
@@ -229,9 +201,36 @@ def load_tweets(path) -> list[TweetRecord]:
         lines = (piece for chunk in handle for piece in chunk.splitlines())
         for line_no, raw in enumerate(lines, start=1):
             try:
-                record = _record_from_line(raw, current_year)
-                if record is None:
-                    continue
+                try:
+                    line = raw.decode().strip()
+                    fields, end = _scan_once(line, 0)
+                    (id_, text, created_at, verified, followers, following, tweets, listed, year,
+                     retweets, likes) = _schema_values(fields)
+                    parent_id, label = fields.get("parent_id"), fields.get("label")
+                    # The counts, OR-ed, lie in [0, 2**63) only if each does.
+                    accepted = (
+                        end == len(line) and type(id_) is type(text) is type(created_at) is str
+                        and type(verified) is bool and type(followers) is type(following)
+                        is type(tweets) is type(listed) is type(year) is type(retweets)
+                        is type(likes) is int
+                        and 0 <= (followers | following | tweets | listed | year | retweets
+                                  | likes) < 2**63
+                        and MIN_ACCOUNT_YEAR <= year <= current_year
+                        and id_ != "" and "\t" not in id_ and "\n" not in id_ and "\r" not in id_
+                        and (parent_id is None or type(parent_id) is str and parent_id != id_
+                             and "\t" not in parent_id and "\n" not in parent_id
+                             and "\r" not in parent_id)
+                        and (label is None or type(label) is str and label in LABELS))
+                except (ValueError, RecursionError, StopIteration, KeyError, TypeError):
+                    accepted = False
+                if accepted:
+                    record = tuple.__new__(TweetRecord, (
+                        id_, text, _parse_timestamp(created_at), verified, followers, following,
+                        tweets, listed, year, retweets, likes, parent_id, label))
+                else:
+                    record = _refuse(raw, current_year)
+                    if record is None:
+                        continue
                 if record.id in seen:
                     raise ValidationError(f"duplicate tweet id {record.id!r}")
             except ValidationError as exc:
@@ -265,20 +264,18 @@ def save_tweets(records: Iterable[TweetRecord], path) -> None:
             handle.write("\n")
 
 
-def _resolve_root(record: TweetRecord, by_id: dict[str, TweetRecord]) -> Optional[str]:
-    """Follow parent links to the owning source id; None when the chain dangles."""
-    seen: list[str] = []
-    current = record
-    while current.parent_id is not None:
-        if current.id in seen:
-            cycle = seen[seen.index(current.id):] + [current.id]
+def _resolve_root(record: TweetRecord, by_id: dict, roots: dict) -> Optional[str]:
+    """The source id `record`'s parent links lead to, None if they dangle; memoized in `roots`."""
+    walked: dict[str, int] = {}
+    while record is not None and record.id not in roots:
+        if record.id in walked:
+            cycle = [*walked][walked[record.id]:] + [record.id]
             raise ValidationError("cyclic parent links: " + " -> ".join(cycle))
-        seen.append(current.id)
-        parent = by_id.get(current.parent_id)
-        if parent is None:
-            return None
-        current = parent
-    return current.id
+        walked[record.id] = len(walked)
+        record = by_id.get(record.parent_id)
+    root = None if record is None else roots[record.id]
+    roots.update(dict.fromkeys(walked, root))
+    return root
 
 
 def assemble_threads(
@@ -289,8 +286,9 @@ def assemble_threads(
     Replies that point at another reply are re-parented to that reply's
     source, so every assembled thread is one level deep. Replies whose
     chain never reaches a known source are dropped and counted in the
-    returned diagnostics. Replies sort by (created_at, id). Errors start
-    with `<source>: ` when the file the records came from is given.
+    returned diagnostics. Replies sort by (created_at, id). Ids are unique,
+    as `load_tweets` makes them. Errors start with `<source>: ` when the
+    file the records came from is given.
     """
     try:
         return _assemble(records)
@@ -302,28 +300,30 @@ def assemble_threads(
 
 def _assemble(records: Sequence[TweetRecord]) -> tuple[list[Thread], AssemblyDiagnostics]:
     by_id = {record.id: record for record in records}
-    replies_by_root: dict[str, list[TweetRecord]] = {}
+    sources = [record for record in records if record.parent_id is None]
+    roots: dict[str, Optional[str]] = {source.id: source.id for source in sources}
+    replies_by_root: dict[str, list[TweetRecord]] = {source.id: [] for source in sources}
     orphans = 0
     for record in records:
-        if record.is_source:
+        if record.parent_id is None:
             continue
-        root = _resolve_root(record, by_id)
+        if record.parent_id in roots:
+            root = roots[record.id] = roots[record.parent_id]
+        else:
+            root = _resolve_root(record, by_id, roots)
         if root is None:
             orphans += 1
         else:
-            replies_by_root.setdefault(root, []).append(record)
+            replies_by_root[root].append(record)
     threads: list[Thread] = []
     unlabeled = 0
-    for record in records:
-        if not record.is_source:
-            continue
-        replies = sorted(
-            replies_by_root.get(record.id, ()),
-            key=lambda r: (r.created_at, r.id),
-        )
-        if record.label is None:
+    by_time = attrgetter("created_at", "id")
+    for source in sources:
+        replies = replies_by_root[source.id]
+        replies.sort(key=by_time)
+        if source.label is None:
             unlabeled += 1
-        threads.append(Thread(source=record, replies=tuple(replies)))
+        threads.append(Thread(source=source, replies=tuple(replies)))
     return threads, AssemblyDiagnostics(orphan_replies=orphans, unlabeled_sources=unlabeled)
 
 

@@ -15,7 +15,7 @@ from rumourlab.gradengine.tensor import (
     _sigmoid_values,
     _topological_order,
 )
-from rumourlab.ingest import Thread, TweetRecord, _parse_timestamp
+from rumourlab.ingest import AssemblyDiagnostics, Thread, TweetRecord, _parse_timestamp
 from rumourlab.textproc import _PUNCT, _is_special_token
 
 BASE_TIME = datetime(2020, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -90,7 +90,7 @@ _ORACLE_KINDS = {str: "a string", bool: "true or false", int: "a non-negative in
 def oracle_record(line, current_year):
     """The record on one stripped, non-blank dataset line, or the message
     refusing it: `json.loads`, then one check per field in file order, then
-    a keyword-built record. The combined test in `ingest.load_tweets` must
+    a keyword-built record. The fused test in `ingest.load_tweets` must
     accept exactly these lines, with the same messages."""
     try:
         fields = json.loads(line)
@@ -121,6 +121,49 @@ def oracle_record(line, current_year):
         return TweetRecord(**values, current_year=current_year)
     except ValidationError as exc:
         return str(exc)
+
+
+def _oracle_resolve_root(record, by_id):
+    seen = []
+    current = record
+    while current.parent_id is not None:
+        if current.id in seen:
+            cycle = seen[seen.index(current.id):] + [current.id]
+            raise ValidationError("cyclic parent links: " + " -> ".join(cycle))
+        seen.append(current.id)
+        parent = by_id.get(current.parent_id)
+        if parent is None:
+            return None
+        current = parent
+    return current.id
+
+
+def oracle_assemble(records):
+    """Thread assembly that walks every reply up to its source with a list
+    of the ids seen, then sorts each source's replies into a new list:
+    `ingest.assemble_threads` must give equal threads and diagnostics, or
+    raise the same message."""
+    by_id = {record.id: record for record in records}
+    replies_by_root = {}
+    orphans = 0
+    for record in records:
+        if record.parent_id is None:
+            continue
+        root = _oracle_resolve_root(record, by_id)
+        if root is None:
+            orphans += 1
+        else:
+            replies_by_root.setdefault(root, []).append(record)
+    threads = []
+    unlabeled = 0
+    for record in records:
+        if record.parent_id is not None:
+            continue
+        replies = sorted(replies_by_root.get(record.id, ()), key=lambda r: (r.created_at, r.id))
+        if record.label is None:
+            unlabeled += 1
+        threads.append(Thread(source=record, replies=tuple(replies)))
+    return threads, AssemblyDiagnostics(orphan_replies=orphans, unlabeled_sources=unlabeled)
 
 
 def oracle_backward(loss):

@@ -329,6 +329,14 @@ class TestBuildTrees:
         write_tree_corpus(oracle, tmp_path / "oracle.txt")
         assert out.read_bytes() == (tmp_path / "oracle.txt").read_bytes()
 
+    def test_no_labeled_thread_is_refused_naming_the_file(self, unlabeled_file, tmp_path,
+                                                          capsys):
+        out = tmp_path / "trees.txt"
+        assert main(["build-trees", "--data", str(unlabeled_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {unlabeled_file} holds no labeled thread to fit the TF-IDF on\n"
+        assert not out.exists()
+
     def test_feature_files_are_the_ones_a_bigcn_run_writes(self, bigcn_run, planted_file,
                                                            tmp_path):
         out = tmp_path / "trees.txt"

@@ -1,6 +1,8 @@
 import json
 import pickle
 import re
+import time
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 from rumourlab.errors import ParseError, ValidationError
 from rumourlab.ingest import (
     _SCHEMA,
+    LABELS,
+    AssemblyDiagnostics,
     DatasetSplit,
     Thread,
     TweetRecord,
@@ -24,7 +28,7 @@ from rumourlab.ingest import (
 from rumourlab.models.data import handcrafted_matrix
 from rumourlab.synthetic import make_planted_records
 
-from conftest import make_record, make_thread, oracle_record
+from conftest import make_record, make_thread, oracle_assemble, oracle_record
 
 GOOD = {"id": "a", "text": "x", "created_at": "2020-01-01T00:00:00Z",
         "verified": False, "followers": 0, "following": 0,
@@ -258,6 +262,13 @@ def _mutated_line(draw):
     ]))
 
 
+# A good record under one of a few ids, so some lines repeat an id.
+_good_line = st.builds(
+    lambda i, extra: json.dumps({**GOOD, "id": f"g{i}", **extra}, ensure_ascii=False),
+    st.integers(0, 20), st.fixed_dictionaries({}, optional={
+        "parent_id": st.just("a"), "label": st.sampled_from(LABELS), "text": st.text()}))
+
+
 class TestDifferentialOracle:
     @settings(max_examples=600, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -280,6 +291,63 @@ class TestDifferentialOracle:
         assert type(expected) is TweetRecord, expected
         assert record == expected
         assert list(map(type, record)) == list(map(type, expected))
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), lines=st.lists(st.one_of(_mutated_line(), _good_line, _good_line),
+                                          min_size=2, max_size=6),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_multi_line_files_load_what_the_oracle_gives_line_by_line(self, tmp_path, data,
+                                                                    lines, newline):
+        """Blank and whitespace-only lines fall between the records, and now
+        and then one line comes twice, so its id repeats if it is accepted."""
+        if data.draw(st.booleans()):
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(lines)))
+        for _ in range(data.draw(st.integers(0, 2))):
+            lines.insert(data.draw(st.integers(0, len(lines))),
+                         data.draw(st.sampled_from(["", " ", "\t", " \u00a0\x0c "])))
+        path = tmp_path / "many.jsonl"
+        tail = data.draw(st.sampled_from(["", newline]))
+        path.write_bytes((newline.join(lines) + tail).encode("utf-8"))
+        year = datetime.now(timezone.utc).year
+        expected, seen, refusal = [], set(), None
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            record = oracle_record(line.strip(), year)
+            if type(record) is not TweetRecord:
+                refusal = f"{path} line {line_no}: {record}"
+            elif record.id in seen:
+                refusal = f"{path} line {line_no}: duplicate tweet id {record.id!r}"
+            if refusal:
+                break
+            seen.add(record.id)
+            expected.append(record)
+        try:
+            loaded = load_tweets(path)
+        except ValidationError as exc:
+            assert str(exc) == refusal
+            return
+        assert refusal is None
+        assert loaded == expected
+        assert [list(map(type, r)) for r in loaded] == [list(map(type, r)) for r in expected]
+
+    def test_loading_streams_the_file(self, tmp_path):
+        """Loading holds little beyond the records it returns, its id set
+        the most of it; a whole-file read would add this ~5 MB file's size."""
+        path = tmp_path / "big.jsonl"
+        text = "x" * 290
+        path.write_text("".join(json.dumps({**GOOD, "id": f"t{i}", "text": text}) + "\n"
+                                for i in range(10_000)), encoding="utf-8")
+        assert path.stat().st_size > 5_000_000
+        tracemalloc.start()
+        try:
+            records = load_tweets(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 10_000
+        assert peak - retained < 1_000_000
 
 
 class TestRecordShape:
@@ -414,6 +482,53 @@ class TestAssembleThreads:
         early = make_record("r", minutes=0, parent_id="s")
         with pytest.raises(ValidationError, match="predates"):
             assemble_threads([source, early])
+
+    def test_long_chain_assembles_in_linear_time(self):
+        """Each reply answers the one before; the deepest comes first, so
+        its walk covers the whole chain and every later reply reuses it."""
+        source = make_record("s", label="rumour")
+        chain = [make_record(f"c{i}", minutes=i + 1, parent_id=f"c{i - 1}" if i else "s")
+                 for i in range(20_000)]
+        started = time.perf_counter()
+        threads, diag = assemble_threads([source, *reversed(chain)])
+        assert time.perf_counter() - started < 0.5
+        (thread,) = threads
+        assert thread.replies == tuple(chain)
+        assert diag == AssemblyDiagnostics(orphan_replies=0, unlabeled_sources=0)
+
+    def test_cycle_reached_through_a_chain_names_the_cycle(self):
+        records = [make_record("s", label="rumour"), make_record("x", minutes=1, parent_id="s"),
+                   make_record("r0", parent_id="r1"), make_record("r1", parent_id="a"),
+                   make_record("a", parent_id="b"), make_record("b", parent_id="c"),
+                   make_record("c", parent_id="a")]
+        message = "cyclic parent links: a -> b -> c -> a"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            oracle_assemble(records)
+        with pytest.raises(ValidationError, match=f"^data.jsonl: {message}$"):
+            assemble_threads(records, "data.jsonl")
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n_sources=st.integers(1, 3), n_replies=st.integers(0, 8))
+    def test_assembly_matches_the_oracle(self, data, n_sources, n_replies):
+        """Replies answer sources, replies or missing ids, so chains, cycles
+        and orphans all occur; a few minutes make ties and early replies."""
+        ids = [f"s{i}" for i in range(n_sources)] + [f"r{i}" for i in range(n_replies)]
+        records = [make_record(ids[i], minutes=data.draw(st.sampled_from([0, 0, 0, 1])),
+                               label=data.draw(st.sampled_from([None, *LABELS])))
+                   for i in range(n_sources)]
+        for reply_id in ids[n_sources:]:
+            parent = data.draw(st.sampled_from([i for i in ids if i != reply_id] + ["ghost"]))
+            records.append(make_record(reply_id, minutes=data.draw(st.integers(0, 3)),
+                                       parent_id=parent))
+        records = data.draw(st.permutations(records))
+        try:
+            expected = oracle_assemble(records)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as caught:
+                assemble_threads(records)
+            assert str(caught.value) == str(exc)
+            return
+        assert assemble_threads(records) == expected
 
 
 # Ids that ingest accepts: non-empty, with no tab, \n or \r; a leading
