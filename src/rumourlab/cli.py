@@ -18,9 +18,10 @@ from pathlib import Path
 from . import analyze as analysis
 from .config import RunConfig, apply_settings, load_config
 from .errors import ParseError, ValidationError
-from .evalrun import RunPredictor, compute_report, report_to_text, run_experiment, run_model
+from .evalrun import (RunPredictor, compute_report, report_to_text, run_experiment, run_model,
+                      split_threads)
 from .featurize import save_vocabulary
-from .ingest import assemble_threads, load_split, load_tweets, save_split, split_dataset
+from .ingest import assemble_threads, load_split, load_tweets, save_split
 from .models.data import token_table
 from .proptree import write_tree_corpus
 
@@ -115,11 +116,11 @@ def _cmd_ingest(args) -> int:
     print(f"orphan replies dropped: {diagnostics.orphan_replies}")
     print(f"unlabeled sources: {diagnostics.unlabeled_sources}")
     if args.split_out:
-        try:
-            ratios = tuple(float(x) for x in args.ratios.split(","))
-        except ValueError:
-            raise ValidationError(f"--ratios: expected numbers, got {args.ratios!r}") from None
-        split = split_dataset(labeled, ratios, args.seed)
+        try:  # checked as the `ratios` config key is
+            ratios = replace(RunConfig(), ratios=tuple(map(float, args.ratios.split(",")))).ratios
+        except ValueError as exc:
+            raise ValidationError(f"--ratios {args.ratios!r}: {exc}") from None
+        split = split_threads(labeled, ratios, args.seed, args.data)
         save_split(split, args.split_out)
         print(f"split manifest written to {args.split_out}")
     return 0
@@ -149,7 +150,7 @@ def _cmd_build_trees(args) -> int:
     labeled = [t for t in threads if t.label is not None]
     if not labeled:
         raise ValidationError(f"{args.data} holds no labeled thread to fit the TF-IDF on")
-    split = split_dataset(labeled, config.ratios, config.split_seed)
+    split = split_threads(labeled, config.ratios, config.split_seed, args.data)
     tokens = token_table(threads)
     # Trees train nothing, so a train split of one class still builds them.
     model = run_model(replace(config, model="bigcn", class_weights=False), split.train, tokens)

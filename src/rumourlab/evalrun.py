@@ -163,6 +163,14 @@ def _reads_text(config: RunConfig) -> bool:
     return config.model in ("lstm", "bigcn") or config.features != "handcrafted"
 
 
+def split_threads(labeled: Sequence[Thread], ratios, seed: int, source) -> DatasetSplit:
+    """`split_dataset` over the labeled threads of the file `source`, naming it in a refusal."""
+    try:
+        return split_dataset(labeled, ratios, seed)
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from None
+
+
 def run_model(config: RunConfig, train: Optional[Sequence[Thread]] = None,
               tokens: Optional[TokenTable] = None, run_dir: Optional[Path] = None):
     """The model of the run's kind, with the operations prepare, train,
@@ -240,7 +248,8 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     records = stage("ingest", lambda: load_tweets(config.dataset))
     threads, _ = stage("assemble", lambda: assemble_threads(records, config.dataset))
     labeled = [t for t in threads if t.label is not None]
-    split = stage("split", lambda: split_dataset(labeled, config.ratios, config.split_seed))
+    split = stage("split", lambda: split_threads(labeled, config.ratios, config.split_seed,
+                                                 config.dataset))
     held = {t.label for t in split.train}
     if missing := [label for label in LABELS if label not in held]:
         raise ValidationError(f"[stage: split] no examples of class(es) in the train split: "

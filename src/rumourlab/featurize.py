@@ -279,7 +279,7 @@ def smote_oversample(
 ) -> list[np.ndarray]:
     """Synthetic minority points by interpolation toward one of the k
     nearest Euclidean neighbours: x + u * (nn - x) with u uniform in
-    [0, 1]. Deterministic for a given seed; returns exactly n_new points.
+    [0, 1). Deterministic for a given seed; returns exactly n_new points.
     """
     points = np.asarray(list(minority), dtype=float)
     if points.ndim != 2 or len(points) < 2:

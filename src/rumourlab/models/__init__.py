@@ -7,7 +7,6 @@ from .classic import (
     forest_from_text,
     forest_to_text,
     predict_classic,
-    smote_balance,
     train_classic,
 )
 from .lstm import LstmModel
@@ -17,5 +16,5 @@ __all__ = [
     "BiGcnModel", "ClassicLearner", "ClassicModel", "EpochRecord", "FitResult",
     "GradientModel", "LstmModel",
     "fit", "forest_from_text", "forest_to_text", "predict_classic",
-    "predict_threads", "smote_balance", "train_classic",
+    "predict_threads", "train_classic",
 ]

@@ -70,9 +70,8 @@ class BiGcnModel(GradientModel):
         """The threads' model input; `fit` changes nothing, as seeds share no fitted state."""
         rows = iter(row_vectors(tfidf_rows(self.tfidf, tweet_docs(threads, tokens),
                                            use_raw_counts=self.config.tree_raw_counts)))
-        trees = tuple(build_tree(thread, self.tfidf, self.config.keep_reply_links,
-                                 features=[next(rows) for _ in thread.tweets()])
-                      for thread in threads)
+        trees = tuple(build_tree(t, [next(rows) for _ in t.tweets()], self.config.keep_reply_links)
+                      for t in threads)
         return TreeData(trees=trees, targets=labels01(threads))
 
     def slice(self, data: TreeData, index: np.ndarray) -> TreeData:

@@ -7,9 +7,10 @@ engine graph's bit for bit (tests/test_models.py, TestLinearFitMatchesGraph).
 Gradient-trained kinds consume z-scored features (statistics fitted on
 the training matrix and stored with the model); the forest consumes raw
 values. SMOTE, when requested, balances the class counts exactly before
-fitting, with neighbour distances measured in standardized space. A run
-fits the statistics and SMOTE's neighbour table once (`fit_run`); each
-seed draws its synthetic rows and fits on one training matrix.
+fitting, with neighbour distances measured in standardized space.
+`fit_run` is the one SMOTE planner: a run fits the statistics and SMOTE's
+neighbour table there once, and each seed draws its synthetic rows and
+fits on one training matrix.
 `ClassicLearner` gives the three kinds the run operations.
 """
 
@@ -99,53 +100,32 @@ class RunFit:
     SMOTE on imbalanced classes, its plan."""
 
     standardizer: Standardizer
-    smote: Optional[SmotePlan]
-
-
-def _smote_plan(x: np.ndarray, labels: list[str], k: int,
-                standardizer: Optional[Standardizer] = None) -> Optional[SmotePlan]:
-    """The plan that balances `labels` exactly, None when they are
-    balanced. Neighbour distances are measured between rows of x, z-scored
-    by `standardizer` when given."""
-    counts = {c: labels.count(c) for c in (RUMOUR, NONRUMOUR)}
-    minority = min(counts, key=counts.get)
-    majority = max(counts, key=counts.get)
-    n_new = counts[majority] - counts[minority]
-    if n_new == 0:
-        return None
-    rows = np.array([i for i, c in enumerate(labels) if c == minority])
-    if len(rows) < 2:
-        raise ValidationError("SMOTE needs at least two minority examples")
-    points = x[rows] if standardizer is None else standardizer.transform(x[rows])
-    return SmotePlan(minority=minority, rows=rows, n_new=n_new,
-                     neighbours=smote_neighbours(points, min(k, len(rows) - 1)))
-
-
-def smote_balance(
-    x_std: np.ndarray, labels: list[str], k: int, seed: int
-) -> tuple[np.ndarray, list[str]]:
-    """Balance class counts exactly with synthetic minority points
-    (neighbour search in the given space). Returns the augmented matrix
-    and labels."""
-    x = np.asarray(x_std, dtype=float)
-    plan = _smote_plan(x, labels, k)
-    if plan is None:
-        return x_std, labels
-    synthetic = smote_points(x[plan.rows], plan.neighbours, plan.n_new, seed)
-    return np.vstack([x, synthetic]), labels + [plan.minority] * plan.n_new
+    smote: Optional[SmotePlan] = None
 
 
 def fit_run(features: np.ndarray, labels: Sequence[str], config: RunConfig) -> RunFit:
-    """The z-score statistics of `features` and, with `config.smote`, the
-    SMOTE plan over them: the part of `train_classic` that does not read
-    the seed. Only the handcrafted block (the first HANDCRAFTED_WIDTH
-    columns, absent when `config.features` is tfidf) is z-scored: TF-IDF
-    rows are already unit-norm."""
+    """The z-score statistics of `features` and, with `config.smote` on
+    imbalanced labels, the SMOTE plan that balances them exactly (its
+    neighbours measured between z-scored minority rows): the part of
+    `train_classic` that does not read the seed. Only the handcrafted block
+    (the first HANDCRAFTED_WIDTH columns, absent when `config.features` is
+    tfidf) is z-scored: TF-IDF rows are already unit-norm."""
     x = np.asarray(features, dtype=float)
     scaled = 0 if config.features == "tfidf" else HANDCRAFTED_WIDTH
     standardizer = Standardizer.fit(x, scaled)
-    smote = _smote_plan(x, list(labels), config.smote_k, standardizer) if config.smote else None
-    return RunFit(standardizer=standardizer, smote=smote)
+    labels = list(labels)
+    counts = {c: labels.count(c) for c in (RUMOUR, NONRUMOUR)}
+    minority = min(counts, key=counts.get)
+    n_new = max(counts.values()) - counts[minority]
+    if not config.smote or n_new == 0:
+        return RunFit(standardizer)
+    rows = np.array([i for i, c in enumerate(labels) if c == minority])
+    if len(rows) < 2:
+        raise ValidationError("SMOTE needs at least two minority examples")
+    neighbours = smote_neighbours(standardizer.transform(x[rows]),
+                                  min(config.smote_k, len(rows) - 1))
+    return RunFit(standardizer, SmotePlan(minority=minority, rows=rows, n_new=n_new,
+                                          neighbours=neighbours))
 
 
 def _gradient_fit(

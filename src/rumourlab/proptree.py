@@ -1,4 +1,5 @@
-"""Propagation trees over reply threads and their graph-batch form.
+"""Propagation trees over reply threads: their structure, text
+serialization and graph-batch form. Node features come from the caller.
 
 A tree stores the source tweet at index 1 and replies at 2..n in
 creation order; with the default depth-one construction every reply's
@@ -24,10 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError, read_utf8, split_lines
-from .featurize import SparseVector, TfidfModel, row_vectors, stack_rows, tfidf_rows
+from .featurize import SparseVector, stack_rows
 from .gradengine.sparse import SparseMatrix
 from .ingest import LABELS, Thread
-from .textproc import normalize, tokenize
 
 TREE_FORMAT_VERSION = "rumourlab-tree v1"
 
@@ -76,36 +76,21 @@ class PropTree:
         return len(self.nodes)
 
 
-def build_tree(
-    thread: Thread,
-    model: TfidfModel,
-    keep_reply_links: bool = False,
-    raw_counts: bool = False,
-    features: Optional[Sequence[SparseVector]] = None,
-) -> PropTree:
-    """Tree for a thread with TF-IDF node features.
+def build_tree(thread: Thread, features: Sequence[SparseVector],
+               keep_reply_links: bool = False) -> PropTree:
+    """Tree for a thread whose tweets (source first, then replies in
+    creation order) have the node feature rows `features`.
 
     By default every reply attaches to the source. With keep_reply_links
     a reply whose parent_id names an earlier tweet in the thread keeps
-    that link; anything else still attaches to the source. raw_counts
-    stores plain term counts instead of tf-idf (ablation mode). `features`, the
-    tweets' rows from one transform of many threads, replaces `model` and `raw_counts`.
+    that link; anything else still attaches to the source.
     """
-    tweets = thread.tweets()
-    if features is None:
-        docs = [tokenize(normalize(tweet.text)) for tweet in tweets]
-        features = row_vectors(tfidf_rows(model, docs, use_raw_counts=raw_counts))
-    position = {tweet.id: i + 1 for i, tweet in enumerate(tweets)}
+    position: dict[str, int] = {}  # the tweets before the current one
     nodes = []
-    for i, tweet in enumerate(tweets):
-        if i == 0:
-            parent = None
-        elif keep_reply_links and tweet.parent_id in position \
-                and position[tweet.parent_id] < i + 1:
-            parent = position[tweet.parent_id]
-        else:
-            parent = 1
-        nodes.append(PropNode(index=i + 1, parent=parent, features=features[i]))
+    for index, (tweet, row) in enumerate(zip(thread.tweets(), features, strict=True), start=1):
+        parent = position.get(tweet.parent_id, 1) if keep_reply_links else 1
+        position[tweet.id] = index
+        nodes.append(PropNode(index=index, parent=None if index == 1 else parent, features=row))
     return PropTree(thread_id=thread.id, label=thread.label, nodes=tuple(nodes))
 
 

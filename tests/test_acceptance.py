@@ -13,7 +13,7 @@ import pytest
 from rumourlab.analyze import load_valence_lexicon, score_emotions, score_sentiment
 from rumourlab.config import RunConfig
 from rumourlab.evalrun import _f1, compute_report, run_experiment
-from rumourlab.featurize import build_vocabulary, fit_tfidf, transform_tfidf
+from rumourlab.featurize import build_vocabulary, fit_tfidf, smote_points, transform_tfidf
 from rumourlab.gradengine import grad_check, load_checkpoint, save_checkpoint
 from rumourlab.ingest import load_tweets, save_tweets, split_dataset
 from rumourlab.models import (
@@ -21,12 +21,11 @@ from rumourlab.models import (
     LstmModel,
     fit,
     predict_classic,
-    smote_balance,
     train_classic,
 )
+from rumourlab.models.classic import fit_run
 from rumourlab.models.data import labels01, thread_docs, tweet_docs, tfidf_matrix
 from rumourlab.proptree import (
-    build_tree,
     drop_edge,
     parse_tree,
     serialize_tree,
@@ -207,7 +206,7 @@ def test_criterion_05_dropedge_statistics():
     threads = make_planted_threads(n_threads=30, seed=9, max_replies=3)
     tfidf = fit_tfidf(tweet_docs(threads), top_k=50)
     trees = []
-    template = build_tree(threads[0], tfidf)
+    template = BiGcnModel(RunConfig(), tfidf).prepare([threads[0]]).trees[0]
     # Stack enough copies to reach exactly 10,000 raw edges.
     from rumourlab.featurize import SparseVector
     from rumourlab.proptree import PropNode, PropTree
@@ -241,11 +240,16 @@ def test_criterion_06_smote_properties():
     minority = rng.normal(loc=3.0, size=(12, 5))
     features = np.vstack([majority, minority])
     labels = ["nonrumour"] * 40 + ["rumour"] * 12
-    balanced_x, balanced_y = smote_balance(features, labels, k=5, seed=3)
+    # The production path: one plan per run, then the seed's draw over the
+    # z-scored minority rows, as train_classic makes it.
+    fitted = fit_run(features, labels, RunConfig(smote=True, smote_k=5))
+    plan = fitted.smote
+    balanced_y = labels + [plan.minority] * plan.n_new
     assert balanced_y.count("rumour") == balanced_y.count("nonrumour") == 40
 
-    synthetic = balanced_x[len(features):]
-    originals = minority
+    originals = fitted.standardizer.transform(features[plan.rows])
+    synthetic = smote_points(originals, plan.neighbours, plan.n_new, seed=3)
+    assert len(synthetic) == plan.n_new
     for point in synthetic:
         found = False
         for i in range(len(originals)):
@@ -293,7 +297,7 @@ def test_criterion_07_structural_invariance():
     bigcn = BiGcnModel(RunConfig(bigcn_hidden_dim=8, bigcn_out_dim=6,
                                  drop_edge_rate=0.0), tfidf)
     big_threads = [t for t in threads if len(t.replies) >= 2]
-    trees = [build_tree(t, tfidf) for t in big_threads]
+    trees = bigcn.prepare(big_threads).trees
     from rumourlab.proptree import PropNode, PropTree
 
     for case in range(100):
@@ -324,8 +328,7 @@ def test_criterion_08_format_round_trips(tmp_path):
     tfidf = fit_tfidf(tweet_docs(threads), top_k=80)
 
     # Tree block round trip.
-    for thread in threads:
-        tree = build_tree(thread, tfidf)
+    for tree in BiGcnModel(RunConfig(), tfidf).prepare(threads).trees:
         parsed = parse_tree(serialize_tree(tree))
         assert parsed.thread_id == tree.thread_id
         assert parsed.label == tree.label

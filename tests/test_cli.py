@@ -33,6 +33,17 @@ def planted_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def few_file(tmp_path_factory):
+    """Six labeled threads, two of them rumours: too few for three splits."""
+    path = tmp_path_factory.mktemp("data") / "few.jsonl"
+    save_tweets(make_planted_records(n_threads=6, seed=1), path)
+    return path
+
+
+FEW_REFUSAL = "class 'rumour' has 2 threads, fewer than the 3 splits\n"
+
+
+@pytest.fixture(scope="module")
 def unlabeled_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "unlabeled.jsonl"
     save_tweets(make_planted_records(n_threads=8, seed=4, labeled=False), path)
@@ -193,13 +204,24 @@ class TestIngestAndStats:
             assert (tmp_path / "split" / f"{part}.ids").exists()
 
     @pytest.mark.parametrize("ratios,message", [
-        ("a,b", "error: --ratios: expected numbers"),
-        ("nan,nan,nan", "error: ratios must be three positive fractions"),
-    ])
+        ("a,b", "could not convert string to float: 'a'"),
+        ("nan,nan,nan", "ratios must be three positive fractions that sum to 1"),
+        ("0.5,0.5", "ratios must be three positive fractions that sum to 1"),
+        ("0.5,0.5,-0.1", "ratios must be three positive fractions that sum to 1"),
+        ("0.5,0.5,0.5", "ratios must be three positive fractions that sum to 1"),
+    ], ids=["non-number", "nan", "count", "non-positive", "sum"])
     def test_bad_ratios_exit_one(self, planted_file, tmp_path, capsys, ratios, message):
+        """Every ratios refusal names the flag and its value."""
         assert main(["ingest", "--data", str(planted_file), "--ratios", ratios,
                      "--split-out", str(tmp_path / "split")]) == 1
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --ratios {ratios!r}: {message}\n"
+        assert not (tmp_path / "split").exists()
+
+    def test_split_refusal_names_the_file(self, few_file, tmp_path, capsys):
+        assert main(["ingest", "--data", str(few_file),
+                     "--split-out", str(tmp_path / "split")]) == 1
+        assert capsys.readouterr().err == f"error: {few_file}: {FEW_REFUSAL}"
+        assert not (tmp_path / "split").exists()
 
     @pytest.mark.parametrize("command", ["ingest", "stats"])
     @pytest.mark.parametrize("reply,message", [
@@ -335,6 +357,12 @@ class TestBuildTrees:
         assert main(["build-trees", "--data", str(unlabeled_file), "--out", str(out)]) == 1
         assert capsys.readouterr().err == \
             f"error: {unlabeled_file} holds no labeled thread to fit the TF-IDF on\n"
+        assert not out.exists()
+
+    def test_split_refusal_names_the_file(self, few_file, tmp_path, capsys):
+        out = tmp_path / "trees.txt"
+        assert main(["build-trees", "--data", str(few_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {few_file}: {FEW_REFUSAL}"
         assert not out.exists()
 
     def test_feature_files_are_the_ones_a_bigcn_run_writes(self, bigcn_run, planted_file,
@@ -638,6 +666,13 @@ class TestTrainPredictEvaluate:
         assert not out.exists()
         # The trees train nothing, so they still build.
         assert main(["build-trees", "--data", str(data), "--out", str(tmp_path / "t.txt")]) == 0
+
+    def test_split_refusal_names_the_file(self, few_file, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(few_file), "--model", "logreg",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [stage: split] {few_file}: {FEW_REFUSAL}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("model", ["logreg", "svm", "rf"])
     def test_train_split_smote_cannot_balance_writes_nothing(self, tmp_path, capsys, model):

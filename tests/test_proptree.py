@@ -5,14 +5,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rumourlab.config import RunConfig
 from rumourlab.errors import ParseError, ValidationError
 from rumourlab.featurize import SparseVector, fit_tfidf
 from rumourlab.ingest import Thread
+from rumourlab.models import BiGcnModel
 from rumourlab.proptree import (
     GraphBatch,
     PropNode,
     PropTree,
-    build_tree,
     drop_edge,
     parse_tree,
     read_tree_corpus,
@@ -41,20 +42,25 @@ def thread_with_replies(n_replies, label="rumour", texts=None):
     return Thread(source=source, replies=replies)
 
 
+def prepared_tree(thread, tfidf, **settings):
+    """The thread's tree as Bi-GCN `prepare` builds it under `settings`."""
+    return BiGcnModel(RunConfig(**settings), tfidf).prepare([thread]).trees[0]
+
+
 class TestBuildTree:
     def test_single_node(self, tfidf):
-        tree = build_tree(thread_with_replies(0), tfidf)
+        tree = prepared_tree(thread_with_replies(0), tfidf)
         assert tree.size == 1
         assert tree.nodes[0].parent is None
         assert tree.nodes[0].index == 1
 
     def test_replies_in_time_order(self, tfidf):
-        tree = build_tree(thread_with_replies(3), tfidf)
+        tree = prepared_tree(thread_with_replies(3), tfidf)
         assert [n.index for n in tree.nodes] == [1, 2, 3, 4]
         assert all(n.parent == 1 for n in tree.nodes[1:])
 
     def test_features_are_tfidf(self, tfidf):
-        tree = build_tree(thread_with_replies(0), tfidf)
+        tree = prepared_tree(thread_with_replies(0), tfidf)
         indices = {i for i, _ in tree.nodes[0].features.entries}
         assert indices == {tfidf.vocab.content_index("alpha"),
                            tfidf.vocab.content_index("beta")}
@@ -64,32 +70,32 @@ class TestBuildTree:
         r1 = make_record("r1", minutes=1, parent_id="s1", text="beta")
         r2 = make_record("r2", minutes=2, parent_id="r1", text="gamma")
         thread = Thread(source=source, replies=(r1, r2))
-        flat = build_tree(thread, tfidf)
+        flat = prepared_tree(thread, tfidf)
         assert [n.parent for n in flat.nodes] == [None, 1, 1]
-        linked = build_tree(thread, tfidf, keep_reply_links=True)
+        linked = prepared_tree(thread, tfidf, keep_reply_links=True)
         assert [n.parent for n in linked.nodes] == [None, 1, 2]
 
     def test_raw_count_features(self, tfidf):
         thread = thread_with_replies(0)
-        tree = build_tree(thread, tfidf, raw_counts=True)
+        tree = prepared_tree(thread, tfidf, tree_raw_counts=True)
         values = [v for _, v in tree.nodes[0].features.entries]
         assert values == [1.0, 1.0]
 
 
 class TestSerializeParse:
     def test_single_node_block(self, tfidf):
-        tree = build_tree(thread_with_replies(0), tfidf)
+        tree = prepared_tree(thread_with_replies(0), tfidf)
         block = serialize_tree(tree)
         lines = block.split("\n")
         assert lines[0] == "s1\trumour"
         assert lines[1].startswith("None\t1\t")
 
     def test_two_node_block(self, tfidf):
-        tree = build_tree(thread_with_replies(1), tfidf)
+        tree = prepared_tree(thread_with_replies(1), tfidf)
         assert serialize_tree(tree).split("\n")[2].startswith("1\t2\t")
 
     def test_round_trip_structure_and_values(self, tfidf):
-        tree = build_tree(thread_with_replies(3), tfidf)
+        tree = prepared_tree(thread_with_replies(3), tfidf)
         parsed = parse_tree(serialize_tree(tree))
         assert parsed.thread_id == tree.thread_id
         assert parsed.label == tree.label
@@ -133,7 +139,7 @@ class TestSerializeParse:
 
 class TestCorpusFile:
     def test_round_trip(self, tfidf, tmp_path):
-        trees = [build_tree(thread_with_replies(i), tfidf) for i in range(3)]
+        trees = [prepared_tree(thread_with_replies(i), tfidf) for i in range(3)]
         path = tmp_path / "trees.txt"
         write_tree_corpus(trees, path)
         text = path.read_text(encoding="utf-8")
@@ -224,7 +230,7 @@ def tree_of_size(thread_id, n, tfidf, label="rumour"):
                     parent_id=thread_id)
         for i in range(n - 1)
     )
-    return build_tree(Thread(source=source, replies=replies), tfidf)
+    return prepared_tree(Thread(source=source, replies=replies), tfidf)
 
 
 class TestGraphBatch:
