@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analyze as analysis
-from .config import RunConfig, apply_settings, load_config
+from .config import RunConfig, apply_settings, check_setting, load_config
 from .errors import ParseError, ValidationError
 from .evalrun import (RunPredictor, compute_report, report_to_text, run_experiment, run_model,
                       split_threads)
@@ -116,8 +116,9 @@ def _cmd_ingest(args) -> int:
     print(f"orphan replies dropped: {diagnostics.orphan_replies}")
     print(f"unlabeled sources: {diagnostics.unlabeled_sources}")
     if args.split_out:
-        try:  # checked as the `ratios` config key is
-            ratios = replace(RunConfig(), ratios=tuple(map(float, args.ratios.split(",")))).ratios
+        try:
+            ratios = tuple(map(float, args.ratios.split(",")))
+            check_setting("ratios", ratios)
         except ValueError as exc:
             raise ValidationError(f"--ratios {args.ratios!r}: {exc}") from None
         split = split_threads(labeled, ratios, args.seed, args.data)

@@ -72,7 +72,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in _RANGES:
-            _check(name, getattr(self, name))
+            check_setting(name, getattr(self, name))
 
     def canonical_lines(self) -> list[str]:
         """Sorted key = value lines covering every experiment-defining
@@ -121,7 +121,7 @@ _RANGES = {
 }
 
 
-def _check(name: str, value) -> None:
+def check_setting(name: str, value) -> None:
     """Raise a ValidationError naming `name` when `value` is outside its range."""
     accepts, requirement = _RANGES.get(name, (None, ""))
     try:
@@ -183,7 +183,7 @@ def _parse_line(line: str, where: str, updates: dict) -> Optional[str]:
     name = name.strip()
     try:
         updates[name] = _parse_value(name, raw)
-        _check(name, updates[name])
+        check_setting(name, updates[name])
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
     except ValueError:

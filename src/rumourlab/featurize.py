@@ -86,17 +86,6 @@ class SparseVector:
             last = index
 
 
-def stack_rows(vectors: Sequence[SparseVector], width: int) -> SparseMatrix:
-    """One `len(vectors)` x `width` matrix whose row r lists the entries
-    of vectors[r] in their order."""
-    entries = [entry for vector in vectors for entry in vector.entries]
-    counts = [len(vector.entries) for vector in vectors]
-    return SparseMatrix(shape=(len(vectors), width),
-                        rows=np.repeat(np.arange(len(vectors)), counts),
-                        cols=np.array([index for index, _ in entries], dtype=int),
-                        vals=np.array([value for _, value in entries], dtype=float))
-
-
 @dataclass(frozen=True)
 class TfidfModel:
     vocab: Vocabulary
@@ -148,7 +137,7 @@ def tfidf_rows(model: TfidfModel, docs: Sequence[Sequence[str]],
 
 
 def row_vectors(matrix: SparseMatrix) -> list[SparseVector]:
-    """The rows of a matrix whose entries run in row order; stack_rows inverted."""
+    """The rows of a matrix whose entries run in row order, one vector each."""
     ends = np.cumsum(np.bincount(matrix.rows, minlength=matrix.shape[0])).tolist()
     entries = list(zip(matrix.cols.tolist(), matrix.vals.tolist()))
     return [SparseVector(tuple(entries[start:end])) for start, end in zip([0] + ends, ends)]

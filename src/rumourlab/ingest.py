@@ -24,6 +24,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .config import check_setting
 from .errors import ParseError, ValidationError, read_utf8, split_lines
 
 RUMOUR = "rumour"
@@ -350,10 +351,7 @@ def split_dataset(
     one thread of the global ratios. Output is invariant to input order.
     """
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or not all(r > 0 for r in ratios):
-        raise ValidationError("ratios must be three positive fractions")
-    if not abs(sum(ratios) - 1.0) <= 1e-9:
-        raise ValidationError(f"ratios sum to {sum(ratios)!r}, expected 1")
+    check_setting("ratios", ratios)
     by_label: dict[str, list[Thread]] = {}
     seen_ids: set[str] = set()
     for thread in threads:

@@ -12,7 +12,9 @@ top-down and bottom-up directions of the Bi-GCN. The raw edges are
 directed (parent->child), while normalization treats each surviving edge
 as a symmetric link with self-loops: A_hat = D^{-1/2} (A + A^T + I)
 D^{-1/2}. That operator is its own transpose, so the two directions
-differ only in their weights. DropEdge removes raw edges (never
+differ only in their weights. Each tree turns its nodes' parents and
+feature entries into flat arrays once, on first use, and a batch
+concatenates its trees' arrays. DropEdge removes raw edges (never
 self-loops) with one Bernoulli draw per edge, then renormalizes on the
 surviving support.
 """
@@ -20,12 +22,13 @@ surviving support.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ParseError, ValidationError, read_utf8, split_lines
-from .featurize import SparseVector, stack_rows
+from .featurize import SparseVector
 from .gradengine.sparse import SparseMatrix
 from .ingest import LABELS, Thread
 
@@ -74,6 +77,16 @@ class PropTree:
     @property
     def size(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def _batch_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each node's parent (0 for the source) and entry count, then every
+        node's feature columns and values in node order; built once per tree."""
+        entries = [entry for node in self.nodes for entry in node.features.entries]
+        return (np.array([node.parent or 0 for node in self.nodes]),
+                np.array([len(node.features.entries) for node in self.nodes]),
+                np.array([index for index, _ in entries], dtype=int),
+                np.array([value for _, value in entries], dtype=float))
 
 
 def build_tree(thread: Thread, features: Sequence[SparseVector],
@@ -213,26 +226,25 @@ def to_graph_batch(trees: Sequence[PropTree], vocab_size: int) -> GraphBatch:
     """Stack trees into one batch with global node numbering."""
     if not trees:
         raise ValidationError("cannot batch zero trees")
-    nodes = [node for tree in trees for node in tree.nodes]
     for tree in trees:
-        for node in tree.nodes:
-            # Indices strictly ascend, so the last entry holds the largest.
-            largest = node.features.entries[-1][0] if node.features.entries else -1
-            if largest >= vocab_size:
-                raise ValidationError(
-                    f"tree {tree.thread_id}: feature index {largest} "
-                    f">= vocab size {vocab_size}"
-                )
+        largest = tree._batch_arrays[2].max(initial=-1)
+        if largest >= vocab_size:
+            raise ValidationError(
+                f"tree {tree.thread_id}: feature index {largest} "
+                f">= vocab size {vocab_size}"
+            )
+    parent, counts, cols, vals = map(np.concatenate, zip(*(tree._batch_arrays for tree in trees)))
     sizes = np.array([tree.size for tree in trees])
     roots = np.cumsum(sizes) - sizes
     membership = np.repeat(np.arange(len(trees)), sizes)
     # Node rows follow tree order, so a non-source row is its own child index.
-    parent = np.array([node.parent or 0 for node in nodes])
     child = np.flatnonzero(parent)
     td_edges = np.stack([roots[membership[child]] + parent[child] - 1, child], axis=1)
     return GraphBatch(
-        features=stack_rows([node.features for node in nodes], vocab_size),
-        adjacency=_normalized_adjacency(len(nodes), td_edges),
+        features=SparseMatrix(shape=(len(parent), vocab_size),
+                              rows=np.repeat(np.arange(len(parent)), counts),
+                              cols=cols, vals=vals),
+        adjacency=_normalized_adjacency(len(parent), td_edges),
         graph_membership=membership,
         root_index=roots,
         td_edges=td_edges,

@@ -9,6 +9,7 @@ import pytest
 
 from rumourlab.errors import ValidationError
 from rumourlab.featurize import SparseVector
+from rumourlab.gradengine.sparse import SparseMatrix
 from rumourlab.gradengine.tensor import (
     _accumulate,
     _node,
@@ -85,6 +86,18 @@ _ORACLE_SCHEMA = {
     "account_created_year": int, "retweet_count": int, "like_count": int,
 }
 _ORACLE_KINDS = {str: "a string", bool: "true or false", int: "a non-negative integer"}
+
+
+def stack_rows(vectors, width):
+    """One `len(vectors)` x `width` matrix whose row r lists the entries of
+    vectors[r] in their order: the per-vector stacking that `tfidf_rows`
+    and the per-tree arrays of `to_graph_batch` replaced."""
+    entries = [entry for vector in vectors for entry in vector.entries]
+    counts = [len(vector.entries) for vector in vectors]
+    return SparseMatrix(shape=(len(vectors), width),
+                        rows=np.repeat(np.arange(len(vectors)), counts),
+                        cols=np.array([index for index, _ in entries], dtype=int),
+                        vals=np.array([value for _, value in entries], dtype=float))
 
 
 def oracle_record(line, current_year):

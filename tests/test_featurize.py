@@ -22,12 +22,11 @@ from rumourlab.featurize import (
     TfidfModel,
     row_vectors,
     smote_oversample,
-    stack_rows,
     tfidf_rows,
     transform_tfidf,
 )
 
-from conftest import make_record, oracle_standardizer_stats, oracle_transform_tfidf
+from conftest import make_record, oracle_standardizer_stats, oracle_transform_tfidf, stack_rows
 
 
 def brute_force_tfidf(docs, doc, vocab):

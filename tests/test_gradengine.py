@@ -37,7 +37,7 @@ from rumourlab.gradengine import (
     tanh,
     weighted_ce_loss,
 )
-from rumourlab.gradengine.sparse import scatter_rows
+from rumourlab.gradengine.sparse import PASS_MIN_BINS, scatter_rows
 from rumourlab.gradengine.tensor import _sigmoid_values
 from rumourlab.selftest import check_primitive_gradients
 
@@ -596,6 +596,96 @@ class TestSparseMatrix:
         for got, expected in checks:
             assert got.dtype == np.float64 and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+
+def _bench_scale_matrix(seed, order, n_rows=400, n_cols=300, nnz=4000, hub=600):
+    """A heavy-tailed matrix at bench scale: one hub row holds `hub` entries,
+    the other rows' counts follow a Zipf law, and values mix cancelling
+    +-1e16, signed zeros and normal draws. Entries run row-sorted (as
+    stacked feature rows do) or shuffled."""
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([np.zeros(hub, dtype=int), (rng.zipf(1.5, nnz - hub) - 1) % n_rows])
+    rows = rng.permutation(n_rows)[rows]
+    cols = rng.integers(0, n_cols, size=nnz)
+    entries = np.argsort(rows, kind="stable") if order == "sorted" else rng.permutation(nnz)
+    return SparseMatrix(shape=(n_rows, n_cols), rows=rows[entries], cols=cols[entries],
+                        vals=_cancelling_values(rng, nnz))
+
+
+def _cancelling_values(rng, size):
+    pool = np.array([0.0, -0.0, 1e16, -1e16, 1.0, -1.0, 0.5, 3.25e-3])
+    return np.where(rng.random(size) < 0.5, rng.choice(pool, size), rng.normal(size=size))
+
+
+def _assert_products_match_add_at(sparse, width, seed):
+    rng = np.random.default_rng(seed)
+    dense = _cancelling_values(rng, (sparse.shape[1], width))
+    upstream = _cancelling_values(rng, (sparse.shape[0], width))
+    rows, cols, vals = sparse.rows, sparse.cols, sparse.vals
+    checks = [
+        (sparse.matmul_dense(dense), _add_at(sparse.shape[0], rows, vals[:, None] * dense[cols])),
+        (sparse.transpose().matmul_dense(upstream),
+         _add_at(sparse.shape[1], cols, vals[:, None] * upstream[rows])),
+    ]
+    for got, expected in checks:
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestPassOrderedProducts:
+    """Products at bench scale, where the pass path and the heavy-bin tail
+    both run, byte for byte against np.add.at."""
+
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_heavy_tailed_products_match_add_at_bytes(self, order, width):
+        sparse = _bench_scale_matrix(width, order)
+        for plan in (sparse._plan, sparse.transpose()._plan):
+            # Both directions run passes and finish heavy bins in the tail.
+            assert len(plan.bounds) > 1 and plan.tail_bins and len(plan.tail_bins_of)
+        assert sparse._plan.tail_bins_of.tolist().count(0) >= 500  # the hub row
+        _assert_products_match_add_at(sparse, width, seed=width)
+
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    def test_all_tail_products_match_add_at_bytes(self, width):
+        """Fewer than PASS_MIN_BINS rows hold entries: no pass runs."""
+        rng = np.random.default_rng(width)
+        rows = rng.choice(rng.permutation(200)[:PASS_MIN_BINS - 1], size=3000)
+        sparse = SparseMatrix(shape=(200, 50), rows=rows, cols=rng.integers(0, 50, 3000),
+                              vals=_cancelling_values(rng, 3000))
+        assert sparse._plan.bounds == [0] and len(sparse._plan.tail_bins_of) == 3000
+        _assert_products_match_add_at(sparse, width, seed=width)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (0, 3), (3, 0)])
+    def test_empty_matrix_products_are_zero(self, shape):
+        empty = np.zeros(0, dtype=int)
+        sparse = SparseMatrix(shape=shape, rows=empty, cols=empty, vals=np.zeros(0))
+        _assert_products_match_add_at(sparse, 3, seed=0)
+
+    def test_transpose_and_plan_are_built_once(self):
+        sparse = _bench_scale_matrix(0, "shuffled")
+        assert sparse.transpose() is sparse.transpose()
+        assert sparse._plan is sparse._plan
+
+    def test_feature_product_allocates_less_than_one_entry_array(self):
+        """X.W1 over a bench-shaped batch (955 nodes, about 15k entries, width
+        64) peaks below one nnz x width float64 array, plan included."""
+        rng = np.random.default_rng(3)
+        n_nodes, vocab, width = 955, 5000, 64
+        counts = rng.integers(8, 24, size=n_nodes)
+        cols = np.concatenate([np.sort(rng.choice(vocab, c, replace=False)) for c in counts])
+        features = SparseMatrix(shape=(n_nodes, vocab),
+                                rows=np.repeat(np.arange(n_nodes), counts), cols=cols,
+                                vals=rng.random(len(cols)))
+        weights = rng.normal(size=(vocab, width))
+        tracemalloc.start()
+        try:
+            features.matmul_dense(weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cols) > 14_000
+        assert peak < len(cols) * width * 8
 
 
 class TestScatterRows:

@@ -614,11 +614,12 @@ class TestSplitDataset:
             split_dataset(self._threads(3, 3) + [unlabeled], (0.6, 0.2, 0.2), 1)
 
     def test_bad_ratios_rejected(self):
+        # The one `ratios` rule of the config, with its message.
         threads = self._threads(4, 4)
-        with pytest.raises(ValidationError):
-            split_dataset(threads, (0.5, 0.2, 0.2), seed=1)
-        with pytest.raises(ValidationError):
-            split_dataset(threads, (1.0, -0.5, 0.5), seed=1)
+        for ratios in [(0.5, 0.2, 0.2), (1.0, -0.5, 0.5), (0.5, 0.5), (float("nan"),) * 3]:
+            with pytest.raises(ValidationError) as refusal:
+                split_dataset(threads, ratios, seed=1)
+            assert str(refusal.value) == "ratios must be three positive fractions that sum to 1"
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
