@@ -149,8 +149,6 @@ def _cmd_build_trees(args) -> int:
     config = load_config(args.config) if args.config else RunConfig()
     _, threads, _ = _load_threads(args.data)
     labeled = [t for t in threads if t.label is not None]
-    if not labeled:
-        raise ValidationError(f"{args.data} holds no labeled thread to fit the TF-IDF on")
     split = split_threads(labeled, config.ratios, config.split_seed, args.data)
     tokens = token_table(threads)
     # Trees train nothing, so a train split of one class still builds them.

@@ -177,16 +177,12 @@ def extract_handcrafted(tweet: TweetRecord) -> np.ndarray:
 @dataclass(frozen=True)
 class Standardizer:
     """Per-column z-score statistics fitted on training data. The first
-    `scaled` columns (all when None) carry fitted statistics; the rest
-    keep mean 0 and std 1, and the transforms copy them."""
+    `scaled` columns carry fitted statistics; the rest keep mean 0 and
+    std 1, and the transforms copy them."""
 
     mean: np.ndarray
     std: np.ndarray
-    scaled: Optional[int] = None
-
-    def __post_init__(self):
-        if self.scaled is None:
-            object.__setattr__(self, "scaled", len(self.mean))
+    scaled: int
 
     @classmethod
     def fit(cls, matrix: np.ndarray, n_scaled: Optional[int] = None) -> "Standardizer":
@@ -238,6 +234,10 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
 def smote_neighbours(points: np.ndarray, k: int) -> np.ndarray:
     """The (m, k) table of each point's k nearest other points by
     Euclidean distance, nearest first, ties resolved by point index."""
+    if points.ndim != 2 or len(points) < 2:
+        raise ValidationError("SMOTE needs at least two minority examples")
+    if k < 1 or k > len(points) - 1:
+        raise ValidationError(f"k must be in [1, {len(points) - 1}] for {len(points)} points")
     distances = _pairwise_distances(points)
     np.fill_diagonal(distances, np.inf)
     return np.argsort(distances, axis=1, kind="stable")[:, :k]
@@ -271,12 +271,6 @@ def smote_oversample(
     [0, 1). Deterministic for a given seed; returns exactly n_new points.
     """
     points = np.asarray(list(minority), dtype=float)
-    if points.ndim != 2 or len(points) < 2:
-        raise ValidationError("SMOTE needs at least two minority points")
-    if k < 1 or k > len(points) - 1:
-        raise ValidationError(
-            f"k must be in [1, {len(points) - 1}] for {len(points)} points"
-        )
     if n_new < 0:
         raise ValidationError("n_new must be non-negative")
     return list(smote_points(points, smote_neighbours(points, k), n_new, seed))

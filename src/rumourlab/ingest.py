@@ -346,12 +346,14 @@ def split_dataset(
 ) -> DatasetSplit:
     """Stratified train/dev/test split, deterministic for a given seed.
 
-    Every input thread must be labeled; each class is shuffled and
-    allocated by largest remainder so per-class proportions stay within
-    one thread of the global ratios. Output is invariant to input order.
+    Every input thread must be labeled, and there must be one; each class
+    is shuffled and allocated by largest remainder so per-class proportions
+    stay within one thread of the global ratios. Invariant to input order.
     """
     ratios = tuple(float(r) for r in ratios)
     check_setting("ratios", ratios)
+    if not threads:
+        raise ValidationError("no labeled thread to split")
     by_label: dict[str, list[Thread]] = {}
     seen_ids: set[str] = set()
     for thread in threads:

@@ -4,13 +4,13 @@ its Adam step (logreg) or a plain subgradient step (svm), and a bagged
 CART random forest. The loop builds no graph, yet its weights match the
 engine graph's bit for bit (tests/test_models.py, TestLinearFitMatchesGraph).
 
-Gradient-trained kinds consume z-scored features (statistics fitted on
-the training matrix and stored with the model); the forest consumes raw
-values. SMOTE, when requested, balances the class counts exactly before
-fitting, with neighbour distances measured in standardized space.
-`fit_run` is the one SMOTE planner: a run fits the statistics and SMOTE's
-neighbour table there once, and each seed draws its synthetic rows and
-fits on one training matrix.
+Gradient-trained kinds consume features z-scored on the handcrafted
+block (statistics fitted on the training matrix, stored with the model
+and loaded back as fitted); the forest consumes raw values. SMOTE, when
+requested, balances the class counts exactly before fitting, with
+neighbour distances measured in standardized space. `fit_run` checks a
+run's training rows and is the one SMOTE planner: a run fits the statistics
+and SMOTE's neighbours there once, and each seed fits on one matrix.
 `ClassicLearner` gives the three kinds the run operations.
 """
 
@@ -72,14 +72,9 @@ class ClassicModel:
             raise ValidationError(f"unknown classic model kind {self.kind!r}")
 
 
-def _check_training_input(features: np.ndarray, labels: Sequence[str]) -> None:
-    if len(features) != len(labels) or len(labels) < 2:
-        raise ValidationError("need matching features/labels with at least 2 rows")
-    present = set(labels)
-    if present != {RUMOUR, NONRUMOUR}:
-        raise ValidationError(
-            f"training data must contain both classes, found {sorted(present)}"
-        )
+def _scaled_width(config: RunConfig) -> int:
+    """The z-scored leading columns: the handcrafted block, unless `features = tfidf`."""
+    return 0 if config.features == "tfidf" else HANDCRAFTED_WIDTH
 
 
 @dataclass(frozen=True)
@@ -107,21 +102,22 @@ def fit_run(features: np.ndarray, labels: Sequence[str], config: RunConfig) -> R
     """The z-score statistics of `features` and, with `config.smote` on
     imbalanced labels, the SMOTE plan that balances them exactly (its
     neighbours measured between z-scored minority rows): the part of
-    `train_classic` that does not read the seed. Only the handcrafted block
-    (the first HANDCRAFTED_WIDTH columns, absent when `config.features` is
-    tfidf) is z-scored: TF-IDF rows are already unit-norm."""
+    `train_classic` that does not read the seed, and where a run's
+    training rows are checked. Only the handcrafted block (`_scaled_width`
+    columns) is z-scored: TF-IDF rows are already unit-norm."""
     x = np.asarray(features, dtype=float)
-    scaled = 0 if config.features == "tfidf" else HANDCRAFTED_WIDTH
-    standardizer = Standardizer.fit(x, scaled)
     labels = list(labels)
+    if len(x) != len(labels) or len(labels) < 2:
+        raise ValidationError("need matching features/labels with at least 2 rows")
+    if (present := set(labels)) != {RUMOUR, NONRUMOUR}:
+        raise ValidationError(f"training data must contain both classes, found {sorted(present)}")
+    standardizer = Standardizer.fit(x, _scaled_width(config))
     counts = {c: labels.count(c) for c in (RUMOUR, NONRUMOUR)}
     minority = min(counts, key=counts.get)
     n_new = max(counts.values()) - counts[minority]
     if not config.smote or n_new == 0:
         return RunFit(standardizer)
     rows = np.array([i for i, c in enumerate(labels) if c == minority])
-    if len(rows) < 2:
-        raise ValidationError("SMOTE needs at least two minority examples")
     neighbours = smote_neighbours(standardizer.transform(x[rows]),
                                   min(config.smote_k, len(rows) - 1))
     return RunFit(standardizer, SmotePlan(minority=minority, rows=rows, n_new=n_new,
@@ -264,7 +260,7 @@ def train_classic(
 ) -> ClassicModel:
     """Fit one classical model with the classic settings of `config`;
     deterministic for a given seed. `fitted` is `fit_run(features, labels,
-    config)`, computed here when None, so that a run's seeds can share it.
+    config)` of these rows, computed here when None, so seeds can share it.
     Each seed draws SMOTE's rows and fits on one matrix: the real rows
     (z-scored for logreg and svm, raw for the forest), then the synthetic
     rows (mapped back from z-scores for the forest)."""
@@ -272,7 +268,6 @@ def train_classic(
         raise ValidationError(f"unknown classic model kind {kind!r}")
     x = np.asarray(features, dtype=float)
     labels = list(labels)
-    _check_training_input(x, labels)
     if fitted is None:
         fitted = fit_run(x, labels, config)
     standardizer, plan = fitted.standardizer, fitted.smote
@@ -316,31 +311,21 @@ def train_classic(
 def predict_classic(model: ClassicModel, features: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Labels and scores. Scores are rumour probabilities for logreg, the
     signed margin for svm (rumour when >= 0), and the rumour vote
-    fraction for the forest."""
+    fraction for the forest (rumour, like a probability, when >= 0.5)."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
         raise ValidationError("feature matrix must be 2-D")
-    if model.kind in ("logreg", "svm"):
-        if x.shape[1] != len(model.weights):
-            raise ValidationError(
-                f"expected {len(model.weights)} features, got {x.shape[1]}"
-            )
-        z = model.standardizer.transform(x) @ model.weights + model.bias
+    width = model.forest_dim if model.kind == "rf" else len(model.weights)
+    if x.shape[1] != width:
+        raise ValidationError(f"expected {width} features, got {x.shape[1]}")
+    if model.kind == "rf":
+        scores = np.stack([_tree_votes(tree, x) for tree in model.forest]).mean(axis=0)
+    else:
+        scores = model.standardizer.transform(x) @ model.weights + model.bias
         if model.kind == "logreg":
-            scores = _sigmoid_values(z)
-            labels = [RUMOUR if s >= 0.5 else NONRUMOUR for s in scores]
-        else:
-            scores = z
-            labels = [RUMOUR if s >= 0.0 else NONRUMOUR for s in scores]
-        return labels, scores
-    if x.shape[1] != model.forest_dim:
-        raise ValidationError(
-            f"expected {model.forest_dim} features, got {x.shape[1]}"
-        )
-    votes = np.stack([_tree_votes(tree, x) for tree in model.forest])
-    scores = votes.mean(axis=0)
-    labels = [RUMOUR if s >= 0.5 else NONRUMOUR for s in scores]
-    return labels, scores
+            scores = _sigmoid_values(scores)
+    cut = 0.0 if model.kind == "svm" else 0.5
+    return [RUMOUR if s >= cut else NONRUMOUR for s in scores], scores
 
 
 def forest_to_text(model: ClassicModel) -> str:
@@ -444,9 +429,9 @@ class ClassicLearner:
         `fit_run` state of a run trained on them (so a train split SMOTE
         cannot balance is refused here)."""
         blocks = []
-        if self.config.features in ("handcrafted", "both"):
+        if _scaled_width(self.config):
             blocks.append(handcrafted_matrix(threads))
-        if self.config.features in ("tfidf", "both"):
+        if self.tfidf is not None:
             blocks.append(tfidf_matrix(self.tfidf, threads, tokens))
         features, labels = np.hstack(blocks), [t.label for t in threads]
         fitted = fit_run(features, labels, self.config) if fit else None
@@ -473,9 +458,9 @@ class ClassicLearner:
                             run_dir / f"ckpt_seed{seed}.txt")
 
     def load(self, run_dir: Path, seed: int) -> ClassicModel:
-        """One seed's model, checked against the width of the run's features."""
-        width = (0 if self.config.features == "tfidf" else HANDCRAFTED_WIDTH) \
-            + (0 if self.tfidf is None else self.tfidf.vocab.content_size)
+        """One seed's model with its fitted scaler, checked against the run's width."""
+        scaled = _scaled_width(self.config)
+        width = scaled + (0 if self.tfidf is None else self.tfidf.vocab.content_size)
         if self.config.model == "rf":
             path = run_dir / f"forest_seed{seed}.txt"
             return forest_from_text(read_utf8(path), str(path), width)
@@ -484,5 +469,5 @@ class ClassicLearner:
         return ClassicModel(
             kind=self.config.model, weights=params["w"], bias=float(params["b"][0]),
             standardizer=Standardizer(mean=params["feature_mean"],
-                                      std=params["feature_std"]),
+                                      std=params["feature_std"], scaled=scaled),
         )

@@ -37,6 +37,8 @@ def tweet_docs(threads: Sequence[Thread], table: TokenTable | None = None) -> li
 
 
 def thread_docs(threads: Sequence[Thread], table: TokenTable | None = None) -> list[list[str]]:
+    """One token document per thread, over one token table for all of them."""
+    table = token_table(threads) if table is None else table
     return [thread_tokens(thread, table) for thread in threads]
 
 

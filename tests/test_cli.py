@@ -223,6 +223,14 @@ class TestIngestAndStats:
         assert capsys.readouterr().err == f"error: {few_file}: {FEW_REFUSAL}"
         assert not (tmp_path / "split").exists()
 
+    def test_no_labeled_thread_writes_no_split(self, unlabeled_file, tmp_path, capsys):
+        """A file of unlabeled threads once gave a manifest of empty parts."""
+        assert main(["ingest", "--data", str(unlabeled_file),
+                     "--split-out", str(tmp_path / "split")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {unlabeled_file}: no labeled thread to split\n"
+        assert not (tmp_path / "split").exists()
+
     @pytest.mark.parametrize("command", ["ingest", "stats"])
     @pytest.mark.parametrize("reply,message", [
         ({"parent_id": []}, "parent_id must be a string or null"),
@@ -356,7 +364,7 @@ class TestBuildTrees:
         out = tmp_path / "trees.txt"
         assert main(["build-trees", "--data", str(unlabeled_file), "--out", str(out)]) == 1
         assert capsys.readouterr().err == \
-            f"error: {unlabeled_file} holds no labeled thread to fit the TF-IDF on\n"
+            f"error: {unlabeled_file}: no labeled thread to split\n"
         assert not out.exists()
 
     def test_split_refusal_names_the_file(self, few_file, tmp_path, capsys):
@@ -672,6 +680,15 @@ class TestTrainPredictEvaluate:
         assert main(["train", "--data", str(few_file), "--model", "logreg",
                      "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: [stage: split] {few_file}: {FEW_REFUSAL}"
+        assert not out.exists()
+
+    def test_no_labeled_thread_refusal_names_the_file(self, unlabeled_file, tmp_path,
+                                                       capsys):
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(unlabeled_file), "--model", "logreg",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: [stage: split] {unlabeled_file}: no labeled thread to split\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("model", ["logreg", "svm", "rf"])

@@ -21,6 +21,7 @@ from rumourlab.featurize import (
     save_vocabulary,
     TfidfModel,
     row_vectors,
+    smote_neighbours,
     smote_oversample,
     tfidf_rows,
     transform_tfidf,
@@ -302,6 +303,19 @@ class TestSmote:
         with pytest.raises(ValidationError):
             smote_oversample(points, k=0, n_new=1, seed=0)
 
+    @pytest.mark.parametrize("m,k,message", [
+        (3, 3, "k must be in [1, 2] for 3 points"),
+        (3, 0, "k must be in [1, 2] for 3 points"),
+        (1, 1, "SMOTE needs at least two minority examples"),
+        (1, 0, "SMOTE needs at least two minority examples"),
+    ])
+    def test_neighbours_refuse_k_out_of_range_and_one_point(self, m, k, message):
+        """At k = m each point was once its own last neighbour, k = 0 gave an
+        empty table, and a single point was given itself."""
+        with pytest.raises(ValidationError) as caught:
+            smote_neighbours(np.arange(2.0 * m).reshape(m, 2), k)
+        assert str(caught.value) == message
+
 
 class TestClassWeights:
     def test_balanced(self):
@@ -368,7 +382,8 @@ class TestStandardizer:
         assert scaler.mean.tobytes() == mean.tobytes() and scaler.std.tobytes() == std.tobytes()
         assert scaler.transform(matrix).tobytes() == ((matrix - mean) / std).tobytes()
         assert scaler.inverse(matrix).tobytes() == (matrix * std + mean).tobytes()
-        loaded = Standardizer(mean=mean, std=std)  # as a checkpoint gives it back
+        # Identity statistics past `scaled` transform as the copy does.
+        loaded = Standardizer(mean=mean, std=std, scaled=width)
         assert loaded.transform(matrix).tobytes() == scaler.transform(matrix).tobytes()
         out = np.empty_like(matrix)  # the in-place forms train_classic uses
         assert scaler.transform(matrix, out=out) is out

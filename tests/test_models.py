@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rumourlab import config as config_module
 from rumourlab.config import RunConfig
 from rumourlab.errors import ParseError, ValidationError
-from rumourlab.featurize import Standardizer, build_vocabulary, fit_tfidf
+from rumourlab.featurize import Standardizer, build_vocabulary, fit_tfidf, smote_oversample
 from rumourlab.gradengine import (
     OptimizerState,
     Tensor,
@@ -90,6 +90,16 @@ class TestTokenTable:
         for tokens in table.values():
             for token in tokens:
                 assert first.setdefault(token, token) is token
+
+    @pytest.mark.parametrize("docs", [thread_docs, tweet_docs])
+    def test_docs_without_a_table_hold_one_str_per_term(self, toy_threads, docs):
+        """Each builder makes one table over its threads; `thread_docs` once
+        made one per thread, so a term shared by threads was held once per thread."""
+        first = {}
+        for doc in docs(toy_threads):
+            for token in doc:
+                assert first.setdefault(token, token) is token
+        assert len(first) < sum(map(len, thread_docs(toy_threads)))
 
     @pytest.mark.parametrize("max_len", [1, 5, 200])
     def test_lstm_inputs_keep_the_first_tokens_of_the_joined_thread(self, toy_threads,
@@ -617,7 +627,8 @@ class TestTrainClassic:
     def test_logreg_extreme_margin_scores_without_overflow(self):
         # A margin of -2000 once overflowed exp(-z) (a RuntimeWarning).
         model = ClassicModel(kind="logreg", weights=np.array([2.0]), bias=0.0,
-                             standardizer=Standardizer(mean=np.zeros(1), std=np.ones(1)))
+                             standardizer=Standardizer(mean=np.zeros(1), std=np.ones(1),
+                                                       scaled=1))
         labels, scores = predict_classic(model, np.array([[-1000.0], [0.0], [1000.0]]))
         assert labels == ["nonrumour", "rumour", "rumour"]
         assert scores.tolist() == [0.0, 0.5, 1.0]
@@ -660,6 +671,31 @@ class TestTrainClassic:
         x = np.zeros((4, 2))
         with pytest.raises(ValidationError):
             train_classic("logreg", x, ["rumour"] * 4, _classic(), 0)
+
+    @pytest.mark.parametrize("rows,labels,message", [
+        (4, ["rumour"] * 4, "training data must contain both classes, found ['rumour']"),
+        (3, ["rumour", "nonrumour"], "need matching features/labels with at least 2 rows"),
+        (1, ["rumour"], "need matching features/labels with at least 2 rows"),
+    ], ids=["one-class", "mismatched", "one-row"])
+    def test_fit_run_checks_the_training_rows(self, rows, labels, message):
+        """The rows are checked once per run, in `fit_run`; `train_classic`
+        without `fitted` fits through it and gives the same refusals."""
+        x = np.zeros((rows, 2))
+        for fit in (lambda: classic.fit_run(x, labels, _classic()),
+                    lambda: train_classic("logreg", x, labels, _classic(), 0)):
+            with pytest.raises(ValidationError) as caught:
+                fit()
+            assert str(caught.value) == message
+
+    def test_smote_refuses_one_minority_row_in_one_message(self):
+        x, y = self._separable()
+        y = ["rumour"] + ["nonrumour"] * (len(y) - 1)
+        with pytest.raises(ValidationError) as by_run:
+            classic.fit_run(x, y, _classic(smote=True))
+        with pytest.raises(ValidationError) as by_points:
+            smote_oversample([x[0]], k=1, n_new=1, seed=0)
+        assert str(by_run.value) == str(by_points.value) == \
+            "SMOTE needs at least two minority examples"
 
     @pytest.mark.parametrize("field,value", RANGE_CASES)
     def test_out_of_range_options_rejected(self, field, value):
@@ -861,6 +897,20 @@ class TestRunFitMatchesPerSeedPath:
             mean, std = oracle_standardizer_stats(data.features, scaled)
             assert got.standardizer.mean.tobytes() == mean.tobytes()
             assert got.standardizer.std.tobytes() == std.tobytes()
+
+    @pytest.mark.parametrize("features", ["handcrafted", "tfidf", "both"])
+    def test_loaded_scaler_is_the_fitted_one(self, uneven_threads, features, tmp_path):
+        """A loaded model once scaled every column, TF-IDF ones by 1.0."""
+        learner, data = _learner_and_data(uneven_threads, model="logreg", features=features)
+        fitted = learner.train(learner.prepare(uneven_threads, fit=True), data, 1)[0]
+        learner.save(fitted, tmp_path, 1)
+        loaded = learner.load(tmp_path, 1)
+        got, want = loaded.standardizer, fitted.standardizer
+        assert got.scaled == want.scaled == (0 if features == "tfidf" else 8)
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.std.tobytes() == want.std.tobytes()
+        assert predict_classic(loaded, data.features)[1].tobytes() == \
+            predict_classic(fitted, data.features)[1].tobytes()
 
 FOREST_TEXT = """# rumourlab-forest v1
 n_trees = 2
