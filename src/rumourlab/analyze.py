@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .ingest import LABELS, TweetRecord
-from .textproc import data_rows, is_word_token, normalize, stopword_list, tally_attributes, tokenize
+from .textproc import count_attributes, data_rows, is_word_token, normalize, stopword_list, tokenize
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -195,7 +195,7 @@ def attribute_histograms(
     for record, label in labeled:
         if label not in LABELS:
             raise ValidationError(f"tweet {record.id}: unknown label {label!r}")
-        counts = tally_attributes(record.text, word_kinds)
+        counts = count_attributes(record.text, word_kinds)
         for attribute, edges in HISTOGRAM_EDGES.items():
             tallies[(attribute, label)][bisect_right(edges, getattr(counts, attribute)) - 1] += 1
     return [
@@ -212,16 +212,13 @@ def _month_key(record: TweetRecord) -> str:
     return f"{stamp.year:04d}-{stamp.month:02d}"
 
 
-def content_terms(text: str) -> list[str]:
+def content_terms(text: str, token_terms: Optional[dict[str, str]] = None) -> list[str]:
     """Lowercase topic-bearing terms: word tokens that are not stopwords,
-    plus hashtag bodies."""
-    return _content_terms(text, {}, stopword_list())
-
-
-def _content_terms(text: str, token_terms: dict[str, str],
-                   stopwords: frozenset[str]) -> list[str]:
-    """content_terms, with the caller's table of each distinct token's term
-    ("" for a token that gives none), filled with the tokens it has not met yet."""
+    plus hashtag bodies. `token_terms`, a caller's table of each distinct
+    token's term ("" for a token that gives none) kept across calls, is
+    filled with the tokens it has not met yet."""
+    token_terms = {} if token_terms is None else token_terms
+    stopwords = stopword_list()
     tokens = tokenize(normalize(text))
     for token in set(tokens).difference(token_terms):
         term = (token[1:] if token.startswith("#") and len(token) > 1
@@ -268,14 +265,13 @@ def monthly_top_terms(
     phrases = [tuple(k.lower().split()) for k in exclude if " " in k and k.strip()]
     singles = {k.lower() for k in exclude if " " not in k}
     starts = singles.union(phrase[0] for phrase in phrases)  # every term a match begins with
-    stopwords = stopword_list()
     token_terms: dict[str, str] = {}  # one entry per distinct token, for this call only
     counters: dict[str, dict[str, Counter]] = defaultdict(
         lambda: {label: Counter() for label in LABELS})
     for record, label in labeled:
         if label not in LABELS:
             raise ValidationError(f"tweet {record.id}: unknown label {label!r}")
-        terms = _content_terms(record.text, token_terms, stopwords)
+        terms = content_terms(record.text, token_terms)
         if not starts.isdisjoint(terms):
             terms = _remove_excluded(terms, phrases, singles)
         counters[_month_key(record)][label].update(terms)

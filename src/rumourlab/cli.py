@@ -46,8 +46,8 @@ def _build_parser() -> _Parser:
     ingest = sub.add_parser("ingest", help="validate a dataset and report thread assembly")
     ingest.add_argument("--data", required=True)
     ingest.add_argument("--split-out", help="write a split manifest to this directory")
-    ingest.add_argument("--ratios", default="0.7,0.15,0.15")
-    ingest.add_argument("--seed", type=int, default=13)
+    ingest.add_argument("--ratios", default=",".join(map(str, RunConfig().ratios)))
+    ingest.add_argument("--seed", type=int, default=RunConfig().split_seed)
 
     stats = sub.add_parser("stats", help="corpus summary")
     stats.add_argument("--data", required=True)
@@ -176,10 +176,7 @@ def _cmd_evaluate(args) -> int:
     labeled = [t for t in threads if t.label is not None]
     split = load_split(Path(args.run) / "split", labeled)
     labels, _ = predictor.predict(split.test)
-    report = compute_report(labels, [t.label for t in split.test],
-                            model=predictor.config.model,
-                            config_digest=predictor.config.digest(),
-                            seeds=predictor.config.seeds)
+    report = compute_report(labels, [t.label for t in split.test], predictor.config)
     out = Path(args.run) / "eval_report.txt"
     out.write_text(report_to_text(report), encoding="utf-8")
     _progress(f"evaluation written to {out}")

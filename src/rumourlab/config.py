@@ -1,11 +1,12 @@
 """Flat key = value run configuration with a canonical digest.
 
-Config files hold one ``key = value`` pair per line; ``#`` starts a
-comment. Command-line flags override file values. The canonical text
-(sorted keys, normalized values) feeds the run-directory digest, so
-identical configurations land in identical directories. Every setting
-with a range has one rule in `_RANGES`; each parsed value and every
-field of a built `RunConfig` is checked against it, whichever model runs.
+Config files hold one ``key = value`` pair per line, where ``#`` starts
+a comment; a ``--set`` value is taken whole. Command-line flags override
+file values. The canonical text (sorted keys, normalized values) feeds
+the run-directory digest, so identical configurations land in identical
+directories. Every setting with a range has one rule in `_RANGES`; each
+parsed value and every field of a built `RunConfig` is checked against
+it, whichever model runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import zip_longest
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import ParseError, ValidationError, read_utf8, split_lines
+from .errors import ParseError, ValidationError, is_text, read_utf8, split_lines
 
 MODEL_KINDS = ("lstm", "bigcn", "logreg", "svm", "rf")
 FEATURE_MODES = ("handcrafted", "tfidf", "both")
@@ -115,9 +116,9 @@ _RANGES = {
     "vocab_cap": (lambda v: v >= 4, "at least 4"),
     # Depth 0 is a single majority leaf.
     "rf_max_depth": (lambda v: v is None or v >= 0, "none or non-negative"),
-    # config.txt must read the path back, and it strips values and cuts them at '#'.
-    "dataset": (lambda v: v == v.strip() and not any(c in v for c in "#\n\r"),
-                "a path without '#', a line break or outer spaces"),
+    # UTF-8 config.txt must read the path back, and it strips values and cuts them at '#'.
+    "dataset": (lambda v: is_text(v) and v == v.strip() and not any(c in v for c in "#\n\r"),
+                "a UTF-8 path without '#', a line break or outer spaces"),
 }
 
 
@@ -174,7 +175,7 @@ def _parse_value(name: str, raw: str):
 
 def _parse_line(line: str, where: str, updates: dict) -> Optional[str]:
     """Add a `key = value` line to `updates`; return the key. Errors start with `where`."""
-    line = line.split("#", 1)[0].strip()
+    line = line.strip()
     if not line:
         return
     if "=" not in line:
@@ -193,10 +194,10 @@ def _parse_line(line: str, where: str, updates: dict) -> Optional[str]:
 
 def parse_config_text(text: str, source: str = "config") -> RunConfig:
     """Apply config text over `RunConfig()`; errors name `source` and the line.
-    No key may repeat."""
+    `#` starts a comment, and no key may repeat."""
     updates, first_line = {}, {}
     for line_no, line in enumerate(split_lines(text), start=1):
-        name = _parse_line(line, f"{source} line {line_no}", updates)
+        name = _parse_line(line.split("#", 1)[0], f"{source} line {line_no}", updates)
         if name is not None and first_line.setdefault(name, line_no) != line_no:
             raise ValidationError(f"{source} line {line_no}: config key {name!r} repeated "
                                   f"(first given on line {first_line[name]})")
@@ -204,7 +205,7 @@ def parse_config_text(text: str, source: str = "config") -> RunConfig:
 
 
 def apply_settings(settings: Sequence[str], base: RunConfig) -> RunConfig:
-    """Apply `key = value` strings given one per `--set` flag. No key may repeat."""
+    """Apply `key = value` strings, one per `--set` flag and each taken whole; no key repeats."""
     updates, first = {}, {}
     for index, setting in enumerate(settings):
         name = _parse_line(setting, f"--set {setting!r}", updates)

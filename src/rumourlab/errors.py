@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, the one rule for where a
-line of text ends, and the UTF-8 text read that reports a bad byte by
-file and line."""
+line of text ends and for what UTF-8 can write, and the UTF-8 text read
+that reports a bad byte by file and line."""
 
 from pathlib import Path
 
@@ -20,6 +20,15 @@ def split_lines(text: str) -> list[str]:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     return lines[:-1] if lines[-1] == "" else lines
+
+
+def is_text(value: str) -> bool:
+    """Whether UTF-8 can encode `value`: it holds no surrogate (U+D800..U+DFFF)."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def read_utf8(path) -> str:

@@ -69,14 +69,10 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def compute_report(
-    predictions: Sequence[str],
-    truth: Sequence[str],
-    model: str = "",
-    config_digest: str = "",
-    seeds: tuple[int, ...] = (),
-) -> Report:
-    """Accuracy plus per-class precision/recall/F1 with support counts."""
+def compute_report(predictions: Sequence[str], truth: Sequence[str],
+                   config: Optional[RunConfig] = None) -> Report:
+    """Accuracy plus per-class precision/recall/F1 with support counts,
+    labeled with the model, digest and seeds of the run `config`, if given."""
     if len(predictions) != len(truth):
         raise ValidationError(
             f"{len(predictions)} predictions for {len(truth)} truth labels"
@@ -98,10 +94,9 @@ def compute_report(
             precision=precision, recall=recall, f1=_f1(precision, recall),
             support=tp + fn,
         )
-    return Report(
-        accuracy=correct / len(truth), rows=rows,
-        model=model, config_digest=config_digest, seeds=tuple(seeds),
-    )
+    label = {} if config is None else dict(model=config.model, config_digest=config.digest(),
+                                           seeds=config.seeds)
+    return Report(accuracy=correct / len(truth), rows=rows, **label)
 
 
 def majority_vote(runs: Sequence[Sequence[str]]) -> list[str]:
@@ -257,16 +252,17 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
     if empty := [name for name in ("dev", "test") if not getattr(split, name)]:
         raise ValidationError(f"[stage: split] no threads in the split(s) {empty}: ratios "
                               f"{config.ratios} over {len(labeled)} labeled threads")
-    # The fit and the train prepare share a token table over the train split. It is
-    # dropped before dev and test (which build their own) to keep peak memory down.
-    tokens = None
-    if _reads_text(config):
-        tokens = stage("featurize", lambda: token_table(split.train))
-    model = stage("featurize", lambda: run_model(config, split.train, tokens))
-    train = stage("featurize", lambda: model.prepare(split.train, tokens, fit=True))
-    del tokens
-    dev, test = stage("featurize", lambda: [
-        model.prepare(part) for part in (split.dev, split.test)])
+
+    def featurize():
+        # The fit and the train prepare share a token table over the train split. It
+        # is dropped before dev and test (which build their own) to keep peak memory down.
+        tokens = token_table(split.train) if _reads_text(config) else None
+        model = run_model(config, split.train, tokens)
+        train = model.prepare(split.train, tokens, fit=True)
+        del tokens
+        return model, train, model.prepare(split.dev), model.prepare(split.test)
+
+    model, train, dev, test = stage("featurize", featurize)
 
     run_dir = Path(config.out_dir) / f"{config.model}-{config.digest()}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -288,13 +284,11 @@ def run_experiment(config: RunConfig, progress=None) -> ExperimentResult:
         model.save(payload, run_dir, seed)
         (run_dir / f"history_seed{seed}.txt").write_text(history, encoding="utf-8")
         outputs.append(model.predict(payload, test) if fresh else outputs[-1])
-        shared = "" if fresh else (
-            f" (same fit as seed {first}: {config.model} without SMOTE does not read the seed)")
+        shared = "" if fresh else f" (same fit as seed {first}: this fit does not read the seed)"
         note(f"seed {seed}: {summary}{shared}")
 
     voted, mean_scores = _vote(outputs)
-    report = compute_report(voted, [t.label for t in split.test], model=config.model,
-                            config_digest=config.digest(), seeds=config.seeds)
+    report = compute_report(voted, [t.label for t in split.test], config)
     (run_dir / "report.txt").write_text(report_to_text(report), encoding="utf-8")
     (run_dir / "metrics.txt").write_text(metrics_to_text(report), encoding="utf-8")
     lines = [

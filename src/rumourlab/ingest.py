@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .config import check_setting
-from .errors import ParseError, ValidationError, read_utf8, split_lines
+from .errors import ParseError, ValidationError, is_text, read_utf8, split_lines
 
 RUMOUR = "rumour"
 NONRUMOUR = "nonrumour"
@@ -175,6 +175,9 @@ def _refuse(raw: bytes, current_year: int) -> Optional[TweetRecord]:
         value = fields.get(name)
         if value is not None and type(value) is not str:
             raise ValidationError(f"{name} must be a string or null")
+    for name in ("id", "text", "parent_id"):
+        if not is_text(fields.get(name) or ""):
+            raise ValidationError(f"{name} holds an unpaired surrogate escape")
     for name in ("id", "parent_id"):
         if _has_break(fields.get(name) or ""):
             raise ValidationError(f"{name} must not hold a tab or line break")
@@ -221,7 +224,9 @@ def load_tweets(path) -> list[TweetRecord]:
                         and (parent_id is None or type(parent_id) is str and parent_id != id_
                              and "\t" not in parent_id and "\n" not in parent_id
                              and "\r" not in parent_id)
-                        and (label is None or type(label) is str and label in LABELS))
+                        and (label is None or type(label) is str and label in LABELS)
+                        # Only a \u escape makes a surrogate, so a line without "\\" has none.
+                        and ("\\" not in line or is_text(id_ + text + (parent_id or ""))))
                 except (ValueError, RecursionError, StopIteration, KeyError, TypeError):
                     accepted = False
                 if accepted:

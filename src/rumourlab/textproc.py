@@ -20,6 +20,7 @@ import string
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import Optional
 
 from .errors import read_utf8, split_lines
 
@@ -150,17 +151,13 @@ class AttributeCounts:
     stopwords: int
 
 
-def count_attributes(text: str) -> AttributeCounts:
+def count_attributes(text: str, word_kinds: Optional[dict[str, int]] = None) -> AttributeCounts:
     """Surface-attribute counts: URLs, emoji, hashtags, and mentions are
     counted on the raw text; words and stopwords on the token stream of
-    the normalized text."""
-    return tally_attributes(text, {})
-
-
-def tally_attributes(text: str, word_kinds: dict[str, int]) -> AttributeCounts:
-    """count_attributes, with the caller's table of each distinct token's
-    kind (0 not a word, 1 a word, 2 a stopword), filled with the tokens it
-    has not met yet."""
+    the normalized text. `word_kinds`, a caller's table of each distinct
+    token's kind (0 not a word, 1 a word, 2 a stopword) kept across calls,
+    is filled with the tokens it has not met yet."""
+    word_kinds = {} if word_kinds is None else word_kinds
     tokens = tokenize(normalize(text))
     stopwords = stopword_list()
     for token in set(tokens).difference(word_kinds):

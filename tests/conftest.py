@@ -123,6 +123,11 @@ def oracle_record(line, current_year):
         value = fields.get(name)
         if value is not None and type(value) is not str:
             return f"{name} must be a string or null"
+    for name in ("id", "text", "parent_id"):
+        try:
+            (fields.get(name) or "").encode("utf-8")
+        except UnicodeEncodeError:
+            return f"{name} holds an unpaired surrogate escape"
     for name in ("id", "parent_id"):
         value = fields.get(name) or ""
         if "\t" in value or "\n" in value or "\r" in value:

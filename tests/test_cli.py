@@ -203,6 +203,17 @@ class TestIngestAndStats:
         for part in ("train", "dev", "test"):
             assert (tmp_path / "split" / f"{part}.ids").exists()
 
+    def test_default_split_manifest_is_the_default_train_split(self, planted_file, tmp_path):
+        """`ingest --split-out` defaults its ratios and seed to the run config's."""
+        assert main(["ingest", "--data", str(planted_file),
+                     "--split-out", str(tmp_path / "split")]) == 0
+        assert main(["train", "--data", str(planted_file), "--set", "classic_iters = 5",
+                     "--out-dir", str(tmp_path / "runs")]) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        for part in ("train", "dev", "test"):
+            assert (tmp_path / "split" / f"{part}.ids").read_bytes() == \
+                (run_dir / "split" / f"{part}.ids").read_bytes()
+
     @pytest.mark.parametrize("ratios,message", [
         ("a,b", "could not convert string to float: 'a'"),
         ("nan,nan,nan", "ratios must be three positive fractions that sum to 1"),
@@ -265,6 +276,24 @@ class TestIngestAndStats:
         assert main([command, "--data", str(path)]) == 1
         assert capsys.readouterr().err == (f"error: {path} line 2: account_created_year "
                                            f"{year + 1} outside [2006, {year}]\n")
+
+    def test_surrogate_text_exits_one_writing_nothing(self, planted_file, tmp_path, capsys):
+        """A lone surrogate escape has no UTF-8 form, so no table or run file
+        could hold the text; the loader refuses its line."""
+        lines = planted_file.read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "surrogate.jsonl"
+        bad = {**json.loads(lines[1]), "text": "wombatflux \ud800zz people say"}
+        path.write_text("\n".join([lines[0], json.dumps(bad)] + lines[2:]) + "\n",
+                        encoding="utf-8")
+        refusal = f"{path} line 2: text holds an unpaired surrogate escape\n"
+        out = tmp_path / "out"
+        assert main(["train", "--data", str(path), "--model", "logreg",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [stage: ingest] {refusal}"
+        assert main(["analyze", "--kind", "topics", "--data", str(path),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {refusal}"
+        assert not out.exists()
 
     def test_oversized_count_exits_one_before_training(self, planted_file, tmp_path, capsys):
         lines = planted_file.read_text(encoding="utf-8").splitlines()
@@ -805,11 +834,22 @@ class TestTrainPredictEvaluate:
         ("--set", "classic_lr = 0",
          "--set 'classic_lr = 0': classic_lr must be finite and positive"),
         ("--model", "mlp", "--model 'mlp': model must be one of lstm, bigcn, logreg, svm, rf"),
-        ("--data", "d#1.jsonl",
-         "--data 'd#1.jsonl': dataset must be a path without '#', a line break or outer spaces"),
+        ("--data", "d#1.jsonl", "--data 'd#1.jsonl': dataset must be a UTF-8 path without "
+                                "'#', a line break or outer spaces"),
+        # A file name that is not UTF-8 reaches argv with its bytes as surrogates.
+        ("--data", "l\udcff.jsonl", "--data 'l\\udcff.jsonl': dataset must be a UTF-8 path "
+                                    "without '#', a line break or outer spaces"),
+        # '#' starts a comment in a config file only: a --set value is taken whole.
+        ("--set", "dataset = d#1.jsonl", "--set 'dataset = d#1.jsonl': dataset must be a "
+                                         "UTF-8 path without '#', a line break or outer spaces"),
+        ("--set", "lr = 0.1 # fast", "--set 'lr = 0.1 # fast': bad value for 'lr': "
+                                     "'0.1 # fast'"),
         # U+0085 ends no line, so the bad value is named on line 2.
         ("--config", "dataset = a\u0085b\nmodel = mlp\n",
          "{config} line 2: model must be one of lstm, bigcn, logreg, svm, rf"),
+        # A trailing comment in a config file is cut, so line 1 is read as lr = 0.1.
+        ("--config", "lr = 0.1 # fast\nseeds = x\n",
+         "{config} line 2: bad value for 'seeds': 'x'"),
         # No reader keeps the later of two entries for one key.
         ("--config", "seeds = 1\nmodel = svm\n# rf next\nmodel = rf\n",
          "{config} line 4: config key 'model' repeated (first given on line 2)"),
@@ -817,7 +857,8 @@ class TestTrainPredictEvaluate:
          "--set 'model=rf': config key 'model' repeated (first given by --set 'model = svm')"),
     ], ids=["config-no-equals", "config-bad-value", "config-unknown-key", "set-no-equals",
             "set-bad-value", "config-range", "set-classic-iters", "set-classic-lr",
-            "flag-model", "flag-data", "config-nel-value", "config-repeated-key",
+            "flag-model", "flag-data", "flag-data-not-utf8", "set-data-hash", "set-comment",
+            "config-nel-value", "config-trailing-comment", "config-repeated-key",
             "set-repeated-key"])
     def test_config_error_names_its_source(self, planted_file, tmp_path, capsys,
                                            source, text, message):

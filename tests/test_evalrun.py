@@ -150,13 +150,13 @@ class TestMajorityVote:
 
 class TestReportText:
     def test_report_layout(self):
-        report = compute_report(
-            ["rumour", "nonrumour"], ["rumour", "nonrumour"],
-            model="logreg", config_digest="abc123", seeds=(1, 2))
+        config = RunConfig(model="logreg", seeds=(1, 2))
+        report = compute_report(["rumour", "nonrumour"], ["rumour", "nonrumour"], config)
         text = report_to_text(report)
         lines = text.splitlines()
         assert lines[0] == "# rumourlab-report v1"
         assert "model = logreg" in lines
+        assert f"config = {config.digest()}" in lines
         assert "seeds = 1,2" in lines
         assert any(line.startswith("R ") for line in lines)
         assert any(line.startswith("N ") for line in lines)
@@ -409,7 +409,7 @@ class TestRunExperiment:
         assert notes[1].startswith("seed 4: dev accuracy ")
         for note, seed in zip(notes[2:], (2, 9)):
             assert note == f"{notes[1].replace('seed 4', f'seed {seed}')} (same fit as " \
-                           f"seed 4: {model} without SMOTE does not read the seed)"
+                           "seed 4: this fit does not read the seed)"
         every_seed = run_files(reads_seed=True)
         assert every_seed[0] == [2, 4, 9]
         assert files == every_seed[2]

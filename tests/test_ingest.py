@@ -126,10 +126,15 @@ class TestLoadTweets:
         ({"id": "b\n"}, "id must not hold a tab or line break"),
         ({"parent_id": "a\r\n"}, "parent_id must not hold a tab or line break"),
         ({"parent_id": "\ta"}, "parent_id must not hold a tab or line break"),
+        # json.dumps writes a lone surrogate as a \u escape.
+        ({"id": "b\ud800"}, "id holds an unpaired surrogate escape"),
+        ({"text": "wombatflux \udfffzz people say"}, "text holds an unpaired surrogate escape"),
+        ({"parent_id": "\udc00a"}, "parent_id holds an unpaired surrogate escape"),
     ], ids=["numeric-id", "null-id", "empty-id", "numeric-parent", "list-parent",
             "numeric-label", "bool-count", "negative-count", "count-at-bound", "huge-count",
             "int-verified", "null-text",
-            "overflowing-time", "cr-id", "tab-id", "lf-id", "crlf-parent", "tab-parent"])
+            "overflowing-time", "cr-id", "tab-id", "lf-id", "crlf-parent", "tab-parent",
+            "surrogate-id", "surrogate-text", "surrogate-parent"])
     def test_wrong_field_type_cites_file_and_line(self, tmp_path, changes, message):
         path = tmp_path / "data.jsonl"
         reply = {**GOOD, "id": "b", "parent_id": "a", **changes}
@@ -227,11 +232,14 @@ class TestFuzzedDataset:
         assert np.isfinite(handcrafted_matrix(threads)).all()
 
 
+# Lone surrogates, which only a \u escape writes in a UTF-8 file.
+_SURROGATES = ("\ud800", "a\udfffb")
 _ODD_VALUES = st.one_of(
     st.sampled_from([None, True, False, 0, 1, -1, 2**63 - 1, 2**63, 10**30, 1.5, 2005, 2006,
                      "", "a", "p", "rumour", "nonrumour", "maybe", "2015", "2020-01-01T00:00:00Z",
                      "2020-01-01T00:00:00", "soon", [], ["a"], {}, {"k": 1}]),
     st.integers(-3, 2**64), st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+    st.sampled_from(_SURROGATES),
 )
 
 
@@ -253,7 +261,8 @@ def _mutated_line(draw):
         else:
             record[name] = draw(st.sampled_from([-1, 0, 2**63 - 1, 2**63, True, False, None])
                                 if action == "edge" else _ODD_VALUES)
-    line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    escaped = any(value in _SURROGATES for value in record.values())
+    line = json.dumps(record, ensure_ascii=escaped or draw(st.booleans()))
     if draw(st.integers(0, 7)):
         return line + draw(st.sampled_from(["", " ", "\u00a0"]))
     return draw(st.sampled_from([
@@ -279,6 +288,8 @@ class TestDifferentialOracle:
     @example(line=json.dumps({**GOOD, "like_count": 2**63}))
     @example(line=json.dumps({**GOOD, "parent_id": "a"}))
     @example(line=json.dumps({**GOOD, "parent_id": None, "label": None}))
+    @example(line=json.dumps({**GOOD, "text": "wombatflux \ud800zz people say"}))
+    @example(line=json.dumps({**GOOD, "text": "\\ud800 is six characters"}))
     def test_load_accepts_exactly_what_the_oracle_accepts(self, tmp_path, line):
         path = tmp_path / "one.jsonl"
         path.write_bytes(line.encode("utf-8") + b"\n")
